@@ -12,6 +12,8 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
+import numpy as np
+
 from . import config
 from .errors import BudgetExceededError, InputError, PreconditionError, StructureError
 from .partitions import Partition, _UnionFind, quotient_partition
@@ -46,7 +48,7 @@ class FiniteAlgebra:
                     f"operation {op.name!r} table has {len(op.table)} entries, "
                     f"expected {size**op.arity}"
                 )
-            if any(not 0 <= v < size for v in op.table):
+            if min(op.table) < 0 or max(op.table) >= size:
                 raise InputError(f"operation {op.name!r} table value out of range")
             self._by_name[op.name] = op
         # strides[name][i] = weight of argument i in the flat table index
@@ -55,6 +57,7 @@ class FiniteAlgebra:
             for op in self.ops
         }
         self._translations = None
+        self._arrays = None
 
     def op(self, name: str) -> Operation:
         try:
@@ -105,6 +108,16 @@ class FiniteAlgebra:
                         out.append(tr)
             self._translations = out
         return self._translations
+
+    def table_arrays(self) -> list[np.ndarray]:
+        """Each operation's table as a read-only array of shape (size,) * arity."""
+        if self._arrays is None:
+            self._arrays = []
+            for op in self.ops:
+                arr = np.array(op.table, dtype=np.intp).reshape((self.size,) * op.arity)
+                arr.flags.writeable = False
+                self._arrays.append(arr)
+        return self._arrays
 
     def __repr__(self):
         sig = ", ".join(f"{op.name}/{op.arity}" for op in self.ops)
@@ -205,30 +218,45 @@ def as_partition(x) -> Partition:
 
 def congruence_violation(alg: FiniteAlgebra, part: Partition):
     """Return None, or (op name, position, args, replacement) witnessing
-    an operation that maps a related pair to an unrelated pair."""
+    an operation that maps a related pair to an unrelated pair.
+
+    The witness is the first in the order (operation, args in lex order,
+    position, replacement): an operation respects the partition at a
+    position exactly when moving that argument to its block's least member
+    never changes the image's block, and the least violating args tuple
+    is such a moved tuple.
+    """
     if part.n != alg.size:
         raise InputError("partition size does not match the algebra")
     if part.num_blocks in (1, part.n):
         return None
-    labels = part.labels
-    blocks = part.blocks()
-    n = alg.size
-    for op in alg.ops:
-        if op.arity == 0:
-            continue
-        table = op.table
-        strides = alg._strides[op.name]
-        for args in itertools.product(range(n), repeat=op.arity):
-            idx = sum(s * a for s, a in zip(strides, args))
-            out = labels[table[idx]]
-            for pos, x in enumerate(args):
-                step = strides[pos]
-                for y in blocks[labels[x]]:
-                    if y <= x:
-                        continue
-                    if labels[table[idx + step * (y - x)]] != out:
-                        return (op.name, pos, args, y)
+    labels = np.array(part.labels, dtype=np.intp)
+    rep = np.array(part.representatives(), dtype=np.intp)[labels]
+    for op, table in zip(alg.ops, alg.table_arrays()):
+        image = labels[table]
+        starts = []
+        for pos, stride in enumerate(alg._strides[op.name]):
+            bad = np.flatnonzero(image != image.take(rep, axis=pos))
+            if bad.size:
+                # flat indices of the mismatches with argument pos moved to its rep
+                x = bad // stride % alg.size
+                starts.append(int((bad - stride * (x - rep[x])).min()))
+        if starts:
+            return _violation_at(alg, op, part, min(starts))
     return None
+
+
+def _violation_at(alg: FiniteAlgebra, op: Operation, part: Partition, idx: int):
+    """The first (position, replacement) violation at the flat index idx."""
+    labels, blocks, table = part.labels, part.blocks(), op.table
+    strides = alg._strides[op.name]
+    args = tuple(idx // s % alg.size for s in strides)
+    out = labels[table[idx]]
+    for pos, x in enumerate(args):
+        for y in blocks[labels[x]]:
+            if y > x and labels[table[idx + strides[pos] * (y - x)]] != out:
+                return (op.name, pos, args, y)
+    raise AssertionError("no violation at the located arguments")
 
 
 def is_congruence(alg: FiniteAlgebra, part) -> bool:
@@ -288,7 +316,6 @@ def _principal_partition_set_batch(alg: FiniteAlgebra) -> list[Partition]:
     # one-variable translation g; the congruence generated by a pair is the
     # equivalence closure of the pairs reachable from it, constant on each
     # strongly connected component.
-    import numpy as np
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
@@ -299,10 +326,9 @@ def _principal_partition_set_batch(alg: FiniteAlgebra) -> list[Partition]:
     pair_id[xs, ys] = np.arange(num_pairs)
 
     src_parts, dst_parts = [], []
-    for op in alg.ops:
+    for op, tbl in zip(alg.ops, alg.table_arrays()):
         if op.arity == 0:
             continue
-        tbl = np.array(op.table, dtype=np.int64).reshape((n,) * op.arity)
         for pos in range(op.arity):
             rows = np.moveaxis(tbl, pos, 0).reshape(n, -1).T  # one row per translation
             chunk = max(1, (4 << 20) // max(1, num_pairs))
@@ -394,8 +420,10 @@ def _join_partitions(n: int, parts) -> Partition:
 def all_congruences(alg: FiniteAlgebra, budget: Optional[int] = None) -> list[Congruence]:
     """The whole congruence lattice: join closure of the principal congruences.
 
-    Results come back sorted by label vector. Raises BudgetExceededError when
-    the lattice outgrows the budget (default 100000, CRTKIT_BUDGET override).
+    Every congruence is a join of principal ones, so each new member is
+    joined only with the principal congruences. Results come back sorted by
+    label vector. Raises BudgetExceededError when the lattice outgrows the
+    budget (default 100000, CRTKIT_BUDGET override).
     """
     limit = budget if budget is not None else config.budget(config.DEFAULT_CONGRUENCE_BUDGET)
     n = alg.size
@@ -413,12 +441,13 @@ def all_congruences(alg: FiniteAlgebra, budget: Optional[int] = None) -> list[Co
             )
 
     worklist = []
-    for p in principal_partition_set(alg):
+    principal = principal_partition_set(alg)
+    for p in principal:
         if p.labels not in known:
             admit(p)
     while worklist:
         theta = worklist.pop()
-        for other in list(known.values()):
+        for other in principal:
             j = theta.join(other)
             if j.labels not in known:
                 admit(j)
@@ -589,28 +618,6 @@ def reduct(alg: FiniteAlgebra, interp, name: Optional[str] = None) -> FiniteAlge
 
 # ---------------------------------------------------------------------------
 # congruence lattice properties
-
-
-def join(x: Congruence, y: Congruence) -> Congruence:
-    _same_algebra(x, y)
-    return Congruence(x.algebra, x.partition.join(y.partition))
-
-
-def meet(x: Congruence, y: Congruence) -> Congruence:
-    _same_algebra(x, y)
-    return Congruence(x.algebra, x.partition.meet(y.partition))
-
-
-def compose(x: Congruence, y: Congruence):
-    _same_algebra(x, y)
-    return x.partition.compose(y.partition)
-
-
-def _same_algebra(x: Congruence, y: Congruence):
-    if not isinstance(x, Congruence) or not isinstance(y, Congruence):
-        raise InputError("expected two congruences")
-    if x.algebra is not y.algebra:
-        raise InputError("congruences of different algebras")
 
 
 def is_arithmetic(alg: FiniteAlgebra, budget: Optional[int] = None) -> bool:

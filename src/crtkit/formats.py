@@ -27,6 +27,8 @@ canonical files and in-memory values.
 
 from __future__ import annotations
 
+import itertools
+
 from .algebra import FiniteAlgebra, Operation
 from .errors import InputError
 from .partitions import Partition, canonical_labels
@@ -88,9 +90,12 @@ def parse_algebra(text: str) -> FiniteAlgebra:
                 f"operation {op_name!r} needs {count} values, file has "
                 f"{len(tokens) - pos}"
             )
-        table = tuple(
-            _expect_int(tokens, pos + i, f"a value of {op_name!r}") for i in range(count)
-        )
+        try:
+            table = tuple(map(int, itertools.islice(tokens, pos, pos + count)))
+        except ValueError:
+            for i in range(count):
+                _expect_int(tokens, pos + i, f"a value of {op_name!r}")
+            raise
         ops.append(Operation(op_name, arity, table))
         pos += count
     return FiniteAlgebra(size, ops, name=name)
@@ -103,7 +108,7 @@ def serialize_algebra(alg: FiniteAlgebra) -> str:
     for op in alg.ops:
         _check_name("operation", op.name)
         lines.append(f"op {op.name} {op.arity}")
-        lines.append(" ".join(str(v) for v in op.table))
+        lines.append(" ".join(map(str, op.table)))
     return "\n".join(lines) + "\n"
 
 

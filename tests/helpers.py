@@ -22,6 +22,47 @@ def set_partitions(n):
     return out
 
 
+def naive_is_congruence(alg, part):
+    """Direct definition: every operation maps related tuples to related values."""
+    for op in alg.ops:
+        for args in itertools.product(range(alg.size), repeat=op.arity):
+            for pos in range(op.arity):
+                for b in range(alg.size):
+                    if not part.related(args[pos], b):
+                        continue
+                    other = list(args)
+                    other[pos] = b
+                    if not part.related(
+                        alg.apply(op.name, *args), alg.apply(op.name, *other)
+                    ):
+                        return False
+    return True
+
+
+def reference_congruence_violation(alg, part):
+    """Per-tuple scan for the first violation of compatibility.
+
+    Operations in order, argument tuples in lex order, positions left to
+    right, replacements ascending within the block: the order in which
+    algebra.congruence_violation reports its witness.
+    """
+    if part.num_blocks in (1, part.n):
+        return None
+    labels = part.labels
+    blocks = part.blocks()
+    for op in alg.ops:
+        for args in itertools.product(range(alg.size), repeat=op.arity):
+            out = labels[alg.apply(op.name, *args)]
+            for pos, x in enumerate(args):
+                for y in blocks[labels[x]]:
+                    if y <= x:
+                        continue
+                    other = args[:pos] + (y,) + args[pos + 1 :]
+                    if labels[alg.apply(op.name, *other)] != out:
+                        return (op.name, pos, args, y)
+    return None
+
+
 def closed_subpower(base, m, seeds):
     """Subalgebra of base^m generated by the given coordinate tuples.
 

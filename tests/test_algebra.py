@@ -44,24 +44,7 @@ from crtkit.errors import (
 )
 from crtkit.partitions import Partition
 
-from helpers import set_partitions
-
-
-def naive_is_congruence(alg, part):
-    """Direct definition: every operation maps related tuples to related values."""
-    for op in alg.ops:
-        for args in itertools.product(range(alg.size), repeat=op.arity):
-            for pos in range(op.arity):
-                for b in range(alg.size):
-                    if not part.related(args[pos], b):
-                        continue
-                    other = list(args)
-                    other[pos] = b
-                    if not part.related(
-                        alg.apply(op.name, *args), alg.apply(op.name, *other)
-                    ):
-                        return False
-    return True
+from helpers import naive_is_congruence, set_partitions
 
 
 def naive_all_congruences(alg):

@@ -317,6 +317,18 @@ def test_check_budget_env_var(fix, capsys, monkeypatch):
     assert code == 2 and "budget" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_check_rejects_bad_budget_env_var(fix, capsys, monkeypatch, value):
+    monkeypatch.setenv("CRTKIT_BUDGET", value)
+    code, out, err = run(
+        capsys,
+        "check", "--algebra", fix["chain3.alg"], "--congs", fix["chain3.congs"],
+        "--method", "brute",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "CRTKIT_BUDGET" in err and repr(value) in err
+
+
 @pytest.mark.parametrize(
     "algfile,expected",
     [
@@ -507,6 +519,21 @@ def test_gen_hard_u_embed_with_semigroup(fix, capsys, tmp_path):
         open(os.path.join(out_dir, "instance.congs")).read(), size=450
     ):
         assert congruence_violation(alg, part) is None, name
+
+
+def test_gen_hard_u_embed_semigroup_file_round_trips(fix, capsys, tmp_path):
+    out_dir = str(tmp_path / "HR")
+    code, _, _ = run(
+        capsys,
+        "gen-hard", "--cnf", fix["pentagon.cnf"], "--out", out_dir,
+        "--u-embed", "--semigroup",
+    )
+    assert code == 0
+    with open(os.path.join(out_dir, "instance.alg"), "rb") as handle:
+        blob = handle.read()
+    alg = parse_algebra(blob.decode("ascii"))
+    assert alg.size == 450
+    assert serialize_algebra(alg).encode("ascii") == blob
 
 
 def test_gen_hard_rejects_short_formula(fix, capsys, tmp_path):

@@ -87,6 +87,19 @@ def test_bad_algebra_files(doc):
         parse_algebra(doc)
 
 
+def test_bad_table_token_is_named():
+    doc = "algebra a\nsize 2\nop f 2\n0 1 zz 1\nop g 1\n1 0\n"
+    with pytest.raises(InputError, match="expected a value of 'f', got 'zz'"):
+        parse_algebra(doc)
+
+
+@pytest.mark.parametrize("value", ["2", "-1"])
+def test_table_value_out_of_range(value):
+    doc = f"algebra a\nsize 2\nop g 1\n1 0\nop f 2\n0 1 {value} 1\n"
+    with pytest.raises(InputError, match="'f' table value out of range"):
+        parse_algebra(doc)
+
+
 def test_serialize_rejects_unprintable_names():
     with pytest.raises(InputError):
         serialize_algebra(FiniteAlgebra(2, [], name="two words"))
