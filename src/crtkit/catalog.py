@@ -152,12 +152,17 @@ def two_implication() -> FiniteAlgebra:
     return FiniteAlgebra(2, [Operation("imp", 2, imp)], name="2imp")
 
 
+def left_zero_mul(n: int) -> Operation:
+    """The left-zero product x * y = x on n elements."""
+    mul = itertools.chain.from_iterable(itertools.repeat(x, n) for x in range(n))
+    return Operation("mul", 2, tuple(mul))
+
+
 def left_zero_semigroup(n: int) -> FiniteAlgebra:
     """x * y = x; every partition is a congruence."""
     if n < 1:
         raise InputError("need at least one element")
-    mul = tuple(x for x in range(n) for _ in range(n))
-    return FiniteAlgebra(n, [Operation("mul", 2, mul)], name=f"LZ{n}")
+    return FiniteAlgebra(n, [left_zero_mul(n)], name=f"LZ{n}")
 
 
 def bare_set(n: int) -> FiniteAlgebra:

@@ -23,7 +23,6 @@ import sys
 from . import postlattice
 from .algebra import (
     FiniteAlgebra,
-    Operation,
     all_congruences,
     congruence_lattice_is_distributive,
     congruence_lattice_is_permutable,
@@ -31,6 +30,7 @@ from .algebra import (
     naive_meet_irreducibles,
     term_str,
 )
+from .catalog import left_zero_mul
 from .dualdisc import is_cr_tuple_dualdisc
 from .errors import CrtkitError, InputError
 from .formats import (
@@ -204,10 +204,9 @@ def cmd_gen_hard(args) -> int:
     if args.u_embed:
         alg, parts = u_embed(inst.size, inst.thetas)
         if args.semigroup:
-            mul = tuple(x for x in range(alg.size) for _ in range(alg.size))
             alg = FiniteAlgebra(
                 alg.size,
-                list(alg.ops) + [Operation("mul", 2, mul)],
+                list(alg.ops) + [left_zero_mul(alg.size)],
                 name=f"{alg.name}xLZ",
             )
     elif args.semigroup:

@@ -30,15 +30,8 @@ import numpy as np
 from . import config
 from .algebra import Congruence, FiniteAlgebra, Operation, as_partition, quotient
 from .errors import BudgetExceededError, InputError, StructureError
-from .partitions import Partition, canonical_labels
+from .partitions import Partition, _bits, canonical_labels
 from .systems import quotient_reduce
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass(eq=False)

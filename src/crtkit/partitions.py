@@ -149,13 +149,15 @@ class Partition:
     def join(self, other: "Partition") -> "Partition":
         """Least common coarsening (transitive closure of the union)."""
         self._check_same_ground(other)
-        uf = _UnionFind(self.n)
-        for part in (self, other):
-            for block in part.blocks():
-                first = block[0]
-                for x in block[1:]:
-                    uf.union(first, x)
-        return Partition(uf.labels())
+        # merge the blocks of self that meet a common block of other
+        uf = _UnionFind(self.num_blocks)
+        first = [-1] * other.num_blocks
+        for a, b in zip(self.labels, other.labels):
+            if first[b] < 0:
+                first[b] = a
+            elif first[b] != a:
+                uf.union(first[b], a)
+        return Partition([uf.find(a) for a in self.labels])
 
     def meet(self, other: "Partition") -> "Partition":
         """Greatest common refinement (pairwise label intersection)."""

@@ -15,7 +15,7 @@ from typing import Optional
 from . import config
 from .algebra import as_partition
 from .errors import BudgetExceededError, InputError
-from .partitions import Partition, quotient_partition
+from .partitions import Partition, _bits, quotient_partition
 
 
 def _tuple_of_partitions(thetas) -> tuple[Partition, ...]:
@@ -75,68 +75,98 @@ def solve_system(system: CongruenceSystem) -> Optional[int]:
 class CrVerdict:
     is_cr: bool
     witness: Optional[tuple[int, ...]]  # targets of the least unsolvable system
-    checked: int  # candidate systems enumerated
+    checked: int  # search nodes: labels tried at a coordinate before the last
 
     def __bool__(self):
         return self.is_cr
 
 
 def brute_force_is_cr_tuple(thetas, budget: Optional[int] = None) -> CrVerdict:
-    """Decide CR by enumerating candidate systems.
+    """Decide CR by a depth-first search for an unsolvable compatible system.
 
     Targets range over block minimums only: replacing each target by the
-    least element of its block changes neither compatibility nor solvability,
-    and it keeps the enumeration lexicographically least, so the witness
-    reported for a failing tuple is the lex-least one over representatives.
-    Raises BudgetExceededError after `budget` enumeration steps (default
-    10^7, CRTKIT_BUDGET override).
+    least element of its block changes neither compatibility nor solvability.
+    The search picks block labels coordinate by coordinate in their fixed
+    order, smallest label first; labels increase with their least members,
+    so it meets systems in lexicographic order over representatives.
+
+    Forward checking: each later coordinate j keeps a bitmask domain of the
+    theta_j-blocks still (theta_i v theta_j)-related to every target chosen
+    so far. A label whose choice empties some domain is skipped, since no
+    compatible system extends it. At the second-to-last coordinate the last
+    one is decided exactly: a last label b is unsolvable when the running
+    intersection of chosen blocks misses block b, so the surviving domain
+    minus the labels that the intersection hits is the set of unsolvable
+    completions, and its least bit is the lex-least. Only subtrees without
+    a compatible system are cut, so the witness reported for a failing
+    tuple is the lex-least unsolvable compatible system, as an exhaustive
+    enumeration would find it.
+
+    `checked` counts search nodes: labels tried at a coordinate before the
+    last. Raises BudgetExceededError after `budget` nodes (default 10^7,
+    CRTKIT_BUDGET override).
     """
     parts = _tuple_of_partitions(thetas)
     limit = budget if budget is not None else config.budget(config.DEFAULT_TUPLE_BUDGET)
     k = len(parts)
     if k == 1:
         return CrVerdict(True, None, 0)
-    reps = [p.representatives() for p in parts]
-    masks = [p.block_masks() for p in parts]
-    labels = [p.labels for p in parts]
-    joins = [[None] * k for _ in range(k)]
+    # compat[i] holds one row per coordinate j > i, in order: row[a] is the
+    # bitmask of theta_j-blocks (theta_i v theta_j)-related to block a
+    compat = [[] for _ in range(k)]
     for i in range(k):
+        reps = parts[i].representatives()
         for j in range(i + 1, k):
-            joins[i][j] = parts[i].join(parts[j])
-
+            join = parts[i].join(parts[j])
+            reach = [0] * join.num_blocks
+            for c, b in zip(join.labels, parts[j].labels):
+                reach[c] |= 1 << b
+            compat[i].append([reach[join.labels[r]] for r in reps])
+    masks = [p.block_masks() for p in parts]
+    last = k - 1
+    last_labels = parts[last].labels
+    last_masks = masks[last]
     chosen = [0] * k
     counter = 0
 
-    def descend(depth: int, mask: int) -> Optional[tuple[int, ...]]:
+    def descend(depth: int, mask: int, domains: list[int]) -> Optional[int]:
         nonlocal counter
-        for a in reps[depth]:
+        rows = compat[depth]
+        for a in _bits(domains[0]):
             counter += 1
             if counter > limit:
                 raise BudgetExceededError(
-                    f"candidate system budget {limit} exhausted",
+                    f"search node budget {limit} exhausted",
                     checked=counter - 1,
                     budget=limit,
                 )
-            ok = True
-            for j in range(depth):
-                if not joins[j][depth].related(chosen[j], a):
-                    ok = False
-                    break
-            if not ok:
-                continue
+            narrowed = [dom & row[a] for dom, row in zip(domains[1:], rows)]
+            if not all(narrowed):
+                continue  # no compatible system extends this choice
             chosen[depth] = a
-            new_mask = mask & masks[depth][labels[depth][a]]
-            if depth + 1 == k:
-                if new_mask == 0:
-                    return tuple(chosen)
-            else:
-                hit = descend(depth + 1, new_mask)
-                if hit is not None:
-                    return hit
+            new_mask = mask & masks[depth][a]
+            if depth + 1 < last:
+                found = descend(depth + 1, new_mask, narrowed)
+                if found is not None:
+                    return found
+                continue
+            # strike the last labels that the intersection hits
+            free = narrowed[0]
+            while new_mask and free:
+                b = last_labels[(new_mask & -new_mask).bit_length() - 1]
+                free &= ~(1 << b)
+                new_mask &= ~last_masks[b]
+            if free:
+                return (free & -free).bit_length() - 1
         return None
 
-    witness = descend(0, -1)
-    return CrVerdict(witness is None, witness, counter)
+    full = [(1 << p.num_blocks) - 1 for p in parts]
+    found = descend(0, -1, full)
+    if found is None:
+        return CrVerdict(True, None, counter)
+    chosen[last] = found
+    witness = tuple(p.representatives()[c] for p, c in zip(parts, chosen))
+    return CrVerdict(False, witness, counter)
 
 
 def is_cr_pair(theta1, theta2) -> bool:

@@ -2,9 +2,12 @@
 
 import itertools
 
+from crtkit import config
 from crtkit.algebra import FiniteAlgebra, Operation, generated_subuniverse
 from crtkit.catalog import index_to_tuple, power_algebra, subpower, tuple_to_index
+from crtkit.errors import BudgetExceededError
 from crtkit.partitions import Partition
+from crtkit.systems import CrVerdict, _tuple_of_partitions
 
 
 def set_partitions(n):
@@ -120,3 +123,59 @@ def random_distributive_lattice(rng, num_atoms, max_extra):
                     universe.add(z)
                     changed = True
     return lattice_from_universe(universe, f"dl{len(universe)}")
+
+
+def reference_brute_force_is_cr_tuple(thetas, budget=None):
+    """Enumerate candidate systems one target tuple at a time.
+
+    Targets range over block minimums in lex order, each checked for
+    compatibility against the earlier ones, so the first unsolvable system
+    met is the lex-least witness that systems.brute_force_is_cr_tuple
+    reports. `checked` counts candidate targets tried, not search nodes.
+    """
+    parts = _tuple_of_partitions(thetas)
+    limit = budget if budget is not None else config.budget(config.DEFAULT_TUPLE_BUDGET)
+    k = len(parts)
+    if k == 1:
+        return CrVerdict(True, None, 0)
+    reps = [p.representatives() for p in parts]
+    masks = [p.block_masks() for p in parts]
+    labels = [p.labels for p in parts]
+    joins = [[None] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            joins[i][j] = parts[i].join(parts[j])
+
+    chosen = [0] * k
+    counter = 0
+
+    def descend(depth, mask):
+        nonlocal counter
+        for a in reps[depth]:
+            counter += 1
+            if counter > limit:
+                raise BudgetExceededError(
+                    f"candidate system budget {limit} exhausted",
+                    checked=counter - 1,
+                    budget=limit,
+                )
+            ok = True
+            for j in range(depth):
+                if not joins[j][depth].related(chosen[j], a):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            chosen[depth] = a
+            new_mask = mask & masks[depth][labels[depth][a]]
+            if depth + 1 == k:
+                if new_mask == 0:
+                    return tuple(chosen)
+            else:
+                hit = descend(depth + 1, new_mask)
+                if hit is not None:
+                    return hit
+        return None
+
+    witness = descend(0, -1)
+    return CrVerdict(witness is None, witness, counter)

@@ -86,6 +86,14 @@ def fix(tmp_path_factory):
     wf("chain3n.alg", serialize_algebra(chain3n))
 
     wf("z12.alg", serialize_algebra(zmod_ring(12)))
+    # congruences mod 2, 3 and 4: a CR triple, so the search visits all 8 nodes
+    wf(
+        "z12.congs",
+        "".join(
+            f"cong mod{m} " + " ".join(str(x % m) for x in range(12)) + "\n"
+            for m in (2, 3, 4)
+        ),
+    )
     wf("one.alg", serialize_algebra(bare_set(1)))
 
     wf("pentagon.cnf", PENTAGON_CNF)
@@ -308,12 +316,13 @@ def test_check_file_errors(fix, capsys, tmp_path):
 
 
 def test_check_budget_env_var(fix, capsys, monkeypatch):
-    monkeypatch.setenv("CRTKIT_BUDGET", "2")
-    code, _, err = run(
-        capsys,
-        "check", "--algebra", fix["chain3.alg"], "--congs", fix["chain3.congs"],
+    args = (
+        "check", "--algebra", fix["z12.alg"], "--congs", fix["z12.congs"],
         "--method", "brute",
     )
+    assert run(capsys, *args)[:2] == (0, "RESULT: CR\n")
+    monkeypatch.setenv("CRTKIT_BUDGET", "2")
+    code, _, err = run(capsys, *args)
     assert code == 2 and "budget" in err
 
 

@@ -27,7 +27,7 @@ from crtkit.satgadget import (
 )
 from crtkit.systems import brute_force_is_cr_tuple, make_system, solve_system
 
-from helpers import set_partitions
+from helpers import reference_brute_force_is_cr_tuple, set_partitions
 
 PENTAGON = CnfFormula(
     5, ((1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 1), (5, 1, 2))
@@ -142,7 +142,7 @@ def test_pentagon_brute_witness_extracts_assignment():
     inst = reduce_formula(PENTAGON)
     verdict = brute_force_is_cr_tuple(inst.thetas)
     assert not verdict.is_cr
-    assert verdict.checked == 766
+    assert verdict.checked == 9
     system = make_system(inst.thetas, verdict.witness)
     extracted = system_to_assignment(inst, system)
     assert satisfies(PENTAGON, extracted)
@@ -163,6 +163,33 @@ def test_random_formulas_sat_iff_not_cr():
                 seen_unsat += 1
             assert brute_force_is_cr_tuple(inst.thetas).is_cr == (not sat)
     assert seen_sat > 0 and seen_unsat > 0
+
+
+@pytest.mark.parametrize("k_sets", [5, 6, 7])
+@pytest.mark.parametrize("bias", [0.0, 0.5, 1.0])
+def test_search_matches_reference_on_reductions(k_sets, bias):
+    # seed 2 draws unsatisfiable formulas at 5 and 7 sets (bias 0 and 0.5),
+    # so the search runs to the end; seed 1 is left out only for the cost of
+    # the reference enumeration on its 7-set draw
+    for seed in (0, 2):
+        inst = reduce_formula(random_3sat_prime(seed, k_sets, bias))
+        _, lifted = u_embed(inst.size, inst.thetas)
+        for thetas in (inst.thetas, lifted):
+            got = brute_force_is_cr_tuple(thetas)
+            want = reference_brute_force_is_cr_tuple(thetas)
+            assert (got.is_cr, got.witness) == (want.is_cr, want.witness)
+
+
+def test_unsat_reductions_at_eleven_sets_fit_the_budget():
+    unsat = seed = 0
+    while unsat < 3:
+        phi = random_3sat_prime(seed, 11, 0.0)
+        verdict = brute_force_is_cr_tuple(reduce_formula(phi).thetas)
+        assert verdict.is_cr == (find_satisfying(phi) is None)
+        if verdict.is_cr:
+            assert verdict.checked < 10**5
+            unsat += 1
+        seed += 1
 
 
 def test_u_embed_example():

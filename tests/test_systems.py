@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crtkit.errors import BudgetExceededError, InputError
 from crtkit.partitions import Partition
@@ -16,7 +18,7 @@ from crtkit.systems import (
     solve_system,
 )
 
-from helpers import set_partitions
+from helpers import reference_brute_force_is_cr_tuple, set_partitions
 
 
 def naive_is_cr(parts):
@@ -124,6 +126,22 @@ def test_witness_replay_random():
     assert seen_not_cr > 20
 
 
+@st.composite
+def partition_tuple(draw):
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, 4))
+    labels = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    return [Partition(draw(labels)) for _ in range(k)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(partition_tuple())
+def test_search_matches_reference_enumeration(thetas):
+    got = brute_force_is_cr_tuple(thetas)
+    want = reference_brute_force_is_cr_tuple(thetas)
+    assert (got.is_cr, got.witness) == (want.is_cr, want.witness)
+
+
 def test_single_congruence_always_cr():
     v = brute_force_is_cr_tuple([Partition([0, 1, 0, 2])])
     assert v.is_cr and v.witness is None and v.checked == 0
@@ -135,6 +153,17 @@ def test_budget_exhaustion():
         brute_force_is_cr_tuple(thetas, budget=5)
     assert info.value.budget == 5
     assert info.value.checked == 5
+
+
+def test_checked_counts_search_nodes():
+    # identities: each first label leaves one label per later domain, and the
+    # last coordinate is decided without nodes of its own
+    thetas = [Partition(list(range(6))) for _ in range(3)]
+    assert brute_force_is_cr_tuple(thetas).checked == 6 + 6
+    # the lex-least witness (0, 2) is found at the first node
+    p = Partition([0, 1, 1])
+    q = Partition([0, 0, 1])
+    assert brute_force_is_cr_tuple([p, q]).checked == 1
 
 
 def test_is_cr_pair_is_permutability():
