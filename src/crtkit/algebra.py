@@ -8,7 +8,9 @@ wrapped in a Congruence record that remembers the certifying algebra.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import config
 from .errors import BudgetExceededError, InputError, PreconditionError, StructureError
-from .partitions import Partition, _UnionFind, quotient_partition
+from .partitions import Partition, _bits, _UnionFind, quotient_partition
 
 
 class Operation(NamedTuple):
@@ -297,124 +299,178 @@ def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Congruence:
 
 
 def principal_partition_set(alg: FiniteAlgebra) -> list[Partition]:
-    """All distinct principal congruences of distinct pairs, as partitions."""
+    """All distinct principal congruences of distinct pairs, as partitions.
+
+    Pairs are nodes of a graph with an edge {x,y} -> {g(x),g(y)} for every
+    one-variable translation g; the congruence generated by a pair is the
+    equivalence closure of the pairs reachable from it, so it is computed
+    once per strongly connected component of that graph (Freese, "Computing
+    congruences efficiently", 2008), children before parents.
+    """
     n = alg.size
     if n == 1:
         return []
-    if n <= 24:
-        out = {}
-        for a in range(n):
-            for b in range(a + 1, n):
-                p = principal_congruence(alg, a, b).partition
-                out[p.labels] = p
-        return list(out.values())
-    return _principal_partition_set_batch(alg)
-
-
-def _principal_partition_set_batch(alg: FiniteAlgebra) -> list[Partition]:
-    # Pairs are nodes of a graph with an edge {x,y} -> {g(x),g(y)} for every
-    # one-variable translation g; the congruence generated by a pair is the
-    # equivalence closure of the pairs reachable from it, constant on each
-    # strongly connected component.
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    n = alg.size
     xs, ys = np.triu_indices(n, k=1)
     num_pairs = len(xs)
     pair_id = np.full((n, n), -1, dtype=np.int64)
     pair_id[xs, ys] = np.arange(num_pairs)
 
-    src_parts, dst_parts = [], []
+    # one row per translation, each once (commutative operations repeat them)
+    rows = [np.empty((0, n), dtype=np.intp)]
     for op, tbl in zip(alg.ops, alg.table_arrays()):
-        if op.arity == 0:
-            continue
-        for pos in range(op.arity):
-            rows = np.moveaxis(tbl, pos, 0).reshape(n, -1).T  # one row per translation
-            chunk = max(1, (4 << 20) // max(1, num_pairs))
-            for start in range(0, rows.shape[0], chunk):
-                block = rows[start : start + chunk]
-                gx = block[:, xs].ravel()
-                gy = block[:, ys].ravel()
-                keep = gx != gy
-                if not keep.any():
-                    continue
-                gx, gy = gx[keep], gy[keep]
-                lo = np.minimum(gx, gy)
-                hi = np.maximum(gx, gy)
-                src = np.tile(np.arange(num_pairs), block.shape[0])[keep]
-                dst = pair_id[lo, hi]
-                src_parts.append(src)
-                dst_parts.append(dst)
+        rows += [np.moveaxis(tbl, pos, 0).reshape(n, -1).T for pos in range(op.arity)]
+    translations = np.unique(np.concatenate(rows), axis=0)
+    chunk = max(1, (4 << 20) // num_pairs)
+    key_parts = [np.empty(0, dtype=np.int64)]
+    for start in range(0, len(translations), chunk):
+        block = translations[start : start + chunk]
+        gx, gy = block[:, xs], block[:, ys]
+        keep = gx != gy
+        src = np.broadcast_to(np.arange(num_pairs), gx.shape)[keep]
+        dst = pair_id[np.minimum(gx, gy)[keep], np.maximum(gx, gy)[keep]]
+        key_parts.append(_sorted_unique(src * num_pairs + dst))
+    keys = _sorted_unique(np.concatenate(key_parts))
+    src, dst = keys // num_pairs, keys % num_pairs
+    # keys are sorted, so each node's successors are a contiguous run of dst
+    start = np.searchsorted(src, np.arange(num_pairs + 1)).tolist()
+    comp = _strong_components(start, dst.tolist())
 
-    if src_parts:
-        src = np.concatenate(src_parts)
-        dst = np.concatenate(dst_parts)
-        keys = np.unique(src * num_pairs + dst)
-        src, dst = keys // num_pairs, keys % num_pairs
-    else:
-        src = dst = np.empty(0, dtype=np.int64)
-
-    graph = csr_matrix(
-        (np.ones(len(src), dtype=np.int8), (src, dst)), shape=(num_pairs, num_pairs)
-    )
-    num_comp, comp = connected_components(graph, directed=True, connection="strong")
-
-    comp_src, comp_dst = comp[src], comp[dst]
+    comp_arr = np.array(comp, dtype=np.int64)
+    comp_src, comp_dst = comp_arr[src], comp_arr[dst]
     keep = comp_src != comp_dst
-    if keep.any():
-        keys = np.unique(comp_src[keep] * num_comp + comp_dst[keep])
-        comp_src, comp_dst = keys // num_comp, keys % num_comp
-    else:
-        comp_src = comp_dst = np.empty(0, dtype=np.int64)
-
-    # reverse topological order over the condensation (children first)
-    indeg = np.bincount(comp_dst, minlength=num_comp).tolist()
-    adjacency: list[list[int]] = [[] for _ in range(num_comp)]
-    for s, d in zip(comp_src.tolist(), comp_dst.tolist()):
-        adjacency[s].append(d)
-    stack = [c for c in range(num_comp) if indeg[c] == 0]
-    topo = []
-    while stack:
-        c = stack.pop()
-        topo.append(c)
-        for d in adjacency[c]:
-            indeg[d] -= 1
-            if indeg[d] == 0:
-                stack.append(d)
-
+    num_comp = max(comp) + 1
+    successors: list[list[int]] = [[] for _ in range(num_comp)]
+    for key in _sorted_unique(comp_src[keep] * num_comp + comp_dst[keep]).tolist():
+        successors[key // num_comp].append(key % num_comp)
     members: list[list[int]] = [[] for _ in range(num_comp)]
-    for pid, c in enumerate(comp.tolist()):
+    for pid, c in enumerate(comp):
         members[c].append(pid)
 
+    # components are numbered children first, so every successor's closure
+    # is known when its parent's is built; closures are n*n-bit relation
+    # masks, and a parent ORs its pairs into its successors' masks
     xs_l, ys_l = xs.tolist(), ys.tolist()
-    closure: dict[int, Partition] = {}
-    for c in reversed(topo):
-        uf = _UnionFind(n)
-        for pid in members[c]:
-            uf.union(xs_l[pid], ys_l[pid])
-        for d in adjacency[c]:
-            for block in closure[d].blocks():
-                first = block[0]
-                for x in block[1:]:
-                    uf.union(first, x)
-        closure[c] = Partition(uf.labels())
-
-    out = {}
+    diagonal = sum(1 << (x * n + x) for x in range(n))
+    found: dict[tuple, Partition] = {}
+    mask_of: dict[tuple, int] = {}
+    closure: list[int] = []
     for c in range(num_comp):
-        p = closure[c]
-        out[p.labels] = p
-    return list(out.values())
+        acc = diagonal
+        for pid in members[c]:
+            x, y = xs_l[pid], ys_l[pid]
+            acc |= 1 << (x * n + y) | 1 << (y * n + x)
+        for d in successors[c]:
+            acc |= closure[d]
+        part = _equivalence_closure(acc, n)
+        if part.labels not in found:
+            found[part.labels] = part
+            mask_of[part.labels] = _relation_mask(part)
+        closure.append(mask_of[part.labels])
+    return list(found.values())
 
 
-def _join_partitions(n: int, parts) -> Partition:
-    uf = _UnionFind(n)
-    for part in parts:
-        for block in part.blocks():
-            first = block[0]
-            for x in block[1:]:
-                uf.union(first, x)
-    return Partition(uf.labels())
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, ascending.
+
+    np.unique hashes integer input, which took 20 times as long on the
+    1.8M edge keys of boolean_lattice(7).
+    """
+    keys = np.sort(keys)
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def _strong_components(start: list[int], succ: list[int]) -> list[int]:
+    """Tarjan's strongly connected components of the graph whose node v has
+    successors succ[start[v]:start[v + 1]], without recursion.
+
+    Returns each node's component number. Components are numbered in the
+    order Tarjan completes them, so every edge between two components runs
+    from a higher number to a lower one.
+    """
+    num = len(start) - 1
+    index = [-1] * num
+    low = [0] * num
+    on_stack = [False] * num
+    comp = [-1] * num
+    stack: list[int] = []
+    counter = num_comp = 0
+    for root in range(num):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [[root, start[root]]]
+        while work:
+            frame = work[-1]
+            v, i = frame
+            end = start[v + 1]
+            while i < end:
+                w = succ[i]
+                i += 1
+                if index[w] < 0:
+                    frame[1] = i
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append([w, start[w]])
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp[w] = num_comp
+                        if w == v:
+                            break
+                    num_comp += 1
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+    return comp
+
+
+def _relation_mask(part: Partition) -> int:
+    """part as an n*n-bit relation mask: bit x*n + y is set iff x ~ y."""
+    n = part.n
+    blocks = part.block_masks()
+    mask = 0
+    for x, lab in enumerate(part.labels):
+        mask |= blocks[lab] << (x * n)
+    return mask
+
+
+def _equivalence_closure(mask: int, n: int) -> Partition:
+    """Least equivalence containing a reflexive, symmetric relation mask."""
+    full = (1 << n) - 1
+    rows = [mask >> (x * n) & full for x in range(n)]
+    labels = [-1] * n
+    count = 0
+    for x in range(n):
+        if labels[x] >= 0:
+            continue
+        block = rows[x]
+        frontier = block ^ 1 << x
+        while frontier:
+            grown = 0
+            for y in _bits(frontier):
+                grown |= rows[y]
+            frontier = grown & ~block
+            block |= frontier
+        labels[x] = count
+        for y in _bits(block ^ 1 << x):
+            labels[y] = count
+        count += 1
+    return Partition(labels)
 
 
 def all_congruences(alg: FiniteAlgebra, budget: Optional[int] = None) -> list[Congruence]:
@@ -467,18 +523,19 @@ def meet_irreducible_congruences(
     result is checked against a full enumeration of the lattice.
     """
     n = alg.size
+    ident = Partition.identity(n)
     principal = principal_partition_set(alg)
     join_irr = []
     for theta in principal:
         below = [d for d in principal if d != theta and d.refines(theta)]
-        if _join_partitions(n, below) != theta:
+        if functools.reduce(Partition.join, below, ident) != theta:
             join_irr.append(theta)
     out: dict[tuple, Partition] = {}
     for theta in join_irr:
         # join-primeness keeps theta out of this join, so it is the
         # largest congruence not above theta
         avoiding = [d for d in join_irr if not theta.refines(d)]
-        m = _join_partitions(n, avoiding)
+        m = functools.reduce(Partition.join, avoiding, ident)
         out[m.labels] = m
     result = sorted(out.values(), key=lambda q: q.labels)
     if verify:
@@ -623,23 +680,76 @@ def reduct(alg: FiniteAlgebra, interp, name: Optional[str] = None) -> FiniteAlge
 def is_arithmetic(alg: FiniteAlgebra, budget: Optional[int] = None) -> bool:
     """Congruence-distributive and congruence-permutable."""
     lattice = [c.partition for c in all_congruences(alg, budget=budget)]
-    for x in lattice:
-        for y in lattice:
-            if x.compose(y) != y.compose(x):
-                return False
-    return congruence_lattice_is_distributive(lattice)
+    permutable = congruence_lattice_is_permutable(lattice)
+    return permutable and congruence_lattice_is_distributive(lattice)
 
 
 def congruence_lattice_is_distributive(lattice: list[Partition]) -> bool:
-    for x in lattice:
-        for y in lattice:
-            for z in lattice:
-                if x.meet(y.join(z)) != (x.meet(y)).join(x.meet(z)):
-                    return False
-    return True
+    """Whether a whole congruence lattice is distributive, by Birkhoff's count.
+
+    The argument is a whole congruence lattice Con(A), as every caller
+    passes, or another set of partitions closed under their join and meet;
+    on any other list the verdict means nothing. In a finite lattice L
+    every x is the join of the join-irreducibles below it, so x -> {j in
+    J(L) : j <= x} is one-to-one into the down-sets of J(L); it is onto,
+    and L distributive, exactly when J(L) has |L| down-sets (G. Birkhoff,
+    "Rings of sets", 1937). The down-sets are counted with an early stop
+    at |L| + 1.
+    """
+    parts = list({p.labels: p for p in lattice}.values())
+    if not parts:
+        return True
+    n = parts[0].n
+    # x <= y iff the relation mask of x has no bit outside y's
+    masks = [_relation_mask(p) for p in parts]
+    join_irr = []
+    for j, mj in enumerate(masks):
+        smaller = [mx for mx in masks if mx != mj and mx & ~mj == 0]
+        if not smaller:
+            continue  # the least member is the empty join
+        # j is join-irreducible when the strictly smaller members do not
+        # join to it; their join lies below j, so counting blocks suffices
+        join = _equivalence_closure(functools.reduce(operator.or_, smaller), n)
+        if join.num_blocks != parts[j].num_blocks:
+            join_irr.append(mj)
+    k = len(join_irr)
+    down = [0] * k
+    up = [0] * k
+    for a, ma in enumerate(join_irr):
+        for b, mb in enumerate(join_irr):
+            if ma & ~mb == 0:
+                down[b] |= 1 << a
+                up[a] |= 1 << b
+    return _count_down_sets(down, up, len(parts) + 1) == len(parts)
+
+
+def _count_down_sets(down: list[int], up: list[int], limit: int) -> int:
+    """Down-sets of the poset whose element a has down-set down[a] and
+    up-set up[a] (bitmasks, a included), counted up to limit.
+
+    The down-sets of S that omit a are those of S minus up[a]; those that
+    hold a are down[a] joined to a down-set of S minus down[a]. Each leaf of
+    that recursion is one down-set, so the walk stops after 2 * limit nodes.
+    """
+    count = 0
+    stack = [(1 << len(down)) - 1]
+    while stack:
+        rest = stack.pop()
+        if not rest:
+            count += 1
+            if count >= limit:
+                break
+            continue
+        a = rest.bit_length() - 1
+        stack.append(rest & ~up[a])
+        stack.append(rest & ~down[a])
+    return count
 
 
 def congruence_lattice_is_permutable(lattice: list[Partition]) -> bool:
+    """Whether every two members x, y of a whole congruence lattice permute,
+    x o y = y o x. The test reads the same for (x, y) and (y, x), so each
+    unordered pair is tested once."""
     for i, x in enumerate(lattice):
         for y in lattice[i + 1 :]:
             if x.compose(y) != y.compose(x):

@@ -73,18 +73,6 @@ def diamond_m3() -> FiniteAlgebra:
     return _lattice_from_order(leq, "M3")
 
 
-def pentagon_n5() -> FiniteAlgebra:
-    """Bottom 0, chain 1 < 2, lone atom 3, top 4: not modular."""
-    n = 5
-    leq = [[False] * n for _ in range(n)]
-    for x in range(n):
-        leq[x][x] = True
-        leq[0][x] = True
-        leq[x][4] = True
-    leq[1][2] = True
-    return _lattice_from_order(leq, "N5")
-
-
 def zmod_ring(n: int) -> FiniteAlgebra:
     """The ring of integers mod n with addition, negation, multiplication, 0."""
     if n < 1:

@@ -24,9 +24,10 @@ from typing import Optional, Sequence
 from .algebra import (
     FiniteAlgebra,
     as_partition,
+    congruence_violation,
     meet_irreducible_congruences,
 )
-from .errors import InputError, StructureError
+from .errors import InputError, PreconditionError, StructureError
 from .partitions import Partition
 
 
@@ -196,6 +197,9 @@ def is_cr_tuple_dualdisc(alg: FiniteAlgebra, thetas) -> DdVerdict:
 
     Tuple members must be intersections of meet-irreducible congruences,
     which certifies them as congruences without touching operation tables.
+    A member that is not is certified against the tables: a congruence
+    there shows that the lattice is not distributive (PreconditionError),
+    anything else is not a congruence (StructureError).
     """
     parts = [as_partition(t) for t in thetas]
     if not parts:
@@ -209,6 +213,12 @@ def is_cr_tuple_dualdisc(alg: FiniteAlgebra, thetas) -> DdVerdict:
         for m in above:
             meet = meet.meet(m)
         if meet != part:
+            if congruence_violation(alg, part) is None:
+                raise PreconditionError(
+                    f"tuple member {pos + 1} is a congruence of {alg.name} but not "
+                    f"an intersection of meet-irreducible congruences, so the "
+                    f"congruence lattice of {alg.name} is not distributive"
+                )
             raise StructureError(
                 f"tuple member {pos + 1} is not a congruence of {alg.name}"
             )

@@ -179,3 +179,17 @@ def reference_brute_force_is_cr_tuple(thetas, budget=None):
 
     witness = descend(0, -1)
     return CrVerdict(witness is None, witness, counter)
+
+
+def reference_is_distributive(lattice):
+    """Test the distributive law on every triple of lattice members.
+
+    The O(L^3) loop algebra.congruence_lattice_is_distributive ran before
+    it counted down-sets of join-irreducibles.
+    """
+    for x in lattice:
+        for y in lattice:
+            for z in lattice:
+                if x.meet(y.join(z)) != (x.meet(y)).join(x.meet(z)):
+                    return False
+    return True

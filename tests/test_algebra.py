@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crtkit.algebra import (
     App,
@@ -22,6 +24,7 @@ from crtkit.algebra import (
     meet_irreducible_congruences,
     naive_meet_irreducibles,
     principal_congruence,
+    principal_partition_set,
     quotient,
     reduct,
     subalgebra,
@@ -30,9 +33,12 @@ from crtkit.algebra import (
     term_variables,
 )
 from crtkit.catalog import (
+    boolean_lattice,
     chain_lattice,
+    left_zero_semigroup,
     power_algebra,
     two_lattice,
+    two_majority,
     zmod_group,
     zmod_ring,
 )
@@ -44,7 +50,7 @@ from crtkit.errors import (
 )
 from crtkit.partitions import Partition
 
-from helpers import naive_is_congruence, set_partitions
+from helpers import naive_is_congruence, reference_is_distributive, set_partitions
 
 
 def naive_all_congruences(alg):
@@ -243,6 +249,94 @@ def test_congruence_lattice_predicates():
     assert congruence_lattice_is_permutable(klein)
     assert not is_arithmetic(power_algebra(zmod_group(2), 2))
     assert not is_arithmetic(chain)
+
+    # sets of partitions closed under join and meet: a two-element chain
+    # whose least member is not the identity, and Eq(3), which is M3
+    short = [Partition([0, 0, 1]), Partition.total(3)]
+    assert congruence_lattice_is_distributive(short) and reference_is_distributive(short)
+    eq3 = set_partitions(3)
+    assert not congruence_lattice_is_distributive(eq3) and not reference_is_distributive(eq3)
+
+
+CATALOG = {
+    **{f"chain{k}": (lambda k=k: chain_lattice(k)) for k in (1, 2, 4, 6)},
+    **{f"Z{k}": (lambda k=k: zmod_ring(k)) for k in (2, 6, 12, 30)},
+    **{f"LZ{k}": (lambda k=k: left_zero_semigroup(k)) for k in (3, 4, 5)},
+    **{
+        f"GF{p}^{m}": (lambda p=p, m=m: power_algebra(zmod_group(p), m))
+        for p, m in ((2, 2), (2, 3), (3, 2), (5, 2))
+    },
+    **{f"bool{k}": (lambda k=k: boolean_lattice(k)) for k in (2, 3, 4)},
+    **{f"2maj^{m}": (lambda m=m: power_algebra(two_majority(), m)) for m in (2, 3, 4)},
+}
+
+
+def assert_principal_set_matches_pairs(alg):
+    principal = principal_partition_set(alg)
+    assert len(principal) == len({p.labels for p in principal})
+    assert {p.labels for p in principal} == {
+        principal_congruence(alg, a, b).partition.labels
+        for a in range(alg.size)
+        for b in range(a + 1, alg.size)
+    }
+
+
+def assert_lattice_layer_matches_references(alg):
+    """Distributivity against the triple loop and the principal congruences
+    against one principal_congruence call per pair; returns the verdict."""
+    lattice = [c.partition for c in all_congruences(alg)]
+    verdict = congruence_lattice_is_distributive(lattice)
+    assert verdict == reference_is_distributive(lattice)
+    assert_principal_set_matches_pairs(alg)
+    return verdict
+
+
+def test_lattice_layer_matches_references_on_catalog():
+    verdicts = {
+        name: assert_lattice_layer_matches_references(build())
+        for name, build in CATALOG.items()
+    }
+    assert verdicts["bool4"] and verdicts["Z30"] and verdicts["2maj^4"]
+    assert not verdicts["LZ4"] and not verdicts["GF2^3"]
+    assert set(verdicts.values()) == {True, False}
+
+
+@st.composite
+def small_algebras(draw):
+    n = draw(st.integers(2, 6))
+    arities = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+    ops = []
+    for i, ar in enumerate(arities):
+        table = draw(st.lists(st.integers(0, n - 1), min_size=n**ar, max_size=n**ar))
+        ops.append(Operation(f"f{i}", ar, tuple(table)))
+    return FiniteAlgebra(n, ops, name="drawn")
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_algebras())
+def test_lattice_layer_matches_references_on_drawn_algebras(alg):
+    assert_lattice_layer_matches_references(alg)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: zmod_ring(60),
+        lambda: power_algebra(zmod_group(3), 3),
+        lambda: power_algebra(two_majority(), 5),
+    ],
+    ids=["Z60", "GF3^3", "2maj^5"],
+)
+def test_principal_partition_set_beyond_24_elements(build):
+    assert_principal_set_matches_pairs(build())
+
+
+def test_principal_partition_set_without_operations():
+    # no translations: every pair generates its own congruence
+    principal = principal_partition_set(FiniteAlgebra(4, []))
+    assert len(principal) == 6
+    assert all(p.num_blocks == 3 for p in principal)
+    assert principal_partition_set(FiniteAlgebra(1, [])) == []
 
 
 def test_generated_subuniverse_and_subalgebra():

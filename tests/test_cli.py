@@ -163,6 +163,20 @@ def test_check_dualdisc_reports_nonpermuting_pair(fix, capsys):
     )
 
 
+def test_check_dualdisc_names_nondistributive_lattice(fix, capsys):
+    code, out, err = run(
+        capsys,
+        "check", "--algebra", fix["klein.alg"], "--congs", fix["klein2.congs"],
+        "--method", "dualdisc",
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: tuple member 1 is a congruence of Z2+^2 but not an intersection "
+        "of meet-irreducible congruences, so the congruence lattice of Z2+^2 is "
+        "not distributive\n"
+    )
+
+
 def test_check_vs_reports_dimension_gap(fix, capsys):
     code, out, _ = run(
         capsys,
@@ -580,3 +594,21 @@ def test_module_entry_point(fix):
     )
     assert proc.returncode == 10
     assert proc.stdout == "RESULT: NOT-CR\nWITNESS: 0 2\n"
+
+
+def test_conlat_does_not_import_scipy(tmp_path):
+    # the congruence-lattice layer is numpy and pure Python; importing
+    # scipy.sparse.csgraph cost each such command about half a second
+    path = tmp_path / "z60.alg"
+    path.write_text(serialize_algebra(zmod_ring(60)))
+    script = (
+        "import sys\n"
+        "from crtkit.cli import main\n"
+        f"code = main(['conlat', '--algebra', {str(path)!r}])\n"
+        "print('EXIT', code, 'scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 0, proc.stderr
+    assert "CONGRUENCES: 12" in lines
+    assert lines[-1] == "EXIT 0 False"

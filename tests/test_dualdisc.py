@@ -6,7 +6,7 @@ import random
 import pytest
 
 from crtkit.algebra import all_congruences
-from crtkit.catalog import chain_lattice, two_majority
+from crtkit.catalog import chain_lattice, power_algebra, two_majority, zmod_group
 from crtkit.dualdisc import (
     Cross,
     all_crosses,
@@ -22,7 +22,7 @@ from crtkit.dualdisc import (
     projections_full_or_cross,
     sigma_above,
 )
-from crtkit.errors import InputError, StructureError
+from crtkit.errors import InputError, PreconditionError, StructureError
 from crtkit.partitions import Partition
 from crtkit.systems import brute_force_is_cr_tuple
 
@@ -206,6 +206,16 @@ def test_dualdisc_rejects_noncongruence():
         is_cr_tuple_dualdisc(alg, [])
     with pytest.raises(InputError):
         is_cr_tuple_dualdisc(alg, [Partition([0, 1])])
+
+
+def test_dualdisc_names_a_nondistributive_lattice():
+    # Con of the Klein group is M3: its congruences are no intersections of
+    # the meet-irreducibles computed under the distributive precondition
+    klein = power_algebra(zmod_group(2), 2)
+    with pytest.raises(PreconditionError, match="member 1 is a congruence .* not distributive"):
+        is_cr_tuple_dualdisc(klein, [Partition([0, 0, 1, 1]), Partition([0, 1, 0, 1])])
+    with pytest.raises(StructureError, match="member 1 is not a congruence"):
+        is_cr_tuple_dualdisc(klein, [Partition([0, 0, 0, 1])])
 
 
 def test_dualdisc_chain3_failing_pair():
