@@ -121,9 +121,26 @@ class FiniteAlgebra:
                 self._arrays.append(arr)
         return self._arrays
 
+    def table_array(self, name: str) -> np.ndarray:
+        """The table_arrays() entry of the named operation."""
+        return self.table_arrays()[self.ops.index(self.op(name))]
+
     def __repr__(self):
         sig = ", ".join(f"{op.name}/{op.arity}" for op in self.ops)
         return f"FiniteAlgebra({self.name!r}, size={self.size}, ops=[{sig}])"
+
+
+_BINARY_LAWS = {
+    "commutative": lambda T: np.array_equal(T, T.T),
+    "associative": lambda T: np.array_equal(T[T, :], T[:, T]),
+    "idempotent": lambda T: np.array_equal(np.diagonal(T), np.arange(len(T))),
+}
+
+
+def failed_binary_law(T: np.ndarray, laws) -> Optional[str]:
+    """The first of `laws` (names in _BINARY_LAWS, tested in the given
+    order) that the n x n table T of a binary operation breaks, or None."""
+    return next((law for law in laws if not _BINARY_LAWS[law](T)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -749,10 +766,24 @@ def _count_down_sets(down: list[int], up: list[int], limit: int) -> int:
 def congruence_lattice_is_permutable(lattice: list[Partition]) -> bool:
     """Whether every two members x, y of a whole congruence lattice permute,
     x o y = y o x. The test reads the same for (x, y) and (y, x), so each
-    unordered pair is tested once."""
+    unordered pair is tested once.
+
+    x and y permute iff x o y is x v y, i.e. iff inside each block of x v y
+    every x-block meets every y-block. Inside a block B of x v y at most
+    (#x-blocks in B) * (#y-blocks in B) pairs of them meet, so x and y
+    permute iff the distinct (x-label, y-label) pairs number the sum of
+    these products over the blocks of x v y."""
     for i, x in enumerate(lattice):
         for y in lattice[i + 1 :]:
-            if x.compose(y) != y.compose(x):
+            join = x.join(y)
+            x_blocks = [0] * join.num_blocks
+            y_blocks = [0] * join.num_blocks
+            for a in x.representatives():
+                x_blocks[join.labels[a]] += 1
+            for b in y.representatives():
+                y_blocks[join.labels[b]] += 1
+            pairs = len(set(zip(x.labels, y.labels)))
+            if pairs != sum(map(operator.mul, x_blocks, y_blocks)):
                 return False
     return True
 

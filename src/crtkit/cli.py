@@ -85,53 +85,29 @@ def _load_instance(args):
     return alg, named
 
 
-def _print_brute(verdict) -> int:
+def _print_verdict(route: str, verdict) -> int:
+    """RESULT line, plus the reason or witness a NOT-CR verdict of this
+    route carries; returns the exit code."""
     if verdict.is_cr:
         print("RESULT: CR")
         return EXIT_CR
     print("RESULT: NOT-CR")
-    print("WITNESS: " + " ".join(str(a) for a in verdict.witness))
+    if route == "brute":
+        print("WITNESS: " + " ".join(str(a) for a in verdict.witness))
+    elif route == "vs":
+        print(
+            f"REASON: solvable dimension {verdict.dim_solvable} < "
+            f"compatible dimension {verdict.dim_compatible}"
+        )
+    elif route == "nearlattice":
+        detail = " ".join(str(x) for x in verdict.detail)
+        print(f"REASON: {verdict.reason} {detail}")
+    else:
+        lam, mu = verdict.failing_pair
+        left = " ".join(str(v) for v in lam.labels)
+        right = " ".join(str(v) for v in mu.labels)
+        print(f"REASON: non-permuting {left} / {right}")
     return EXIT_NOT_CR
-
-
-def _print_vs(verdict) -> int:
-    if verdict.is_cr:
-        print("RESULT: CR")
-        return EXIT_CR
-    print("RESULT: NOT-CR")
-    print(
-        f"REASON: solvable dimension {verdict.dim_solvable} < "
-        f"compatible dimension {verdict.dim_compatible}"
-    )
-    return EXIT_NOT_CR
-
-
-def _print_nearlattice(verdict) -> int:
-    if verdict.is_cr:
-        print("RESULT: CR")
-        return EXIT_CR
-    print("RESULT: NOT-CR")
-    detail = " ".join(str(x) for x in verdict.detail)
-    print(f"REASON: {verdict.reason} {detail}")
-    return EXIT_NOT_CR
-
-
-def _print_dualdisc(verdict) -> int:
-    if verdict.is_cr:
-        print("RESULT: CR")
-        return EXIT_CR
-    print("RESULT: NOT-CR")
-    lam, mu = verdict.failing_pair
-    left = " ".join(str(v) for v in lam.labels)
-    right = " ".join(str(v) for v in mu.labels)
-    print(f"REASON: non-permuting {left} / {right}")
-    return EXIT_NOT_CR
-
-
-def _check_vs(alg: FiniteAlgebra, parts) -> int:
-    chart = coordinatize(alg, "add")
-    bases = [congruence_to_subspace(chart, part) for part in parts]
-    return _print_vs(is_cr_tuple_vs(vs_instance(chart.p, chart.dim, bases)))
 
 
 def cmd_check(args) -> int:
@@ -144,34 +120,33 @@ def cmd_check(args) -> int:
             print("ROUTE: trivial")
         print("RESULT: CR")
         return EXIT_CR
-    if args.method == "brute":
-        return _print_brute(brute_force_is_cr_tuple(parts))
-    if args.method == "vs":
-        return _check_vs(alg, parts)
-    if args.method == "nearlattice":
-        return _print_nearlattice(is_cr_tuple_nearlattice(make_view(alg), parts))
-    if args.method == "distlat":
-        return _print_nearlattice(is_cr_tuple_distlattice(alg, parts))
-    if args.method == "dualdisc":
-        return _print_dualdisc(is_cr_tuple_dualdisc(alg, parts))
-
-    # auto: classify the provided two-element generator and take the route
-    # its class supports; without a generator the only safe method is brute
-    if args.generator is None:
+    route = args.method
+    if route == "brute":
+        verdict = brute_force_is_cr_tuple(parts)
+    elif route == "vs":
+        chart = coordinatize(alg, "add")
+        bases = [congruence_to_subspace(chart, part) for part in parts]
+        verdict = is_cr_tuple_vs(vs_instance(chart.p, chart.dim, bases))
+    elif route == "nearlattice":
+        verdict = is_cr_tuple_nearlattice(make_view(alg), parts)
+    elif route == "distlat":
+        route, verdict = "nearlattice", is_cr_tuple_distlattice(alg, parts)
+    elif route == "dualdisc":
+        verdict = is_cr_tuple_dualdisc(alg, parts)
+    elif args.generator is None:
+        # auto without a generator: the only safe method is brute
         print("ROUTE: brute")
-        return _print_brute(brute_force_is_cr_tuple(parts))
-    gen = parse_algebra(_read(args.generator))
-    result = postlattice.route_decide(alg, parts, generator=gen)
-    print(f"ROUTE: {result.route}")
-    if result.warning is not None:
-        print(f"warning: {result.warning}", file=sys.stderr)
-    printer = {
-        "vs": _print_vs,
-        "nearlattice": _print_nearlattice,
-        "dualdisc": _print_dualdisc,
-        "brute": _print_brute,
-    }[result.route]
-    return printer(result.verdict)
+        route, verdict = "brute", brute_force_is_cr_tuple(parts)
+    else:
+        # auto: classify the provided two-element generator and take the
+        # route its class supports
+        gen = parse_algebra(_read(args.generator))
+        result = postlattice.route_decide(alg, parts, generator=gen)
+        print(f"ROUTE: {result.route}")
+        if result.warning is not None:
+            print(f"warning: {result.warning}", file=sys.stderr)
+        route, verdict = result.route, result.verdict
+    return _print_verdict(route, verdict)
 
 
 def _provenance_lines(inst, doubled: bool) -> list[str]:

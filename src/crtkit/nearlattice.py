@@ -28,7 +28,14 @@ from typing import Optional
 import numpy as np
 
 from . import config
-from .algebra import Congruence, FiniteAlgebra, Operation, as_partition, quotient
+from .algebra import (
+    Congruence,
+    FiniteAlgebra,
+    Operation,
+    as_partition,
+    failed_binary_law,
+    quotient,
+)
 from .errors import BudgetExceededError, InputError, StructureError
 from .partitions import Partition, _bits, canonical_labels
 from .systems import quotient_reduce
@@ -76,21 +83,16 @@ def make_view(alg: FiniteAlgebra, op_name: Optional[str] = None) -> NearlatticeV
     op = alg.op(op_name)
     if op.arity != 3:
         raise InputError(f"{op_name!r} has arity {op.arity}, expected 3")
-    n = alg.size
-    T = np.array(op.table, dtype=np.int64).reshape(n, n, n)
-    return _view_from_table(alg, op_name, T)
+    return _view_from_table(alg, op_name, alg.table_array(op_name))
 
 
 def _view_from_table(alg: FiniteAlgebra, op_name: str, T: np.ndarray) -> NearlatticeView:
     n = alg.size
     J = _induced_join(T)
-    if not np.array_equal(J, J.T):
-        raise StructureError(f"{alg.name}: induced join is not commutative")
+    law = failed_binary_law(J, ("commutative", "idempotent", "associative"))
+    if law is not None:
+        raise StructureError(f"{alg.name}: induced join is not {law}")
     idx = np.arange(n)
-    if not np.array_equal(J[idx, idx], idx):
-        raise StructureError(f"{alg.name}: induced join is not idempotent")
-    if not np.array_equal(J[J, :], J[:, J]):
-        raise StructureError(f"{alg.name}: induced join is not associative")
     top = 0
     for x in range(n):
         top = int(J[top, x])
@@ -167,14 +169,16 @@ def lattice_view(
 ) -> NearlatticeView:
     """View of a distributive lattice through its derived ternary operation."""
     n = alg.size
-    M = np.array(alg.op(meet).table, dtype=np.int64).reshape(n, n)
-    J = np.array(alg.op(join).table, dtype=np.int64).reshape(n, n)
+    for op in (alg.op(meet), alg.op(join)):
+        if op.arity != 2:
+            raise InputError(f"{op.name!r} has arity {op.arity}, expected 2")
+    M = alg.table_array(meet)
+    J = alg.table_array(join)
     idx = np.arange(n)
     for name, t in ((meet, M), (join, J)):
-        if not np.array_equal(t, t.T):
-            raise StructureError(f"{alg.name}: {name} is not commutative")
-        if not np.array_equal(t[t, :], t[:, t]):
-            raise StructureError(f"{alg.name}: {name} is not associative")
+        law = failed_binary_law(t, ("commutative", "associative"))
+        if law is not None:
+            raise StructureError(f"{alg.name}: {name} is not {law}")
     if not (
         np.array_equal(M[idx[:, None], J], np.broadcast_to(idx[:, None], (n, n)))
         and np.array_equal(J[idx[:, None], M], np.broadcast_to(idx[:, None], (n, n)))
@@ -197,7 +201,7 @@ def tarski_view(alg: FiniteAlgebra, imp: str = "imp") -> NearlatticeView:
     op = alg.op(imp)
     if op.arity != 2:
         raise InputError(f"{imp!r} has arity {op.arity}, expected 2")
-    I = np.array(op.table, dtype=np.int64).reshape(n, n)
+    I = alg.table_array(imp)
     idx = np.arange(n)
     inner = I[:, I]  # [x,y,z] = x -> (y -> z)
     T = I[inner, idx[None, None, :]]

@@ -1,37 +1,39 @@
 """Classification of two-element algebras and routing of congruence tuples.
 
 A ternary operation on {0,1} is stored as an 8-bit table whose bit
-4x + 2y + z holds the value at (x, y, z). The ternary part of the term
-clone is the closure of the three projections (plus the constant tables
-contributed by nullary operations) under composition with the basic
-operations; membership of the three special tables
+4x + 2y + z holds the value at (x, y, z). Membership of the three special
+tables
 
     s(x,y,z) = x + y + z (mod 2)
     n(x,y,z) = (x and y) or z
     m(x,y,z) = majority(x,y,z)
 
-drives the classification. The n case also accepts the 0-1 relabeling
-of n, the table (x or y) and z: the two generate isomorphic algebras,
-so every decision procedure for one serves the other, and clones such
-as the one generated by x and (y or z) contain only the relabeled
-form. By Post's description of the clones on a two-element set, an
-algebra whose ternary clone misses s, m and both forms of n has only
-essentially unary basic operations, or only operations of the join
-form c or x_{i_1} or ... or x_{i_r} (dually, only meet forms).
-classify() picks the first matching case in a fixed priority order;
-route_decide() then hands a congruence tuple to the decision procedure
-that the case supports, falling back to brute force with a complexity
-warning for the last two cases.
+in the term clone drives the classification. The n case also accepts the
+0-1 relabeling of n, the table (x or y) and z: the two generate isomorphic
+algebras, so every decision procedure for one serves the other, and
+clones such as the one generated by x and (y or z) contain only the
+relabeled form. By Post's description of the clones on a two-element set,
+an algebra whose clone misses s, m and both forms of n has only
+essentially unary basic operations, or only operations of the join form
+c or x_{i_1} or ... or x_{i_r} (dually, only meet forms). classify()
+picks the first matching case in a fixed priority order; route_decide()
+then hands a congruence tuple to the decision procedure that the case
+supports, falling back to brute force with a complexity warning for the
+last two cases.
 
-The closure itself runs bitwise over numpy arrays (all composition
-results of one basic operation against every tuple of reached tables
-are produced in a single vectorized round), while witness terms come
-from a separate breadth-first search that records a smallest-depth term
-for each table it reaches.
+The case is read from Post's lattice (E. Post, "The two-valued iterative
+systems of mathematical logic", 1941; Boehler, Creignou, Reith, Vollmer,
+"Playing with Boolean blocks, Part I", SIGACT News 34(4), 2003): which of
+a fixed table of invariant relations every basic operation preserves, with
+no clone closure. Witness terms, and the ternary part of the clone
+(ternary_clone), come from a breadth-first search over 8-bit tables that
+records a smallest-depth term for each table it reaches; it runs only when
+a witness or the clone itself is asked for.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -47,6 +49,7 @@ from .algebra import (
     as_partition,
     congruence_violation,
     eval_term,
+    failed_binary_law,
     reduct,
 )
 from .dualdisc import is_cr_tuple_dualdisc
@@ -69,13 +72,6 @@ HAS_N = "HasN"
 HAS_M = "HasM"
 ESSENTIALLY_UNARY = "EssentiallyUnary"
 SEMILATTICE_FAMILY = "SemilatticeFamily"
-
-_PRIORITY = (
-    (HAS_S, S_TABLE),
-    (HAS_N, N_TABLE),
-    (HAS_N, N_DUAL_TABLE),
-    (HAS_M, M_TABLE),
-)
 
 
 def _check_two(alg2: FiniteAlgebra):
@@ -101,18 +97,6 @@ def _compose_bits(op: Operation, args: tuple[int, ...]) -> int:
             idx = idx * 2 + (g >> p & 1)
         out |= (op.table[idx] & 1) << p
     return out
-
-
-def _seed_tables(alg2: FiniteAlgebra) -> list[int]:
-    seeds = [PROJ_X, PROJ_Y, PROJ_Z]
-    for op in alg2.ops:
-        if op.arity == 0:
-            seeds.append(0xFF if op.table[0] else 0x00)
-    return seeds
-
-
-# ---------------------------------------------------------------------------
-# fast closure (tables only)
 
 
 def _compose_round(op: Operation, R: np.ndarray) -> np.ndarray:
@@ -143,65 +127,6 @@ def _compose_round(op: Operation, R: np.ndarray) -> np.ndarray:
     A8 = A.astype(np.uint8)
     X8 = (A ^ B).astype(np.uint8)
     return A8[:, :, None] ^ (X8[:, :, None] & R.astype(np.uint8)[None, None, :])
-
-
-def _scatter_round(op: Operation, R: np.ndarray, reached: np.ndarray, stop) -> None:
-    """Mark every composition of one operation over R, stopping early when
-    `stop` turns up; ternary rounds scatter in slabs so the stop check can
-    fire before the full r^3 block is built."""
-    if op.arity != 3 or R.size < 64 or stop is None:
-        reached[_compose_round(op, R).ravel()] = True
-        return
-    t = op.table
-    G, H = R[:, None], R[None, :]
-    tarr = np.array(t, dtype=np.int64)
-    A = np.zeros((R.size, R.size), dtype=np.int64)
-    B = np.zeros_like(A)
-    for p in range(8):
-        idx = (G >> p & 1) << 2 | (H >> p & 1) << 1
-        A |= (tarr[idx] & 1) << p
-        B |= (tarr[idx | 1] & 1) << p
-    A8 = A.astype(np.uint8)
-    X8 = (A ^ B).astype(np.uint8)
-    R8 = R.astype(np.uint8)[None, None, :]
-    for lo in range(0, R.size, 16):
-        slab = A8[lo : lo + 16, :, None] ^ (X8[lo : lo + 16, :, None] & R8)
-        reached[slab.ravel()] = True
-        if reached[stop]:
-            return
-
-
-def _closure_fast(alg2: FiniteAlgebra, stop: Optional[int] = None) -> frozenset[int]:
-    """Tables of the ternary clone fragment, as a fixpoint of the rounds.
-
-    With `stop`, the search may return as soon as that table is reached;
-    the result is then a subset of the clone containing `stop`. A result
-    not containing `stop` is always the complete fragment.
-    """
-    reached = np.zeros(256, dtype=bool)
-    for t in _seed_tables(alg2):
-        reached[t] = True
-    ops = [op for op in alg2.ops if op.arity >= 1]
-    while stop is None or not reached[stop]:
-        R = np.flatnonzero(reached).astype(np.int64)
-        if R.size == 256:
-            break
-        for op in ops:
-            _scatter_round(op, R, reached, stop)
-            if stop is not None and reached[stop]:
-                break
-        else:
-            if int(reached.sum()) == R.size:
-                break
-            continue
-        break
-    return frozenset(int(t) for t in np.flatnonzero(reached))
-
-
-def _closure_tables(alg2: FiniteAlgebra, stop: Optional[int] = None) -> frozenset[int]:
-    if all(op.arity <= 3 for op in alg2.ops):
-        return _closure_fast(alg2, stop)
-    return frozenset(ternary_clone(alg2))
 
 
 # ---------------------------------------------------------------------------
@@ -298,44 +223,47 @@ class Classification:
     table: Optional[int] = None
 
 
-def _essential_positions(op: Operation) -> int:
-    count = 0
-    for i in range(op.arity):
-        stride = 1 << (op.arity - 1 - i)
-        if any(
-            op.table[x] != op.table[x | stride]
-            for x in range(1 << op.arity)
-            if not x & stride
-        ):
-            count += 1
-    return count
+def _relation(width: int, member) -> frozenset[tuple[int, ...]]:
+    return frozenset(
+        row for row in itertools.product((0, 1), repeat=width) if member(*row)
+    )
 
 
-def _is_join_form(op: Operation) -> bool:
-    """Does the table equal c or x_{i_1} or ... for some c and positions?"""
-    m = op.arity
-    for c in (0, 1):
-        for smask in range(1 << m):
-            if all(
-                op.table[x]
-                == (c | int(any(smask >> i & 1 and x >> (m - 1 - i) & 1 for i in range(m))))
-                for x in range(1 << m)
-            ):
-                return True
-    return False
+# the invariant relations of the clones named in classify()
+_RELATIONS = {
+    "<=": _relation(2, lambda a, b: a <= b),
+    "!=": _relation(2, lambda a, b: a != b),
+    "affine": _relation(4, lambda a, b, c, d: a ^ b ^ c ^ d == 0),
+    "dup3": _relation(3, lambda a, b, c: a == b or b == c),
+    "and": _relation(3, lambda a, b, c: a == b & c),
+    "or": _relation(3, lambda a, b, c: a == b | c),
+    "T0^2": _relation(2, lambda *row: any(row)),
+    "T0^3": _relation(3, lambda *row: any(row)),
+    "T1^2": _relation(2, lambda *row: not all(row)),
+    "T1^3": _relation(3, lambda *row: not all(row)),
+}
+
+# priority order; each table is in the clone of the basic operations exactly
+# when they preserve none of the relations on its row
+_TARGETS = (
+    (HAS_S, S_TABLE, ("<=", "T0^2", "T1^2", "dup3")),
+    (HAS_N, N_TABLE, ("!=", "affine", "dup3", "and", "or", "T1^2")),
+    (HAS_N, N_DUAL_TABLE, ("!=", "affine", "dup3", "and", "or", "T0^2")),
+    (HAS_M, M_TABLE, ("affine", "T0^3", "T1^3", "dup3", "and", "or")),
+)
 
 
-def _is_meet_form(op: Operation) -> bool:
-    m = op.arity
-    for c in (0, 1):
-        for smask in range(1 << m):
-            if all(
-                op.table[x]
-                == (c & int(all(x >> (m - 1 - i) & 1 for i in range(m) if smask >> i & 1)))
-                for x in range(1 << m)
-            ):
-                return True
-    return False
+def _preserves(op: Operation, rel: frozenset[tuple[int, ...]]) -> bool:
+    """Does op, applied row-wise to any op.arity rows of rel, give a row of
+    rel? A nullary operation c gives the row (c, ..., c). All
+    len(rel) ** op.arity choices of rows are tried."""
+    value = dict(zip(itertools.product((0, 1), repeat=op.arity), op.table))
+    width = len(next(iter(rel)))
+    for rows in itertools.product(rel, repeat=op.arity):
+        columns = zip(*rows) if rows else [()] * width
+        if tuple(map(value.__getitem__, columns)) not in rel:
+            return False
+    return True
 
 
 def classify(alg2: FiniteAlgebra, with_witness: bool = True) -> Classification:
@@ -343,25 +271,58 @@ def classify(alg2: FiniteAlgebra, with_witness: bool = True) -> Classification:
     form, straight before relabeled), m in the clone, all basic operations
     essentially unary, all basic operations join forms (dually meet forms).
 
-    Tables settle the tag; the witness term is reconstructed only on demand
+    Membership is read from Post's lattice. Operations F preserve a
+    relation R exactly when their clone [F] lies in Pol(R), so a table t is
+    in [F] exactly when F preserves none of the relations R whose Pol(R)
+    are the maximal clones missing t. In the notation of Boehler et al.:
+    R0, R1 (0-, 1-preserving), R2 = R0 and R1, M = Pol(<=), D = Pol(!=),
+    L = Pol(affine), N = Pol(dup3) (essentially unary), E = Pol(graph of
+    and) = [and, 0, 1], V = Pol(graph of or) = [or, 0, 1], S0^k =
+    Pol(T0^k) with S0^2 > S0^3 > ..., S02^k = S0^k and R2, S01^k = S0^k
+    and M, S00^k = S0^k and R2 and M, their limits S0, S02, S01, S00 (the
+    S0-clones), and dually the S1-clones from S1^k = Pol(T1^k). The rows
+    of _TARGETS are:
+
+    - s generates L2 = L and R2. The clones above it are L0..L3, L, D1, D,
+      R0..R2 and all functions; every other clone lies in M (which holds
+      D2, E and V), in N, or in an S0- or S1-clone, so in S0^2 or S1^2.
+    - n generates S00. The clones above it are the S0-clones (S00^k,
+      S01^k, S02^k, S0^k for every k, and their limits), M0..M2, M,
+      R0..R2 and all functions; every other clone lies in D, L, N, E, V,
+      or an S1-clone, so in S1^2. Its relabeling (x or y) and z generates
+      S10 and swaps S1^2 for S0^2.
+    - m generates D2 = D and M. The clones above it are D1, D, M0..M2, M,
+      R0..R2, all functions, and the degree-2 clones S0^2, S02^2, S01^2,
+      S00^2 and their S1 duals; every other clone lies in L, N, E, V, or
+      in an S0- or S1-clone of degree 3 or more or a limit, so in S0^3
+      or S1^3.
+
+    A clone above none of L2, S00, S10 and D2 lies in N, E or V. N comes
+    first: F preserves dup3 exactly when every basic operation is
+    essentially unary. Otherwise F preserves the graph of or (the join
+    forms c or x_{i_1} or ..., which make up V) or that of and (the meet
+    forms, E). The rule reads only which relations each basic operation
+    preserves, so it holds for operations of every arity, nullary ones
+    included.
+
+    The witness term is found by breadth-first search only on demand
     (`with_witness=False` skips it). A two-element algebra outside all five
     cases would contradict Post's classification, so that raises
     ClassificationError rather than guessing.
     """
     _check_two(alg2)
-    # s heads the priority order, so the closure may stop early on finding
-    # it; when s is absent the closure runs to the fixpoint and the later
-    # membership tests see the complete fragment
-    tables = _closure_tables(alg2, stop=S_TABLE)
-    for tag, tab in _PRIORITY:
-        if tab in tables:
+
+    @functools.cache
+    def preserved(name: str) -> bool:
+        return all(_preserves(op, _RELATIONS[name]) for op in alg2.ops)
+
+    for tag, tab, relations in _TARGETS:
+        if not any(preserved(name) for name in relations):
             term = _witness_term(alg2, tab) if with_witness else None
             return Classification(tag, term, tab)
-    if all(_essential_positions(op) <= 1 for op in alg2.ops):
+    if preserved("dup3"):
         return Classification(ESSENTIALLY_UNARY)
-    if all(_is_join_form(op) for op in alg2.ops) or all(
-        _is_meet_form(op) for op in alg2.ops
-    ):
+    if preserved("or") or preserved("and"):
         return Classification(SEMILATTICE_FAMILY)
     raise ClassificationError(
         f"{alg2.name} fits no case: the ternary clone misses s, m and both "
@@ -391,10 +352,9 @@ def affine_gf2_instance(alg, s_term: Term, thetas, e: int):
     table = tuple(eval_term(alg, s_term, (x, y, e)) for x in range(n) for y in range(n))
     T = np.array(table, dtype=np.int64).reshape(n, n)
     idx = np.arange(n)
-    if not np.array_equal(T, T.T):
-        raise PreconditionError("derived addition is not commutative")
-    if not np.array_equal(T[T, :], T[:, T]):
-        raise PreconditionError("derived addition is not associative")
+    law = failed_binary_law(T, ("commutative", "associative"))
+    if law is not None:
+        raise PreconditionError(f"derived addition is not {law}")
     if not np.array_equal(T[:, e], idx):
         raise PreconditionError(f"element {e} is not neutral for the derived addition")
     if not np.array_equal(T[idx, idx], np.full(n, e)):

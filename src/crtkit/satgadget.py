@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Congruence, FiniteAlgebra, Operation, congruence
+from .algebra import Congruence, FiniteAlgebra, Operation, congruence, failed_binary_law
 from .catalog import left_zero_semigroup
 from .errors import InputError, PreconditionError, StructureError
 from .partitions import Partition
@@ -397,13 +397,10 @@ def semilattice_bounded_lift(alg: FiniteAlgebra, thetas, join: Optional[str] = N
     """
     op = _unique_binary_op(alg, join)
     n = alg.size
-    T = np.array(op.table, dtype=np.int64).reshape(n, n)
-    if not np.array_equal(T, T.T):
-        raise PreconditionError(f"operation {op.name!r} is not commutative")
-    if not np.array_equal(T[T, :], T[:, T]):
-        raise PreconditionError(f"operation {op.name!r} is not associative")
-    if not np.array_equal(np.diagonal(T), np.arange(n)):
-        raise PreconditionError(f"operation {op.name!r} is not idempotent")
+    T = alg.table_array(op.name)
+    law = failed_binary_law(T, ("commutative", "associative", "idempotent"))
+    if law is not None:
+        raise PreconditionError(f"operation {op.name!r} is not {law}")
     top = 0
     for x in range(n):
         top = int(T[top, x])

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .algebra import failed_binary_law
 from .errors import InputError, PreconditionError, StructureError
 from .partitions import Partition, canonical_labels
 
@@ -251,15 +252,13 @@ def coordinatize(alg, add: str = "add", zero_elem: Optional[int] = None) -> Coor
     if op.arity != 2:
         raise InputError(f"{add!r} is not binary")
     table = op.table
-    T = np.array(table, dtype=np.int64).reshape(size, size)
 
     def plus(x, y):
         return table[x * size + y]
 
-    if not np.array_equal(T, T.T):
-        raise PreconditionError("addition is not commutative")
-    if not np.array_equal(T[T, :], T[:, T]):
-        raise PreconditionError("addition is not associative")
+    law = failed_binary_law(alg.table_array(add), ("commutative", "associative"))
+    if law is not None:
+        raise PreconditionError(f"addition is not {law}")
     if zero_elem is None:
         zero_elem = next(
             (e for e in range(size) if all(plus(e, x) == x for x in range(size))), None

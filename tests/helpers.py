@@ -193,3 +193,16 @@ def reference_is_distributive(lattice):
                 if x.meet(y.join(z)) != (x.meet(y)).join(x.meet(z)):
                     return False
     return True
+
+
+def reference_is_permutable(lattice):
+    """Compose every unordered pair of lattice members both ways.
+
+    The loop algebra.congruence_lattice_is_permutable ran before it
+    counted block pairs inside the blocks of each join.
+    """
+    for i, x in enumerate(lattice):
+        for y in lattice[i + 1 :]:
+            if x.compose(y) != y.compose(x):
+                return False
+    return True

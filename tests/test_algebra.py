@@ -18,6 +18,7 @@ from crtkit.algebra import (
     congruence_lattice_is_permutable,
     congruence_violation,
     eval_term,
+    failed_binary_law,
     generated_subuniverse,
     is_arithmetic,
     is_congruence,
@@ -50,7 +51,12 @@ from crtkit.errors import (
 )
 from crtkit.partitions import Partition
 
-from helpers import naive_is_congruence, reference_is_distributive, set_partitions
+from helpers import (
+    naive_is_congruence,
+    reference_is_distributive,
+    reference_is_permutable,
+    set_partitions,
+)
 
 
 def naive_all_congruences(alg):
@@ -282,13 +288,16 @@ def assert_principal_set_matches_pairs(alg):
 
 
 def assert_lattice_layer_matches_references(alg):
-    """Distributivity against the triple loop and the principal congruences
-    against one principal_congruence call per pair; returns the verdict."""
+    """Distributivity against the triple loop, permutability against the
+    pairwise compositions and the principal congruences against one
+    principal_congruence call per pair; returns both verdicts."""
     lattice = [c.partition for c in all_congruences(alg)]
-    verdict = congruence_lattice_is_distributive(lattice)
-    assert verdict == reference_is_distributive(lattice)
+    distributive = congruence_lattice_is_distributive(lattice)
+    assert distributive == reference_is_distributive(lattice)
+    permutable = congruence_lattice_is_permutable(lattice)
+    assert permutable == reference_is_permutable(lattice)
     assert_principal_set_matches_pairs(alg)
-    return verdict
+    return distributive, permutable
 
 
 def test_lattice_layer_matches_references_on_catalog():
@@ -296,9 +305,13 @@ def test_lattice_layer_matches_references_on_catalog():
         name: assert_lattice_layer_matches_references(build())
         for name, build in CATALOG.items()
     }
-    assert verdicts["bool4"] and verdicts["Z30"] and verdicts["2maj^4"]
-    assert not verdicts["LZ4"] and not verdicts["GF2^3"]
-    assert set(verdicts.values()) == {True, False}
+    distributive = {name: d for name, (d, _) in verdicts.items()}
+    assert distributive["bool4"] and distributive["Z30"] and distributive["2maj^4"]
+    assert not distributive["LZ4"] and not distributive["GF2^3"]
+    assert set(distributive.values()) == {True, False}
+    permutable = {name: p for name, (_, p) in verdicts.items()}
+    assert permutable["Z30"] and permutable["GF3^2"] and permutable["bool3"]
+    assert not permutable["chain4"] and not permutable["LZ4"]
 
 
 @st.composite
@@ -337,6 +350,22 @@ def test_principal_partition_set_without_operations():
     assert len(principal) == 6
     assert all(p.num_blocks == 3 for p in principal)
     assert principal_partition_set(FiniteAlgebra(1, [])) == []
+
+
+def test_failed_binary_law_reports_the_first_broken_law():
+    laws = ("commutative", "associative", "idempotent")
+    join = chain_lattice(4).table_array("join")
+    assert failed_binary_law(join, laws) is None
+    left_zero = left_zero_semigroup(3).table_arrays()[0]
+    assert failed_binary_law(left_zero, laws) == "commutative"
+    assert failed_binary_law(left_zero, laws[1:]) is None
+    add = zmod_group(3).table_array("add")
+    assert failed_binary_law(add, laws) == "idempotent"
+    sub = Operation("sub", 2, tuple((x - y) % 3 for x in range(3) for y in range(3)))
+    minus = FiniteAlgebra(3, [sub]).table_array("sub")
+    assert failed_binary_law(minus, laws) == "commutative"
+    assert failed_binary_law(minus, laws[::-1]) == "idempotent"
+    assert failed_binary_law(minus, laws[1:2]) == "associative"
 
 
 def test_generated_subuniverse_and_subalgebra():

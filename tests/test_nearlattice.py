@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from crtkit.algebra import all_congruences
+from crtkit.algebra import FiniteAlgebra, Operation, all_congruences
 from crtkit.catalog import (
     boolean_lattice,
     chain_lattice,
@@ -65,6 +65,13 @@ def test_make_view_requires_unique_ternary():
         make_view(chain_lattice(3))  # only binary operations
     view = lattice_view(chain_lattice(3))
     assert view.p_count == 2
+    unary_meet = FiniteAlgebra(
+        3,
+        [Operation("meet", 1, (0, 1, 2)), chain_lattice(3).op("join")],
+        name="unary-meet",
+    )
+    with pytest.raises(InputError):
+        lattice_view(unary_meet)
 
 
 def test_make_view_rejects_majority():

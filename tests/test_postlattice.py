@@ -33,6 +33,9 @@ from crtkit.postlattice import (
     PROJ_Y,
     PROJ_Z,
     S_TABLE,
+    _RELATIONS,
+    _TARGETS,
+    _preserves,
     affine_gf2_instance,
     classify,
     route_decide,
@@ -378,3 +381,87 @@ def test_every_two_element_signature_classifies():
         "HasS": 15124,
         "HasM": 2,
     }
+
+
+def test_targets_break_the_relations_on_their_rows():
+    # Pol(R) misses the target table for every relation R on its row
+    for _, table, relations in _TARGETS:
+        target = Operation("t", 3, tuple(table >> p & 1 for p in range(8)))
+        for name in relations:
+            assert not _preserves(target, _RELATIONS[name]), (hex(table), name)
+    for c in (0, 1):
+        const = Operation("c", 0, (c,))
+        assert _preserves(const, _RELATIONS["dup3"])
+        assert not _preserves(const, _RELATIONS["!="])
+        assert _preserves(const, _RELATIONS[f"T{1 - c}^3"])
+        assert not _preserves(const, _RELATIONS[f"T{c}^3"])
+
+
+# ternary tables of the clones N (essentially unary), V (join forms) and
+# E (meet forms). By Post's lattice a clone outside one of them has a
+# member of arity at most 3 outside it, so ternary parts decide inclusion.
+_UNARY = {0x00, 0xFF} | {p ^ c for p in (PROJ_X, PROJ_Y, PROJ_Z) for c in (0, 0xFF)}
+_JOIN_FORMS = {0xFF} | {
+    (PROJ_X if i & 1 else 0) | (PROJ_Y if i & 2 else 0) | (PROJ_Z if i & 4 else 0)
+    for i in range(8)
+}
+_MEET_FORMS = {0x00} | {
+    (PROJ_X if i & 1 else 0xFF) & (PROJ_Y if i & 2 else 0xFF) & (PROJ_Z if i & 4 else 0xFF)
+    for i in range(8)
+}
+
+
+def clone_oracle(alg):
+    """The tag and table classify must give, read off ternary_clone."""
+    clone = set(ternary_clone(alg))
+    for tag, table, _ in _TARGETS:
+        if table in clone:
+            return tag, table
+    if clone <= _UNARY:
+        return "EssentiallyUnary", None
+    if clone <= _JOIN_FORMS or clone <= _MEET_FORMS:
+        return "SemilatticeFamily", None
+    return None, None
+
+
+def assert_classify_matches_clone(alg):
+    cls = classify(alg, with_witness=False)
+    assert (cls.tag, cls.table) == clone_oracle(alg), alg.ops
+
+
+def test_classify_matches_ternary_clone_on_sampled_signatures():
+    # signatures of the exhaustive test, some with nullary constants added
+    rng = random.Random(71)
+    for draw in range(80):
+        f1, f2, f3 = rng.randrange(4), rng.randrange(16), rng.randrange(256)
+        ops = [
+            Operation("f1", 1, ((f1 >> 1) & 1, f1 & 1)),
+            Operation("f2", 2, tuple((f2 >> (3 - j)) & 1 for j in range(4))),
+            Operation("f3", 3, tuple((f3 >> (7 - j)) & 1 for j in range(8))),
+        ]
+        if draw % 2:
+            ops += [Operation(f"c{k}", 0, (rng.randrange(2),)) for k in range(rng.randint(1, 2))]
+        assert_classify_matches_clone(FiniteAlgebra(2, ops, name="sample"))
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda x, y, z, w: int(x + y + z + w >= 3),
+        lambda x, y, z, w: int(x + y + z + w >= 2),
+        lambda x, y, z, w: x ^ y ^ z ^ w,
+        lambda x, y, z, w: x | y | z | w,
+        lambda x, y, z, w: x & y & z & w,
+        lambda x, y, z, w: int(x + y + z >= 2),
+        lambda x, y, z, w: int(x + (1 - y) + (1 - z) >= 2),
+        lambda x, y, z, w: (x & y & z) | w,
+    ],
+    ids=["atleast3of4", "atleast2of4", "xor4", "or4", "and4", "maj_dummy",
+         "maj_negated_dummy", "and3_or_w"],
+)
+def test_classify_matches_ternary_clone_on_arity_four(fn):
+    alg = two_elem("quaternary", f=(4, fn))
+    assert_classify_matches_clone(alg)
+    cls = classify(alg)
+    if cls.table is not None:
+        assert table_of_term(alg, cls.witness) == cls.table
