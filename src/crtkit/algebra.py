@@ -67,9 +67,6 @@ class FiniteAlgebra:
         except KeyError:
             raise InputError(f"no operation named {name!r}") from None
 
-    def has_op(self, name: str) -> bool:
-        return name in self._by_name
-
     def apply(self, name: str, *args: int) -> int:
         op = self.op(name)
         if len(args) != op.arity:
@@ -764,28 +761,11 @@ def _count_down_sets(down: list[int], up: list[int], limit: int) -> int:
 
 
 def congruence_lattice_is_permutable(lattice: list[Partition]) -> bool:
-    """Whether every two members x, y of a whole congruence lattice permute,
-    x o y = y o x. The test reads the same for (x, y) and (y, x), so each
-    unordered pair is tested once.
-
-    x and y permute iff x o y is x v y, i.e. iff inside each block of x v y
-    every x-block meets every y-block. Inside a block B of x v y at most
-    (#x-blocks in B) * (#y-blocks in B) pairs of them meet, so x and y
-    permute iff the distinct (x-label, y-label) pairs number the sum of
-    these products over the blocks of x v y."""
-    for i, x in enumerate(lattice):
-        for y in lattice[i + 1 :]:
-            join = x.join(y)
-            x_blocks = [0] * join.num_blocks
-            y_blocks = [0] * join.num_blocks
-            for a in x.representatives():
-                x_blocks[join.labels[a]] += 1
-            for b in y.representatives():
-                y_blocks[join.labels[b]] += 1
-            pairs = len(set(zip(x.labels, y.labels)))
-            if pairs != sum(map(operator.mul, x_blocks, y_blocks)):
-                return False
-    return True
+    """Whether every two members of a whole congruence lattice permute;
+    Partition.permutes is symmetric, so each unordered pair is tested once."""
+    return all(
+        x.permutes(y) for i, x in enumerate(lattice) for y in lattice[i + 1 :]
+    )
 
 
 # ---------------------------------------------------------------------------

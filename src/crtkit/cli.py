@@ -20,7 +20,7 @@ import argparse
 import os
 import sys
 
-from . import postlattice
+from . import config, postlattice
 from .algebra import (
     FiniteAlgebra,
     all_congruences,
@@ -31,7 +31,6 @@ from .algebra import (
     term_str,
 )
 from .catalog import left_zero_mul
-from .dualdisc import is_cr_tuple_dualdisc
 from .errors import CrtkitError, InputError
 from .formats import (
     parse_algebra,
@@ -39,7 +38,7 @@ from .formats import (
     serialize_algebra,
     serialize_congruences,
 )
-from .nearlattice import is_cr_tuple_distlattice, is_cr_tuple_nearlattice, make_view
+from .nearlattice import NlVerdict
 from .satgadget import (
     as_left_zero_semigroup,
     parse_dimacs,
@@ -47,13 +46,8 @@ from .satgadget import (
     u_embed,
     validate_3sat_prime,
 )
-from .systems import brute_force_is_cr_tuple
-from .vectorspace import (
-    congruence_to_subspace,
-    coordinatize,
-    is_cr_tuple_vs,
-    vs_instance,
-)
+from .systems import CrVerdict
+from .vectorspace import VsVerdict
 
 EXIT_CR = 0
 EXIT_NOT_CR = 10
@@ -85,21 +79,21 @@ def _load_instance(args):
     return alg, named
 
 
-def _print_verdict(route: str, verdict) -> int:
-    """RESULT line, plus the reason or witness a NOT-CR verdict of this
-    route carries; returns the exit code."""
+def _print_verdict(verdict) -> int:
+    """RESULT line, plus the reason or witness a NOT-CR verdict of its
+    decider carries; returns the exit code."""
     if verdict.is_cr:
         print("RESULT: CR")
         return EXIT_CR
     print("RESULT: NOT-CR")
-    if route == "brute":
+    if isinstance(verdict, CrVerdict):
         print("WITNESS: " + " ".join(str(a) for a in verdict.witness))
-    elif route == "vs":
+    elif isinstance(verdict, VsVerdict):
         print(
             f"REASON: solvable dimension {verdict.dim_solvable} < "
             f"compatible dimension {verdict.dim_compatible}"
         )
-    elif route == "nearlattice":
+    elif isinstance(verdict, NlVerdict):
         detail = " ".join(str(x) for x in verdict.detail)
         print(f"REASON: {verdict.reason} {detail}")
     else:
@@ -120,33 +114,20 @@ def cmd_check(args) -> int:
             print("ROUTE: trivial")
         print("RESULT: CR")
         return EXIT_CR
-    route = args.method
-    if route == "brute":
-        verdict = brute_force_is_cr_tuple(parts)
-    elif route == "vs":
-        chart = coordinatize(alg, "add")
-        bases = [congruence_to_subspace(chart, part) for part in parts]
-        verdict = is_cr_tuple_vs(vs_instance(chart.p, chart.dim, bases))
-    elif route == "nearlattice":
-        verdict = is_cr_tuple_nearlattice(make_view(alg), parts)
-    elif route == "distlat":
-        route, verdict = "nearlattice", is_cr_tuple_distlattice(alg, parts)
-    elif route == "dualdisc":
-        verdict = is_cr_tuple_dualdisc(alg, parts)
-    elif args.generator is None:
+    if args.method != "auto":
+        return _print_verdict(postlattice.DECIDERS[args.method](alg, parts))
+    if args.generator is None:
         # auto without a generator: the only safe method is brute
         print("ROUTE: brute")
-        route, verdict = "brute", brute_force_is_cr_tuple(parts)
-    else:
-        # auto: classify the provided two-element generator and take the
-        # route its class supports
-        gen = parse_algebra(_read(args.generator))
-        result = postlattice.route_decide(alg, parts, generator=gen)
-        print(f"ROUTE: {result.route}")
-        if result.warning is not None:
-            print(f"warning: {result.warning}", file=sys.stderr)
-        route, verdict = result.route, result.verdict
-    return _print_verdict(route, verdict)
+        return _print_verdict(postlattice.DECIDERS["brute"](alg, parts))
+    # auto: classify the provided two-element generator and take the route
+    # its class supports
+    gen = parse_algebra(_read(args.generator))
+    result = postlattice.route_decide(alg, parts, generator=gen)
+    print(f"ROUTE: {result.route}")
+    if result.warning is not None:
+        print(f"warning: {result.warning}", file=sys.stderr)
+    return _print_verdict(result.verdict)
 
 
 def _provenance_lines(inst, doubled: bool) -> list[str]:
@@ -253,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--congs", required=True, help="congruence file")
     check.add_argument(
         "--method",
-        choices=["auto", "brute", "vs", "nearlattice", "distlat", "dualdisc"],
+        choices=["auto", *postlattice.DECIDERS],
         default="auto",
         help="decision procedure (auto routes via --generator, else brute)",
     )
@@ -292,6 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        config.budget(config.DEFAULT_TUPLE_BUDGET)  # reject a bad override up front
         return args.func(args)
     except CrtkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -170,15 +170,37 @@ def sigma_above(alg: FiniteAlgebra, delta: Partition) -> list[Partition]:
     ]
 
 
-def _relation_contains_partition(rel, part: Partition) -> bool:
-    for bm in part.block_masks():
-        mask = bm
-        while mask:
-            low = mask & -mask
-            x = low.bit_length() - 1
-            mask ^= low
-            if rel.rows[x] & bm != bm:
-                return False
+def _inside_composition(lam: Partition, mu: Partition, part: Partition) -> bool:
+    """Whether part lies inside lam o mu. (x, y) is in lam o mu iff some
+    element carries lam's label of x and mu's label of y, so a block B of
+    part lies inside iff every pair in lam(B) x mu(B) occurs on an element."""
+    occurring = set(zip(lam.labels, mu.labels))
+    for block in part.blocks():
+        lam_labels = {lam.labels[x] for x in block}
+        mu_labels = {mu.labels[x] for x in block}
+        if any((a, b) not in occurring for a in lam_labels for b in mu_labels):
+            return False
+    return True
+
+
+def _cut_out_by_pairs(rows) -> bool:
+    """Whether a set of equal-length tuples holds every tuple whose
+    projections onto pairs of coordinates all occur among its own: extending
+    its projection onto the coordinates before t by coordinate t, under the
+    pair constraints with t, must give exactly its projection onto one more
+    coordinate, for every t."""
+    rows = list(rows)
+    for t in range(len(rows[0])):
+        pairs = [{(r[i], r[t]) for r in rows} for i in range(t)]
+        values = {r[t] for r in rows}
+        extended = sum(
+            1
+            for p in {r[:t] for r in rows}
+            for v in values
+            if all((p[i], v) in pairs[i] for i in range(t))
+        )
+        if extended != len({r[: t + 1] for r in rows}):
+            return False
     return True
 
 
@@ -226,19 +248,30 @@ def is_cr_tuple_dualdisc(alg: FiniteAlgebra, thetas) -> DdVerdict:
     for p in parts[1:]:
         delta = delta.meet(p)
     sigma = [m for m in mi if delta.refines(m)]
-    for lam, mu in itertools.combinations(range(len(sigma)), 2):
-        fwd = sigma[lam].compose(sigma[mu])
-        bwd = sigma[mu].compose(sigma[lam])
-        if fwd == bwd:
+    # In a dual discriminator variety each alg / s (s in sigma) is simple with
+    # the term acting as the dual discriminator d, so the rows of s-labels of
+    # the elements are closed under d, a majority operation: cut out by their
+    # projections onto pairs (Baker and Pixley), each full or one cross.
+    # Conversely such rows form a subalgebra of a product of simple algebras
+    # under d whose meet-irreducible congruences are, by Jonsson's lemma,
+    # exactly sigma, so the decision below is the one for that subalgebra.
+    rows = {tuple(s.labels[x] for s in sigma) for x in range(alg.size)}
+    shape = [s.num_blocks for s in sigma]
+    if not (projections_full_or_cross(shape, rows) and _cut_out_by_pairs(rows)):
+        raise PreconditionError(
+            f"{alg.name} modulo the meet of the tuple is not closed under the "
+            "dual discriminator on its meet-irreducible quotients, so it lies "
+            "in no dual discriminator variety"
+        )
+    for lam, mu in itertools.combinations(sigma, 2):
+        if lam.permutes(mu):
             continue
         if any(
-            s != sigma[lam] and s != sigma[mu]
-            and _relation_contains_partition(fwd, s)
-            for s in sigma
+            s != lam and s != mu and _inside_composition(lam, mu, s) for s in sigma
         ):
             continue
-        lm = sigma[lam].meet(sigma[mu])
+        lm = lam.meet(mu)
         if any(p.refines(lm) for p in parts):
             continue
-        return DdVerdict(False, (sigma[lam], sigma[mu]))
+        return DdVerdict(False, (lam, mu))
     return DdVerdict(True)

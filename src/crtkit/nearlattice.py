@@ -56,9 +56,6 @@ class NearlatticeView:
     def p_count(self):
         return len(self.mi_elements)
 
-    def sigma_elements(self, a: int) -> tuple[int, ...]:
-        return tuple(self.mi_elements[i] for i in _bits(self.sigma[a]))
-
 
 def _induced_join(table3: np.ndarray) -> np.ndarray:
     n = table3.shape[0]

@@ -1,4 +1,4 @@
-"""Partitions of {0..n-1} and binary relations, the ground set machinery.
+"""Partitions of {0..n-1}, the ground set machinery.
 
 A partition is stored as a label vector in canonical form: block labels are
 assigned 0, 1, 2, ... in order of first occurrence, so two partitions are
@@ -8,6 +8,8 @@ blocks in label order visits them ordered by least element.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .errors import InputError, PreconditionError
 
@@ -164,17 +166,23 @@ class Partition:
         self._check_same_ground(other)
         return Partition(zip(self.labels, other.labels))
 
-    def compose(self, other: "Partition") -> "BinaryRelation":
-        """Relation product: (u,w) iff some v has u~v in self and v~w in other."""
-        self._check_same_ground(other)
-        left = self.block_masks()
-        right = other.block_masks()
-        rows = [0] * self.n
-        for v in range(self.n):
-            rv = right[other.labels[v]]
-            for u in _bits(left[self.labels[v]]):
-                rows[u] |= rv
-        return BinaryRelation(self.n, rows)
+    def permutes(self, other: "Partition") -> bool:
+        """Whether x = self and y = other permute, x o y = y o x.
+
+        They do iff x o y is x v y, i.e. iff inside each block of x v y every
+        x-block meets every y-block. Inside a block B of x v y at most
+        (#x-blocks in B) * (#y-blocks in B) pairs of them meet, so x and y
+        permute iff the distinct (x-label, y-label) pairs number the sum of
+        these products over the blocks of x v y. The test is symmetric."""
+        join = self.join(other)
+        x_blocks = [0] * join.num_blocks
+        y_blocks = [0] * join.num_blocks
+        for a in self.representatives():
+            x_blocks[join.labels[a]] += 1
+        for b in other.representatives():
+            y_blocks[join.labels[b]] += 1
+        pairs = len(set(zip(self.labels, other.labels)))
+        return pairs == sum(map(operator.mul, x_blocks, y_blocks))
 
     def _check_same_ground(self, other: "Partition"):
         if self.n != other.n:
@@ -200,63 +208,3 @@ def quotient_partition(theta: Partition, delta: Partition) -> Partition:
         raise PreconditionError("delta does not refine theta")
     reps = delta.representatives()
     return Partition(theta.labels[r] for r in reps)
-
-
-class BinaryRelation:
-    """A binary relation on {0..n-1} as per-row bitmasks."""
-
-    __slots__ = ("n", "rows")
-
-    def __init__(self, n: int, rows):
-        rows = tuple(rows)
-        if len(rows) != n:
-            raise InputError("row count does not match the ground set")
-        self.n = n
-        self.rows = rows
-
-    @classmethod
-    def from_partition(cls, part: Partition) -> "BinaryRelation":
-        masks = part.block_masks()
-        return cls(part.n, (masks[lab] for lab in part.labels))
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs) -> "BinaryRelation":
-        rows = [0] * n
-        for x, y in pairs:
-            rows[x] |= 1 << y
-        return cls(n, rows)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BinaryRelation)
-            and self.n == other.n
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.rows))
-
-    def __repr__(self):
-        return f"BinaryRelation({self.n}, pairs={sorted(self.pairs())})"
-
-    def has(self, x: int, y: int) -> bool:
-        return bool(self.rows[x] >> y & 1)
-
-    def pairs(self) -> set[tuple[int, int]]:
-        return {(x, y) for x in range(self.n) for y in _bits(self.rows[x])}
-
-    def issubset(self, other: "BinaryRelation") -> bool:
-        return self.n == other.n and all(
-            r & ~s == 0 for r, s in zip(self.rows, other.rows)
-        )
-
-    def compose(self, other: "BinaryRelation") -> "BinaryRelation":
-        if self.n != other.n:
-            raise InputError("relations over different ground sets")
-        rows = [0] * self.n
-        for u in range(self.n):
-            acc = 0
-            for v in _bits(self.rows[u]):
-                acc |= other.rows[v]
-            rows[u] = acc
-        return BinaryRelation(self.n, rows)

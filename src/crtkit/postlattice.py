@@ -18,8 +18,9 @@ essentially unary basic operations, or only operations of the join form
 c or x_{i_1} or ... or x_{i_r} (dually, only meet forms). classify()
 picks the first matching case in a fixed priority order; route_decide()
 then hands a congruence tuple to the decision procedure that the case
-supports, falling back to brute force with a complexity warning for the
-last two cases.
+supports, through the same table of deciders that `crtkit check --method`
+uses, falling back to brute force with a complexity warning for the last
+two cases.
 
 The case is read from Post's lattice (E. Post, "The two-valued iterative
 systems of mathematical logic", 1941; Boehler, Creignou, Reith, Vollmer,
@@ -54,7 +55,7 @@ from .algebra import (
 )
 from .dualdisc import is_cr_tuple_dualdisc
 from .errors import ClassificationError, InputError, PreconditionError, StructureError
-from .nearlattice import is_cr_tuple_nearlattice, make_view
+from .nearlattice import is_cr_tuple_distlattice, is_cr_tuple_nearlattice, make_view
 from .systems import brute_force_is_cr_tuple
 from .vectorspace import congruence_to_subspace, coordinatize, is_cr_tuple_vs, vs_instance
 
@@ -335,17 +336,22 @@ def classify(alg2: FiniteAlgebra, with_witness: bool = True) -> Classification:
 # the affine route
 
 
-def affine_gf2_instance(alg, s_term: Term, thetas, e: int):
-    """Congruence tuple -> subspace tuple via the addition x + y := s(x, y, e).
+def _certify_on(derived: FiniteAlgebra, parts, what: str):
+    for pos, part in enumerate(parts):
+        if congruence_violation(derived, part) is not None:
+            raise PreconditionError(f"tuple member {pos + 1} is not {what}")
+
+
+def _derived_addition(alg, s_term: Term, parts, e: int) -> FiniteAlgebra:
+    """The algebra with the one operation x + y := s(x, y, e), named add.
 
     Verifies that the derived addition is commutative, associative, has e
     as neutral element and satisfies x + x = e (so the universe becomes a
     GF(2)-vector space with origin e), and that every tuple member is
-    compatible with it; then charts the universe and maps each theta to the
-    subspace carried by the e-class.
+    compatible with it.
     """
     n = alg.size
-    if not thetas:
+    if not parts:
         raise InputError("need at least one congruence")
     if not 0 <= e < n:
         raise InputError(f"element {e} is out of range for {alg.name}")
@@ -360,20 +366,39 @@ def affine_gf2_instance(alg, s_term: Term, thetas, e: int):
     if not np.array_equal(T[idx, idx], np.full(n, e)):
         raise PreconditionError("derived addition does not square to the neutral element")
     derived = FiniteAlgebra(n, [Operation("add", 2, table)], name=f"{alg.name}+")
-    parts = []
-    for pos, theta in enumerate(thetas):
-        part = as_partition(theta)
-        if congruence_violation(derived, part) is not None:
-            raise PreconditionError(
-                f"tuple member {pos + 1} is not compatible with the derived addition"
-            )
-        parts.append(part)
-    chart = coordinatize(derived, add="add", zero_elem=e)
+    _certify_on(derived, parts, "compatible with the derived addition")
+    return derived
+
+
+def affine_gf2_instance(alg, s_term: Term, thetas, e: int):
+    """Congruence tuple -> subspace tuple via the addition x + y := s(x, y, e),
+    after the checks of _derived_addition: the universe is charted with
+    origin e and each theta maps to the subspace carried by the e-class."""
+    parts = [as_partition(t) for t in thetas]
+    chart = coordinatize(_derived_addition(alg, s_term, parts, e), zero_elem=e)
     return vs_instance(2, chart.dim, [congruence_to_subspace(chart, p) for p in parts])
 
 
 # ---------------------------------------------------------------------------
 # routing
+
+
+def _decide_vs(alg, parts):
+    chart = coordinatize(alg, "add")
+    bases = [congruence_to_subspace(chart, part) for part in parts]
+    return is_cr_tuple_vs(vs_instance(chart.p, chart.dim, bases))
+
+
+# route name -> its decision on (algebra, partitions), shared by route_decide
+# and `crtkit check --method`; entries look their deciders up by module-level
+# name at call time, so rebinding a decider's name reaches every route
+DECIDERS = {
+    "brute": lambda alg, parts: brute_force_is_cr_tuple(parts),
+    "vs": _decide_vs,
+    "nearlattice": lambda alg, parts: is_cr_tuple_nearlattice(make_view(alg), parts),
+    "distlat": lambda alg, parts: is_cr_tuple_distlattice(alg, parts),
+    "dualdisc": lambda alg, parts: is_cr_tuple_dualdisc(alg, parts),
+}
 
 
 @dataclass(frozen=True)
@@ -396,11 +421,14 @@ def route_decide(
     """Decide whether a tuple is CR by the procedure its class supports.
 
     The caller asserts that alg lies in the variety generated by the
-    classified two-element algebra. Each route re-verifies what it can
-    (the addition identities, congruence compatibility with the derived
-    reduct, the view and meet-irreducible certificates) and raises instead
-    of returning a wrong verdict. Classes without a polynomial procedure
-    fall back to brute force and carry a complexity warning.
+    classified two-element algebra. The class picks a route and the algebra
+    it runs on: the derived addition s(x, y, 0) for s, the reduct to the
+    single ternary operation n for n, and alg itself otherwise. Each route
+    re-verifies what it can (the addition identities, congruence
+    compatibility with the derived algebra, the view and meet-irreducible
+    certificates) and raises instead of returning a wrong verdict. Classes
+    without a polynomial procedure fall back to brute force and carry a
+    complexity warning.
     """
     cls = class_hint
     if cls is None:
@@ -409,29 +437,23 @@ def route_decide(
         cls = classify(generator)
     if cls.tag in (HAS_S, HAS_N) and cls.witness is None:
         raise InputError(f"classification {cls.tag} carries no witness term")
+    parts = [as_partition(t) for t in thetas]
+    warning = None
     if cls.tag == HAS_S:
-        inst = affine_gf2_instance(alg, cls.witness, thetas, 0)
-        verdict = is_cr_tuple_vs(inst)
-        return RouteResult("vs", verdict.is_cr, verdict)
-    if cls.tag == HAS_N:
-        nred = reduct(alg, {"n": (3, cls.witness)}, name=f"{alg.name}|n")
-        parts = [as_partition(t) for t in thetas]
-        for pos, part in enumerate(parts):
-            if congruence_violation(nred, part) is not None:
-                raise PreconditionError(
-                    f"tuple member {pos + 1} is not a congruence of the derived "
-                    "ternary reduct"
-                )
-        verdict = is_cr_tuple_nearlattice(make_view(nred, "n"), parts)
-        return RouteResult("nearlattice", verdict.is_cr, verdict)
-    if cls.tag == HAS_M:
-        verdict = is_cr_tuple_dualdisc(alg, thetas)
-        return RouteResult("dualdisc", verdict.is_cr, verdict)
-    if cls.tag == ESSENTIALLY_UNARY:
+        route, alg = "vs", _derived_addition(alg, cls.witness, parts, 0)
+    elif cls.tag == HAS_N:
+        route = "nearlattice"
+        alg = reduct(alg, {"n": (3, cls.witness)}, name=f"{alg.name}|n")
+        _certify_on(alg, parts, "a congruence of the derived ternary reduct")
+    elif cls.tag == HAS_M:
+        route = "dualdisc"
+    elif cls.tag == ESSENTIALLY_UNARY:
+        route = "brute"
         warning = "brute-force decision; this class is coNP-complete in general"
     elif cls.tag == SEMILATTICE_FAMILY:
+        route = "brute"
         warning = "brute-force decision; the complexity of this class is open"
     else:
         raise InputError(f"unknown classification tag {cls.tag!r}")
-    verdict = brute_force_is_cr_tuple([as_partition(t) for t in thetas])
-    return RouteResult("brute", verdict.is_cr, verdict, warning)
+    verdict = DECIDERS[route](alg, parts)
+    return RouteResult(route, verdict.is_cr, verdict, warning)

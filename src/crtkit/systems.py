@@ -172,8 +172,7 @@ def brute_force_is_cr_tuple(thetas, budget: Optional[int] = None) -> CrVerdict:
 def is_cr_pair(theta1, theta2) -> bool:
     """For two congruences, CR is exactly permutability of the pair."""
     parts = _tuple_of_partitions([theta1, theta2])
-    a, b = parts
-    return a.compose(b) == b.compose(a)
+    return parts[0].permutes(parts[1])
 
 
 def quotient_reduce(thetas) -> tuple[Partition, list[Partition]]:

@@ -243,8 +243,8 @@ class Coordinatization:
 def coordinatize(alg, add: str = "add", zero_elem: Optional[int] = None) -> Coordinatization:
     """Chart an algebra whose `add` table is an elementary abelian group.
 
-    Verifies commutativity, associativity, the neutral element, and prime
-    exponent, then grows a basis greedily and assigns coordinates along the
+    Verifies commutativity, associativity, the neutral element, inverses and
+    prime exponent, then grows a basis greedily and assigns coordinates along the
     way. Raises PreconditionError when the table is not such a group.
     """
     size = alg.size
@@ -272,13 +272,15 @@ def coordinatize(alg, add: str = "add", zero_elem: Optional[int] = None) -> Coor
     if size == 1:
         return Coordinatization(2, 0, (), ((),), {(): zero_elem})
 
-    # exponent p: the additive order of any non-zero element
+    # exponent p: the additive order of any non-zero element; in a finite
+    # monoid x is invertible iff some k <= size has k * x = 0
     def order(x):
-        acc, k = x, 1
-        while acc != zero_elem:
+        acc = x
+        for k in range(1, size + 1):
+            if acc == zero_elem:
+                return k
             acc = plus(acc, x)
-            k += 1
-        return k
+        raise PreconditionError(f"element {x} has no inverse for the addition")
 
     p = order(next(e for e in range(size) if e != zero_elem))
     if not is_prime(p):

@@ -26,8 +26,9 @@ from crtkit.catalog import (
     zmod_group,
     zmod_ring,
 )
-from crtkit.cli import main
+from crtkit.cli import build_parser, main
 from crtkit.formats import parse_algebra, parse_congruences, serialize_algebra
+from crtkit.postlattice import DECIDERS
 
 PENTAGON_CNF = (
     "c one clause per variable set\n"
@@ -341,15 +342,23 @@ def test_check_budget_env_var(fix, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3"])
-def test_check_rejects_bad_budget_env_var(fix, capsys, monkeypatch, value):
+def test_check_rejects_bad_budget_env_var(fix, capsys, monkeypatch, tmp_path, value):
+    # every method and command refuses the setting, including those whose
+    # searches never read it
     monkeypatch.setenv("CRTKIT_BUDGET", value)
-    code, out, err = run(
-        capsys,
-        "check", "--algebra", fix["chain3.alg"], "--congs", fix["chain3.congs"],
-        "--method", "brute",
-    )
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and "CRTKIT_BUDGET" in err and repr(value) in err
+    check = ("check", "--algebra", fix["chain3.alg"], "--congs", fix["chain3.congs"])
+    commands = [(*check, "--method", method) for method in ["auto", *DECIDERS]]
+    commands += [
+        (*check, "--generator", fix["2lat.alg"]),
+        ("classify2", "--algebra", fix["2lat.alg"]),
+        ("conlat", "--algebra", fix["chain3.alg"]),
+        ("gen-hard", "--cnf", fix["pentagon.cnf"], "--out", str(tmp_path / "H")),
+    ]
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: CRTKIT_BUDGET must be a positive integer, got {value!r}\n"
+    assert not (tmp_path / "H").exists()
 
 
 @pytest.mark.parametrize(
@@ -612,3 +621,47 @@ def test_conlat_does_not_import_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "CONGRUENCES: 12" in lines
     assert lines[-1] == "EXIT 0 False"
+
+
+@pytest.mark.parametrize(
+    "table,congs,element",
+    [
+        # max on a 3-chain: a commutative monoid with neutral 0, no inverses
+        ((0, 1, 2, 1, 1, 2, 2, 2, 2), "cong a 0 0 1\ncong b 0 1 1\n", 1),
+        # and on {0,1}: neutral element 1, and 0 has no inverse
+        ((0, 0, 0, 1), "cong id 0 1\ncong all 0 0\n", 0),
+    ],
+)
+def test_check_vs_refuses_a_monoid_that_is_no_group(tmp_path, table, congs, element):
+    # charting such an addition used to search forever for an element's order
+    size = 3 if len(table) == 9 else 2
+    alg = tmp_path / "monoid.alg"
+    alg.write_text(serialize_algebra(FiniteAlgebra(size, [Operation("add", 2, table)], name="mon")))
+    cong_path = tmp_path / "monoid.congs"
+    cong_path.write_text(congs)
+    env = dict(os.environ)
+    env.pop("CRTKIT_BUDGET", None)
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "crtkit.cli", "check", "--algebra", str(alg),
+            "--congs", str(cong_path), "--method", "vs",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: element {element} has no inverse for the addition\n"
+
+
+def test_method_choices_follow_the_decider_table():
+    check = build_parser()._subparsers._group_actions[0].choices["check"]
+    method = next(action for action in check._actions if action.dest == "method")
+    assert method.choices == ["auto", *DECIDERS]
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        text = handle.read()
+    table = text[text.index("| method "):].split("\n\n")[0]
+    rows = [line.split("|")[1].strip() for line in table.splitlines()[2:]]
+    assert rows == [f"`{name}`" for name in DECIDERS]

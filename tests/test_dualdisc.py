@@ -5,10 +5,11 @@ import random
 
 import pytest
 
-from crtkit.algebra import all_congruences
-from crtkit.catalog import chain_lattice, power_algebra, two_majority, zmod_group
+from crtkit.algebra import FiniteAlgebra, Operation, all_congruences
+from crtkit.catalog import chain_lattice, power_algebra, two_majority, zmod_group, zmod_ring
 from crtkit.dualdisc import (
     Cross,
+    _inside_composition,
     all_crosses,
     compose_crosses,
     cross_closure,
@@ -26,7 +27,7 @@ from crtkit.errors import InputError, PreconditionError, StructureError
 from crtkit.partitions import Partition
 from crtkit.systems import brute_force_is_cr_tuple
 
-from helpers import random_closed_subpower, random_distributive_lattice
+from helpers import random_closed_subpower, random_distributive_lattice, relation_product
 
 
 def test_make_cross_normalizes():
@@ -158,6 +159,18 @@ def test_sigma_above():
     assert len(finer) == 2
 
 
+def test_inside_composition_matches_relation_product():
+    rng = random.Random(52)
+    for _ in range(2000):
+        n = rng.randint(1, 7)
+        lam, mu, s = (
+            Partition([rng.randrange(n) for _ in range(n)]) for _ in range(3)
+        )
+        product = relation_product(lam, mu)
+        want = all((x, y) in product for b in s.blocks() for x in b for y in b)
+        assert _inside_composition(lam, mu, s) == want, (lam, mu, s)
+
+
 def test_dualdisc_matches_brute_on_majority_subpowers():
     rng = random.Random(53)
     checked = 0
@@ -179,7 +192,7 @@ def test_dualdisc_matches_brute_on_majority_subpowers():
             checked += 1
             if not got.is_cr:
                 lam, mu = got.failing_pair
-                assert lam.compose(mu) != mu.compose(lam)
+                assert relation_product(lam, mu) != relation_product(mu, lam)
     assert checked > 150
 
 
@@ -225,3 +238,31 @@ def test_dualdisc_chain3_failing_pair():
     assert not verdict.is_cr
     lam, mu = verdict.failing_pair
     assert {lam, mu} == {Partition([0, 0, 1]), Partition([0, 1, 1])}
+
+
+def test_dualdisc_refuses_algebras_outside_dual_discriminator_varieties():
+    # Con is distributive in both, but neither lies in a dual discriminator
+    # variety. On the unary algebra the decision read "CR" for a NOT-CR
+    # tuple: its quotient by 0|1|23 has three blocks, and the elements' rows
+    # of labels are not cut out by their pair projections.
+    unary = FiniteAlgebra(4, [Operation("f", 1, (1, 0, 3, 3))], name="u4")
+    thetas = [Partition([0, 0, 1, 1]), Partition([0, 0, 1, 0]), Partition([0, 1, 2, 2])]
+    assert not brute_force_is_cr_tuple(thetas).is_cr
+    with pytest.raises(PreconditionError, match="no dual discriminator variety"):
+        is_cr_tuple_dualdisc(unary, thetas)
+    # Z12 maps onto Z4, which is subdirectly irreducible but not simple:
+    # residues mod 4 determine those mod 2, a pair projection that is no cross
+    z12 = zmod_ring(12)
+    mod = [Partition([x % m for x in range(12)]) for m in (4, 3)]
+    with pytest.raises(PreconditionError, match="no dual discriminator variety"):
+        is_cr_tuple_dualdisc(z12, mod)
+
+
+def test_dualdisc_accepts_simple_factors_beyond_two_elements():
+    # Z30 is the product of the fields Z2, Z3 and Z5, each with a
+    # discriminator term; its tuples are all CR (it is arithmetic)
+    z30 = zmod_ring(30)
+    lattice = [c.partition for c in all_congruences(z30)]
+    for thetas in itertools.combinations(lattice, 3):
+        assert is_cr_tuple_dualdisc(z30, list(thetas)).is_cr
+    assert is_cr_tuple_dualdisc(z30, [Partition([x % 6 for x in range(30)])]).is_cr

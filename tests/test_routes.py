@@ -1,0 +1,151 @@
+"""Every route of the decider table, by `check --method` and by
+route_decide, against brute force.
+
+A route returns brute force's verdict or raises a CrtkitError naming the
+failed precondition: never a wrong verdict, another exception or a hang.
+Inputs are small subalgebras of powers of the two-element generators, whose
+own routes must succeed, and algebras outside their varieties: random tables
+under the operation names the routes look for, commutative monoids that are
+not groups, cyclic groups that are not elementary abelian, and unary
+algebras, whose congruence lattices are rich. Elementary abelian groups
+stand in for the inputs of `vs`, which looks for an operation named add.
+"""
+
+import contextlib
+import io
+import os
+import random
+import signal
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crtkit.algebra import FiniteAlgebra, Operation, all_congruences
+from crtkit.catalog import (
+    power_algebra,
+    two_join_semilattice,
+    two_lattice,
+    two_majority,
+    two_minority,
+    two_nearlattice,
+    zmod_group,
+)
+from crtkit.cli import main
+from crtkit.errors import CrtkitError
+from crtkit.formats import serialize_algebra, serialize_congruences
+from crtkit.postlattice import DECIDERS, classify, route_decide
+from crtkit.systems import brute_force_is_cr_tuple
+
+from helpers import random_closed_subpower
+
+GENERATORS = {
+    "2maj": two_majority(),
+    "2min": two_minority(),
+    "2N": two_nearlattice(),
+    "2lat": two_lattice(),
+}
+HINTS = {name: classify(gen) for name, gen in GENERATORS.items()}
+HINTS["neg"] = classify(FiniteAlgebra(2, [Operation("neg", 1, (1, 0))], name="neg"))
+HINTS["2sl"] = classify(two_join_semilattice())
+# the route a subalgebra of a power of each generator takes by its own class,
+# and the method each kind of input must pass
+OWN_ROUTE = {"2maj": "dualdisc", "2min": "vs", "2N": "nearlattice", "2lat": "nearlattice"}
+OWN_METHOD = {"2maj": "dualdisc", "2N": "nearlattice", "2lat": "distlat", "group": "vs"}
+ARITY = {"add": 2, "meet": 2, "join": 2, "s": 3, "n": 3, "m": 3, "f": 1}
+SECONDS = 30
+
+
+class Hung(BaseException):
+    """Raised by the alarm; no handler in the library catches it."""
+
+
+@contextlib.contextmanager
+def time_limit(what):
+    def expire(signum, frame):
+        raise Hung(f"{what} ran longer than {SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _table(rng, n, arity):
+    return tuple(rng.randrange(n) for _ in range(n**arity))
+
+
+@st.composite
+def instances(draw):
+    """(kind, algebra, tuple of 2 or 3 of its congruences)."""
+    kind = draw(st.sampled_from([*GENERATORS, "group", "random", "addition", "unary"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind in GENERATORS:
+        alg, _ = random_closed_subpower(
+            rng, GENERATORS[kind], rng.randint(2, 3), rng.randint(2, 4)
+        )
+    elif kind == "random":
+        n = rng.randint(2, 4)
+        names = rng.sample(sorted(ARITY), rng.randint(1, 3))
+        ops = [Operation(name, ARITY[name], _table(rng, n, ARITY[name])) for name in names]
+        alg = FiniteAlgebra(n, ops, name="random")
+    elif kind == "group":
+        alg = power_algebra(zmod_group(rng.choice([2, 3])), rng.randint(1, 3))
+    elif kind == "addition":
+        # max or min on a chain (a neutral element, no inverses), Z4 or Z6
+        n = rng.randint(2, 4)
+        pick = rng.choice([max, min])
+        table = tuple(pick(x, y) for x in range(n) for y in range(n))
+        monoid = FiniteAlgebra(n, [Operation("add", 2, table)], name=pick.__name__)
+        alg = rng.choice([monoid, zmod_group(4), zmod_group(6)])
+    else:
+        n = rng.randint(3, 5)
+        ops = [Operation(f"f{i}", 1, _table(rng, n, 1)) for i in range(rng.randint(1, 2))]
+        alg = FiniteAlgebra(n, ops, name="unary")
+    lattice = [c.partition for c in all_congruences(alg)]
+    parts = [rng.choice(lattice) for _ in range(rng.randint(2, 3))]
+    return kind, alg, parts
+
+
+def _refused_by_method(directory, alg, parts, method, want):
+    alg_path = os.path.join(directory, "a.alg")
+    congs_path = os.path.join(directory, "a.congs")
+    with open(alg_path, "w", encoding="ascii") as handle:
+        handle.write(serialize_algebra(alg))
+    with open(congs_path, "w", encoding="ascii") as handle:
+        handle.write(serialize_congruences([(f"t{i}", p) for i, p in enumerate(parts)]))
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["check", "--algebra", alg_path, "--congs", congs_path, "--method", method]
+    with time_limit(method), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: "), method
+        return True
+    expected = (0, "RESULT: CR") if want else (10, "RESULT: NOT-CR")
+    assert (code, out.getvalue().splitlines()[0]) == expected, method
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_every_route_returns_brute_force_verdict_or_refuses(instance):
+    kind, alg, parts = instance
+    want = brute_force_is_cr_tuple(parts).is_cr
+    with tempfile.TemporaryDirectory() as directory:
+        for method in DECIDERS:
+            refused = _refused_by_method(directory, alg, parts, method, want)
+            assert not (refused and OWN_METHOD.get(kind) == method), (method, alg.name)
+    for name, hint in HINTS.items():
+        try:
+            with time_limit(hint.tag):
+                result = route_decide(alg, parts, class_hint=hint)
+        except CrtkitError:
+            # a subalgebra of a power of the generator is in its variety
+            assert name != kind, (hint.tag, alg.name)
+            continue
+        assert result.is_cr == want, (hint.tag, alg.name, parts)
+        if name == kind:
+            assert result.route == OWN_ROUTE[kind]
