@@ -12,13 +12,14 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from . import config
 from .errors import BudgetExceededError, InputError, PreconditionError, StructureError
 from .partitions import Partition, _bits, _UnionFind, quotient_partition
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Operation(NamedTuple):
@@ -111,6 +112,8 @@ class FiniteAlgebra:
     def table_arrays(self) -> list[np.ndarray]:
         """Each operation's table as a read-only array of shape (size,) * arity."""
         if self._arrays is None:
+            import numpy as np
+
             self._arrays = []
             for op in self.ops:
                 arr = np.array(op.table, dtype=np.intp).reshape((self.size,) * op.arity)
@@ -128,16 +131,18 @@ class FiniteAlgebra:
 
 
 _BINARY_LAWS = {
-    "commutative": lambda T: np.array_equal(T, T.T),
-    "associative": lambda T: np.array_equal(T[T, :], T[:, T]),
-    "idempotent": lambda T: np.array_equal(np.diagonal(T), np.arange(len(T))),
+    "commutative": lambda np, T: np.array_equal(T, T.T),
+    "associative": lambda np, T: np.array_equal(T[T, :], T[:, T]),
+    "idempotent": lambda np, T: np.array_equal(np.diagonal(T), np.arange(len(T))),
 }
 
 
 def failed_binary_law(T: np.ndarray, laws) -> Optional[str]:
     """The first of `laws` (names in _BINARY_LAWS, tested in the given
     order) that the n x n table T of a binary operation breaks, or None."""
-    return next((law for law in laws if not _BINARY_LAWS[law](T)), None)
+    import numpy as np
+
+    return next((law for law in laws if not _BINARY_LAWS[law](np, T)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +251,10 @@ def congruence_violation(alg: FiniteAlgebra, part: Partition):
         raise InputError("partition size does not match the algebra")
     if part.num_blocks in (1, part.n):
         return None
+    if all(op.arity == 0 for op in alg.ops):
+        return None  # constants respect every partition
+    import numpy as np
+
     labels = np.array(part.labels, dtype=np.intp)
     rep = np.array(part.representatives(), dtype=np.intp)[labels]
     for op, table in zip(alg.ops, alg.table_arrays()):
@@ -324,6 +333,8 @@ def principal_partition_set(alg: FiniteAlgebra) -> list[Partition]:
     n = alg.size
     if n == 1:
         return []
+    import numpy as np
+
     xs, ys = np.triu_indices(n, k=1)
     num_pairs = len(xs)
     pair_id = np.full((n, n), -1, dtype=np.int64)
@@ -389,6 +400,8 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     np.unique hashes integer input, which took 20 times as long on the
     1.8M edge keys of boolean_lattice(7).
     """
+    import numpy as np
+
     keys = np.sort(keys)
     keep = np.empty(len(keys), dtype=bool)
     keep[:1] = True

@@ -23,9 +23,7 @@ the down-sets containing the complement of that union.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from . import config
 from .algebra import (
@@ -39,6 +37,9 @@ from .algebra import (
 from .errors import BudgetExceededError, InputError, StructureError
 from .partitions import Partition, _bits, canonical_labels
 from .systems import quotient_reduce
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(eq=False)
@@ -58,6 +59,8 @@ class NearlatticeView:
 
 
 def _induced_join(table3: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     n = table3.shape[0]
     idx = np.arange(n)
     return table3[idx[:, None], idx[:, None], np.arange(n)[None, :]]
@@ -84,6 +87,8 @@ def make_view(alg: FiniteAlgebra, op_name: Optional[str] = None) -> NearlatticeV
 
 
 def _view_from_table(alg: FiniteAlgebra, op_name: str, T: np.ndarray) -> NearlatticeView:
+    import numpy as np
+
     n = alg.size
     J = _induced_join(T)
     law = failed_binary_law(J, ("commutative", "idempotent", "associative"))
@@ -165,6 +170,8 @@ def lattice_view(
     alg: FiniteAlgebra, meet: str = "meet", join: str = "join"
 ) -> NearlatticeView:
     """View of a distributive lattice through its derived ternary operation."""
+    import numpy as np
+
     n = alg.size
     for op in (alg.op(meet), alg.op(join)):
         if op.arity != 2:
@@ -194,6 +201,8 @@ def lattice_view(
 
 def tarski_view(alg: FiniteAlgebra, imp: str = "imp") -> NearlatticeView:
     """View of an implication algebra via n(x,y,z) = (x -> (y -> z)) -> z."""
+    import numpy as np
+
     n = alg.size
     op = alg.op(imp)
     if op.arity != 2:

@@ -37,9 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .algebra import (
     App,
@@ -58,6 +56,9 @@ from .errors import ClassificationError, InputError, PreconditionError, Structur
 from .nearlattice import is_cr_tuple_distlattice, is_cr_tuple_nearlattice, make_view
 from .systems import brute_force_is_cr_tuple
 from .vectorspace import congruence_to_subspace, coordinatize, is_cr_tuple_vs, vs_instance
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PROJ_X = 0xF0  # bit 4x+2y+z carries x
 PROJ_Y = 0xCC
@@ -102,6 +103,8 @@ def _compose_bits(op: Operation, args: tuple[int, ...]) -> int:
 
 def _compose_round(op: Operation, R: np.ndarray) -> np.ndarray:
     """All compositions of one operation against every tuple over R."""
+    import numpy as np
+
     t = op.table
     if op.arity == 1:
         f0 = 0xFF if t[0] else 0
@@ -143,6 +146,8 @@ def _witness_bfs(alg2: FiniteAlgebra, target: Optional[int]):
     tables really have the current depth). Operations of arity up to 3 run
     through the vectorized round; a new table's witness is decoded from the
     first flat index at which its value occurs."""
+    import numpy as np
+
     witness: dict[int, Term] = {}
     order: list[int] = []  # discovery order
 
@@ -350,6 +355,8 @@ def _derived_addition(alg, s_term: Term, parts, e: int) -> FiniteAlgebra:
     GF(2)-vector space with origin e), and that every tuple member is
     compatible with it.
     """
+    import numpy as np
+
     n = alg.size
     if not parts:
         raise InputError("need at least one congruence")

@@ -21,8 +21,6 @@ constants.  A bounded-semilattice lift covers join-semilattice inputs.
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .algebra import Congruence, FiniteAlgebra, Operation, congruence, failed_binary_law
 from .catalog import left_zero_semigroup
 from .errors import InputError, PreconditionError, StructureError
@@ -404,7 +402,7 @@ def semilattice_bounded_lift(alg: FiniteAlgebra, thetas, join: Optional[str] = N
     top = 0
     for x in range(n):
         top = int(T[top, x])
-    if not np.all(T[:, top] == top):
+    if not (T[:, top] == top).all():
         raise PreconditionError("the semilattice has no top element")
     parts = []
     for theta in thetas:

@@ -31,6 +31,13 @@ def pointed_unary_z6():
     )
 
 
+def pointed_set():
+    """A 5-element set with two constants and no other operation."""
+    return FiniteAlgebra(
+        5, [Operation("zero", 0, (0,)), Operation("one", 0, (4,))], name="C5"
+    )
+
+
 ALGEBRAS = [
     chain_lattice(4),
     zmod_ring(6),
@@ -38,6 +45,7 @@ ALGEBRAS = [
     power_algebra(two_minority(), 2),
     power_algebra(two_majority(), 2),
     pointed_unary_z6(),
+    pointed_set(),
 ]
 
 
@@ -49,8 +57,9 @@ def test_certification_matches_references_on_every_partition(alg):
         assert (got is None) == naive_is_congruence(alg, part), part
         assert got == reference_congruence_violation(alg, part), part
         rejected += got is not None
-    # every partition of a left-zero semigroup is a congruence
-    assert (rejected == 0) == (alg.name == "LZ5")
+    # every partition of a left-zero semigroup or of a set with constants
+    # is a congruence
+    assert (rejected == 0) == (alg.name in ("LZ5", "C5"))
 
 
 @st.composite

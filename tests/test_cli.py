@@ -96,6 +96,9 @@ def fix(tmp_path_factory):
         ),
     )
     wf("one.alg", serialize_algebra(bare_set(1)))
+    wf("bare4.alg", serialize_algebra(bare_set(4)))
+    wf("bare4.congs", "cong h 0 0 1 1\ncong v 0 1 0 1\n")
+    wf("z60.alg", serialize_algebra(zmod_ring(60)))
 
     wf("pentagon.cnf", PENTAGON_CNF)
     wf(
@@ -605,22 +608,58 @@ def test_module_entry_point(fix):
     assert proc.stdout == "RESULT: NOT-CR\nWITNESS: 0 2\n"
 
 
-def test_conlat_does_not_import_scipy(tmp_path):
-    # the congruence-lattice layer is numpy and pure Python; importing
-    # scipy.sparse.csgraph cost each such command about half a second
-    path = tmp_path / "z60.alg"
-    path.write_text(serialize_algebra(zmod_ring(60)))
-    script = (
-        "import sys\n"
-        "from crtkit.cli import main\n"
-        f"code = main(['conlat', '--algebra', {str(path)!r}])\n"
-        "print('EXIT', code, 'scipy' in sys.modules)\n"
-    )
+@pytest.mark.parametrize(
+    "argv,shows,loaded",
+    [
+        (None, None, []),
+        (
+            ["check", "--algebra", "bare4.alg", "--congs", "bare4.congs", "--method", "brute"],
+            "RESULT: CR",
+            [],
+        ),
+        (["check", "--algebra", "bare4.alg", "--congs", "bare4.congs"], "ROUTE: brute", []),
+        (["gen-hard", "--cnf", "pentagon.cnf", "--out", "OUT"], "SIZE: 225", []),
+        (["gen-hard", "--cnf", "pentagon.cnf", "--out", "OUT", "--u-embed"], "SIZE: 450", []),
+        (
+            ["gen-hard", "--cnf", "pentagon.cnf", "--out", "OUT", "--u-embed", "--semigroup"],
+            "SIZE: 450",
+            [],
+        ),
+        # certifying each theta on the left-zero product builds arrays
+        (
+            ["gen-hard", "--cnf", "pentagon.cnf", "--out", "OUT", "--semigroup"],
+            "SIZE: 225",
+            ["numpy"],
+        ),
+        # the congruence-lattice layer is numpy and pure Python; importing
+        # scipy.sparse.csgraph cost each such command about half a second
+        (["conlat", "--algebra", "z60.alg"], "CONGRUENCES: 12", ["numpy"]),
+    ],
+    ids=[
+        "import",
+        "check-brute-bare",
+        "check-auto-bare",
+        "gen-hard",
+        "gen-hard-u-embed",
+        "gen-hard-u-embed-semigroup",
+        "gen-hard-semigroup",
+        "conlat-z60",
+    ],
+)
+def test_command_loads_numpy_and_scipy_only_where_used(fix, tmp_path, argv, shows, loaded):
+    # numpy costs each command about 0.18 s of start-up, so it is imported
+    # where arrays are built; a fresh interpreter shows what one command loads
+    script = "import sys\nimport crtkit\ncode = 0\n"
+    if argv is not None:
+        paths = {**fix, "OUT": str(tmp_path / "out")}
+        argv = [paths.get(a, a) for a in argv]
+        script += f"from crtkit.cli import main\ncode = main({argv!r})\n"
+    script += "print('EXIT', code, sorted({'numpy', 'scipy'} & set(sys.modules)))\n"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     assert proc.returncode == 0, proc.stderr
-    assert "CONGRUENCES: 12" in lines
-    assert lines[-1] == "EXIT 0 False"
+    assert shows is None or shows in lines
+    assert lines[-1] == f"EXIT 0 {loaded}"
 
 
 @pytest.mark.parametrize(
