@@ -29,7 +29,12 @@ a fixed table of invariant relations every basic operation preserves, with
 no clone closure. Witness terms, and the ternary part of the clone
 (ternary_clone), come from a breadth-first search over 8-bit tables that
 records a smallest-depth term for each table it reaches; it runs only when
-a witness or the clone itself is asked for.
+a witness or the clone itself is asked for. The search composes an
+operation of any arity by currying its first argument: with A and B its
+compositions with the first argument fixed to 0 and to 1,
+op(g, ...) = A ^ ((A ^ B) & g) bitwise. A round evaluates this over blocks
+of first arguments, so it holds A, B and one block at a time, never the
+whole product.
 """
 
 from __future__ import annotations
@@ -90,47 +95,30 @@ def table_of_term(alg2: FiniteAlgebra, term: Term) -> int:
     return out
 
 
-def _compose_bits(op: Operation, args: tuple[int, ...]) -> int:
-    """Table of op applied to ternary tables, one output bit at a time."""
-    out = 0
-    for p in range(8):
-        idx = 0
-        for g in args:
-            idx = idx * 2 + (g >> p & 1)
-        out |= (op.table[idx] & 1) << p
-    return out
+# entries per block of a composition round, which bounds the arrays a round
+# builds beyond the op(0, ...) and op(1, ...) halves
+_BLOCK = 1 << 18
 
 
-def _compose_round(op: Operation, R: np.ndarray) -> np.ndarray:
-    """All compositions of one operation against every tuple over R."""
+def _curry(table: tuple[int, ...], R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The compositions A of op(0, ...) and B of op(1, ...) with every tuple
+    over R, flat in C order, returned as A and A ^ B: then
+    op(g, ...) = A ^ ((A ^ B) & g) bitwise. `table` is op's flat table,
+    first argument most significant."""
+    half = len(table) // 2
+    A, B = _compositions(table[:half], R), _compositions(table[half:], R)
+    return A, A ^ B
+
+
+def _compositions(table: tuple[int, ...], R: np.ndarray) -> np.ndarray:
+    """The operation composed with every tuple over R, flat in C order (first
+    argument slowest); a nullary table is the constant 0x00 or 0xFF."""
     import numpy as np
 
-    t = op.table
-    if op.arity == 1:
-        f0 = 0xFF if t[0] else 0
-        f1 = 0xFF if t[1] else 0
-        return (f0 & ~R & 0xFF) | (f1 & R)
-    if op.arity == 2:
-        G, H = R[:, None], R[None, :]
-        tarr = np.array(t, dtype=np.int64)
-        out = np.zeros((R.size, R.size), dtype=np.int64)
-        for p in range(8):
-            out |= (tarr[(G >> p & 1) << 1 | (H >> p & 1)] & 1) << p
-        return out
-    # arity 3: with g, h fixed, r -> op(g, h, r) acts bitwise as
-    # a XOR ((a XOR b) AND r), where bit p of a is op(g_p, h_p, 0)
-    # and bit p of b is op(g_p, h_p, 1)
-    G, H = R[:, None], R[None, :]
-    tarr = np.array(t, dtype=np.int64)
-    A = np.zeros((R.size, R.size), dtype=np.int64)
-    B = np.zeros_like(A)
-    for p in range(8):
-        idx = (G >> p & 1) << 2 | (H >> p & 1) << 1
-        A |= (tarr[idx] & 1) << p
-        B |= (tarr[idx | 1] & 1) << p
-    A8 = A.astype(np.uint8)
-    X8 = (A ^ B).astype(np.uint8)
-    return A8[:, :, None] ^ (X8[:, :, None] & R.astype(np.uint8)[None, None, :])
+    if len(table) == 1:
+        return np.full(1, 0xFF if table[0] else 0x00, dtype=np.uint8)
+    A, X = _curry(table, R)
+    return (A ^ (X & R[:, None])).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -143,20 +131,26 @@ def _witness_bfs(alg2: FiniteAlgebra, target: Optional[int]):
 
     Rounds recompose every tuple over the tables known at round start (a
     table composable from earlier rounds was already found then, so new
-    tables really have the current depth). Operations of arity up to 3 run
-    through the vectorized round; a new table's witness is decoded from the
-    first flat index at which its value occurs."""
+    tables really have the current depth), one operation at a time in
+    signature order. An operation of any arity is curried on its first
+    argument (see _curry), and its round walks the first argument in
+    blocks of _BLOCK entries (one first argument at least), in flat order;
+    within a block only the entries whose table is not yet known are
+    looked up. A new table's witness is decoded from the first flat index
+    at which it occurs, and the new tables of one operation are recorded
+    in value order. With a target, the round stops at the first block
+    after which the target and every smaller table are known, so the
+    tables recorded up to the target are those the whole round would
+    record."""
     import numpy as np
 
     witness: dict[int, Term] = {}
     order: list[int] = []  # discovery order
 
-    def add(tab: int, term: Term) -> bool:
-        if tab in witness:
-            return False
-        witness[tab] = term
-        order.append(tab)
-        return True
+    def add(tab: int, term: Term):
+        if tab not in witness:
+            witness[tab] = term
+            order.append(tab)
 
     add(PROJ_X, Var(0))
     add(PROJ_Y, Var(1))
@@ -166,22 +160,28 @@ def _witness_bfs(alg2: FiniteAlgebra, target: Optional[int]):
             add(0xFF if op.table[0] else 0x00, App(op.name))
     if target is not None and target in witness:
         return witness, witness[target]
-    fast_ops = [op for op in alg2.ops if 1 <= op.arity <= 3]
-    slow_ops = [op for op in alg2.ops if op.arity > 3]
+    known = np.zeros(256, dtype=bool)
+    known[order] = True
+    ops = [op for op in alg2.ops if op.arity]
     changed = True
     while changed and len(witness) < 256:
         changed = False
-        R = np.array(order, dtype=np.int64)
+        R = np.array(order, dtype=np.uint8)
         terms = [witness[t] for t in order]
-        for op in fast_ops:
-            flat = _compose_round(op, R).ravel()
-            counts = np.bincount(flat, minlength=256)
-            if all(v in witness for v in np.flatnonzero(counts).tolist()):
-                continue
-            uniq, first = np.unique(flat, return_index=True)
-            for val, pos in zip(uniq.tolist(), first.tolist()):
-                if val in witness:
-                    continue
+        for op in ops:
+            A, X = _curry(op.table, R)
+            rows = max(1, _BLOCK // A.size)
+            first: dict[int, int] = {}  # new table -> first flat index
+            for lo in range(0, R.size, rows):
+                block = (A ^ (X & R[lo : lo + rows, None])).ravel()
+                fresh = np.flatnonzero(~known[block])
+                vals, idx = np.unique(block[fresh], return_index=True)
+                known[vals] = True
+                first.update(zip(vals.tolist(), (lo * A.size + fresh[idx]).tolist()))
+                if target in first and known[:target].all():
+                    break
+            for val in sorted(first):
+                pos = first[val]
                 digits = []
                 for _ in range(op.arity):  # last axis varies fastest
                     digits.append(pos % R.size)
@@ -189,15 +189,8 @@ def _witness_bfs(alg2: FiniteAlgebra, target: Optional[int]):
                 args = tuple(terms[i] for i in reversed(digits))
                 add(val, App(op.name, args))
                 changed = True
-                if target is not None and val == target:
+                if val == target:
                     return witness, witness[val]
-        for op in slow_ops:
-            for combo in itertools.product(order[: len(terms)], repeat=op.arity):
-                tab = _compose_bits(op, combo)
-                if add(tab, App(op.name, tuple(witness[g] for g in combo))):
-                    changed = True
-                    if target is not None and tab == target:
-                        return witness, witness[tab]
     return witness, None
 
 

@@ -1,13 +1,20 @@
 """Shared fixture builders for the test suite."""
 
+from __future__ import annotations
+
 import itertools
+from typing import TYPE_CHECKING, Optional
 
 from crtkit import config
-from crtkit.algebra import FiniteAlgebra, Operation, generated_subuniverse
+from crtkit.algebra import App, FiniteAlgebra, Operation, Term, Var, generated_subuniverse
 from crtkit.catalog import index_to_tuple, power_algebra, subpower, tuple_to_index
 from crtkit.errors import BudgetExceededError
 from crtkit.partitions import Partition
+from crtkit.postlattice import PROJ_X, PROJ_Y, PROJ_Z
 from crtkit.systems import CrVerdict, _tuple_of_partitions
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def set_partitions(n):
@@ -223,3 +230,113 @@ def reference_is_permutable(lattice):
             if relation_product(x, y) != relation_product(y, x):
                 return False
     return True
+
+
+def _compose_bits(op: Operation, args: tuple[int, ...]) -> int:
+    """Table of op applied to ternary tables, one output bit at a time."""
+    out = 0
+    for p in range(8):
+        idx = 0
+        for g in args:
+            idx = idx * 2 + (g >> p & 1)
+        out |= (op.table[idx] & 1) << p
+    return out
+
+
+def _compose_round(op: Operation, R: np.ndarray) -> np.ndarray:
+    """All compositions of one operation against every tuple over R."""
+    import numpy as np
+
+    t = op.table
+    if op.arity == 1:
+        f0 = 0xFF if t[0] else 0
+        f1 = 0xFF if t[1] else 0
+        return (f0 & ~R & 0xFF) | (f1 & R)
+    if op.arity == 2:
+        G, H = R[:, None], R[None, :]
+        tarr = np.array(t, dtype=np.int64)
+        out = np.zeros((R.size, R.size), dtype=np.int64)
+        for p in range(8):
+            out |= (tarr[(G >> p & 1) << 1 | (H >> p & 1)] & 1) << p
+        return out
+    # arity 3: with g, h fixed, r -> op(g, h, r) acts bitwise as
+    # a XOR ((a XOR b) AND r), where bit p of a is op(g_p, h_p, 0)
+    # and bit p of b is op(g_p, h_p, 1)
+    G, H = R[:, None], R[None, :]
+    tarr = np.array(t, dtype=np.int64)
+    A = np.zeros((R.size, R.size), dtype=np.int64)
+    B = np.zeros_like(A)
+    for p in range(8):
+        idx = (G >> p & 1) << 2 | (H >> p & 1) << 1
+        A |= (tarr[idx] & 1) << p
+        B |= (tarr[idx | 1] & 1) << p
+    A8 = A.astype(np.uint8)
+    X8 = (A ^ B).astype(np.uint8)
+    return A8[:, :, None] ^ (X8[:, :, None] & R.astype(np.uint8)[None, None, :])
+
+
+def reference_witness_bfs(alg2: FiniteAlgebra, target: Optional[int]):
+    """postlattice._witness_bfs as it stood before every arity shared one
+    curried composition rule, with its two composition helpers above.
+
+    Breadth-first closure keyed by table; the round number is the term
+    depth, so the first term recorded for a table has smallest depth.
+
+    Rounds recompose every tuple over the tables known at round start (a
+    table composable from earlier rounds was already found then, so new
+    tables really have the current depth). Operations of arity up to 3 run
+    through the vectorized round; a new table's witness is decoded from the
+    first flat index at which its value occurs."""
+    import numpy as np
+
+    witness: dict[int, Term] = {}
+    order: list[int] = []  # discovery order
+
+    def add(tab: int, term: Term) -> bool:
+        if tab in witness:
+            return False
+        witness[tab] = term
+        order.append(tab)
+        return True
+
+    add(PROJ_X, Var(0))
+    add(PROJ_Y, Var(1))
+    add(PROJ_Z, Var(2))
+    for op in alg2.ops:
+        if op.arity == 0:
+            add(0xFF if op.table[0] else 0x00, App(op.name))
+    if target is not None and target in witness:
+        return witness, witness[target]
+    fast_ops = [op for op in alg2.ops if 1 <= op.arity <= 3]
+    slow_ops = [op for op in alg2.ops if op.arity > 3]
+    changed = True
+    while changed and len(witness) < 256:
+        changed = False
+        R = np.array(order, dtype=np.int64)
+        terms = [witness[t] for t in order]
+        for op in fast_ops:
+            flat = _compose_round(op, R).ravel()
+            counts = np.bincount(flat, minlength=256)
+            if all(v in witness for v in np.flatnonzero(counts).tolist()):
+                continue
+            uniq, first = np.unique(flat, return_index=True)
+            for val, pos in zip(uniq.tolist(), first.tolist()):
+                if val in witness:
+                    continue
+                digits = []
+                for _ in range(op.arity):  # last axis varies fastest
+                    digits.append(pos % R.size)
+                    pos //= R.size
+                args = tuple(terms[i] for i in reversed(digits))
+                add(val, App(op.name, args))
+                changed = True
+                if target is not None and val == target:
+                    return witness, witness[val]
+        for op in slow_ops:
+            for combo in itertools.product(order[: len(terms)], repeat=op.arity):
+                tab = _compose_bits(op, combo)
+                if add(tab, App(op.name, tuple(witness[g] for g in combo))):
+                    changed = True
+                    if target is not None and tab == target:
+                        return witness, witness[tab]
+    return witness, None

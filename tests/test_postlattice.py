@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -36,6 +37,7 @@ from crtkit.postlattice import (
     _RELATIONS,
     _TARGETS,
     _preserves,
+    _witness_bfs,
     affine_gf2_instance,
     classify,
     route_decide,
@@ -49,7 +51,7 @@ from crtkit.vectorspace import (
     subspace_to_partition,
 )
 
-from helpers import closed_subpower, random_closed_subpower
+from helpers import closed_subpower, random_closed_subpower, reference_witness_bfs
 
 
 def two_elem(name, **tables):
@@ -429,39 +431,91 @@ def assert_classify_matches_clone(alg):
     assert (cls.tag, cls.table) == clone_oracle(alg), alg.ops
 
 
+def sampled_signature(rng, draw):
+    """A signature of the exhaustive test; odd draws add 1-2 constants."""
+    f1, f2, f3 = rng.randrange(4), rng.randrange(16), rng.randrange(256)
+    ops = [
+        Operation("f1", 1, ((f1 >> 1) & 1, f1 & 1)),
+        Operation("f2", 2, tuple((f2 >> (3 - j)) & 1 for j in range(4))),
+        Operation("f3", 3, tuple((f3 >> (7 - j)) & 1 for j in range(8))),
+    ]
+    if draw % 2:
+        ops += [Operation(f"c{k}", 0, (rng.randrange(2),)) for k in range(rng.randint(1, 2))]
+    return FiniteAlgebra(2, ops, name="sample")
+
+
 def test_classify_matches_ternary_clone_on_sampled_signatures():
-    # signatures of the exhaustive test, some with nullary constants added
     rng = random.Random(71)
     for draw in range(80):
-        f1, f2, f3 = rng.randrange(4), rng.randrange(16), rng.randrange(256)
-        ops = [
-            Operation("f1", 1, ((f1 >> 1) & 1, f1 & 1)),
-            Operation("f2", 2, tuple((f2 >> (3 - j)) & 1 for j in range(4))),
-            Operation("f3", 3, tuple((f3 >> (7 - j)) & 1 for j in range(8))),
-        ]
-        if draw % 2:
-            ops += [Operation(f"c{k}", 0, (rng.randrange(2),)) for k in range(rng.randint(1, 2))]
-        assert_classify_matches_clone(FiniteAlgebra(2, ops, name="sample"))
+        assert_classify_matches_clone(sampled_signature(rng, draw))
+
+
+def test_witness_search_matches_reference_on_sampled_signatures():
+    # for arities up to 3 the search records the reference's terms, in the
+    # reference's order, whether it runs to the end or stops at a target
+    rng = random.Random(72)
+    for draw in range(16):
+        alg = sampled_signature(rng, draw)
+        for target in (None, S_TABLE, N_TABLE, N_DUAL_TABLE, M_TABLE):
+            witness, term = _witness_bfs(alg, target)
+            ref_witness, ref_term = reference_witness_bfs(alg, target)
+            assert term == ref_term, (alg.ops, target)
+            assert list(witness.items()) == list(ref_witness.items()), (alg.ops, target)
+
+
+ARITY_FOUR = [
+    pytest.param(4, lambda x, y, z, w: int(x + y + z + w >= 3), id="atleast3of4"),
+    pytest.param(4, lambda x, y, z, w: int(x + y + z + w >= 2), id="atleast2of4"),
+    pytest.param(4, lambda x, y, z, w: x ^ y ^ z ^ w, id="xor4"),
+    pytest.param(4, lambda x, y, z, w: x | y | z | w, id="or4"),
+    pytest.param(4, lambda x, y, z, w: x & y & z & w, id="and4"),
+    pytest.param(4, lambda x, y, z, w: int(x + y + z >= 2), id="maj_dummy"),
+    pytest.param(4, lambda x, y, z, w: int(x + (1 - y) + (1 - z) >= 2), id="maj_negated_dummy"),
+    pytest.param(4, lambda x, y, z, w: (x & y & z) | w, id="and3_or_w"),
+]
 
 
 @pytest.mark.parametrize(
-    "fn",
-    [
-        lambda x, y, z, w: int(x + y + z + w >= 3),
-        lambda x, y, z, w: int(x + y + z + w >= 2),
-        lambda x, y, z, w: x ^ y ^ z ^ w,
-        lambda x, y, z, w: x | y | z | w,
-        lambda x, y, z, w: x & y & z & w,
-        lambda x, y, z, w: int(x + y + z >= 2),
-        lambda x, y, z, w: int(x + (1 - y) + (1 - z) >= 2),
-        lambda x, y, z, w: (x & y & z) | w,
+    ("arity", "fn"),
+    ARITY_FOUR
+    + [
+        # nor4 generates all 256 ternary tables
+        pytest.param(4, lambda x, y, z, w: 1 - (x | y | z | w), id="nor4"),
+        pytest.param(5, lambda x, y, z, w, v: x & (1 - y), id="x_and_not_y_dummy5"),
     ],
-    ids=["atleast3of4", "atleast2of4", "xor4", "or4", "and4", "maj_dummy",
-         "maj_negated_dummy", "and3_or_w"],
 )
-def test_classify_matches_ternary_clone_on_arity_four(fn):
-    alg = two_elem("quaternary", f=(4, fn))
+def test_classify_matches_ternary_clone_on_arity_four(arity, fn):
+    alg = two_elem("quaternary", f=(arity, fn))
     assert_classify_matches_clone(alg)
     cls = classify(alg)
     if cls.table is not None:
         assert table_of_term(alg, cls.witness) == cls.table
+
+
+def term_depth(term):
+    return 1 + max(map(term_depth, term.args)) if isinstance(term, App) and term.args else 0
+
+
+@pytest.mark.parametrize(("arity", "fn"), ARITY_FOUR)
+def test_witness_search_reaches_reference_tables_at_reference_depths(arity, fn):
+    # tables of arity >= 4 operations are recorded in value order and in
+    # signature order, so terms may differ, but not the depth of any table
+    alg = two_elem("quaternary", f=(arity, fn))
+    ref_witness, _ = reference_witness_bfs(alg, None)
+    assert {t: term_depth(w) for t, w in ternary_clone(alg).items()} == {
+        t: term_depth(w) for t, w in ref_witness.items()
+    }
+
+
+def test_ternary_clone_memory_is_bounded():
+    # not x or (not y and z) generates every table; composing the whole
+    # 256^3 product at once peaked above 200 MB
+    alg = two_elem("nxy", f=(3, lambda x, y, z: (1 - x) | ((1 - y) & z)))
+    assert alg.ops[0].table == (1, 1, 1, 1, 0, 1, 0, 0)
+    tracemalloc.start()
+    try:
+        assert len(ternary_clone(alg)) == 256
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
