@@ -26,10 +26,15 @@ The case is read from Post's lattice (E. Post, "The two-valued iterative
 systems of mathematical logic", 1941; Boehler, Creignou, Reith, Vollmer,
 "Playing with Boolean blocks, Part I", SIGACT News 34(4), 2003): which of
 a fixed table of invariant relations every basic operation preserves, with
-no clone closure. Witness terms, and the ternary part of the clone
-(ternary_clone), come from a breadth-first search over 8-bit tables that
-records a smallest-depth term for each table it reaches; it runs only when
-a witness or the clone itself is asked for. The search composes an
+no clone closure. Each preservation test is bit-sliced: for a relation R
+and an operation of arity k, bit c of an int stands for the c-th of the
+|R|^k choices of k rows, the operation is evaluated bitwise on one int per
+argument and coordinate, and R's characteristic function on the images,
+so that all choices are tested at once. Witness terms, and the ternary
+part of the clone (ternary_clone), come from a breadth-first search over
+8-bit tables that records a smallest-depth term for each table it
+reaches; it runs only when a witness or the clone itself is asked for,
+and decodes only the terms asked for. The search composes an
 operation of any arity by currying its first argument: with A and B its
 compositions with the first argument fixed to 0 and to 1,
 op(g, ...) = A ^ ((A ^ B) & g) bitwise. A round evaluates this over blocks
@@ -125,7 +130,43 @@ def _compositions(table: tuple[int, ...], R: np.ndarray) -> np.ndarray:
 # witnessed closure
 
 
-def _witness_bfs(alg2: FiniteAlgebra, target: Optional[int]):
+class _Closure:
+    """The tables a witness search reached, in discovery order, each with
+    the recipe of its witness term: the term itself for a projection or a
+    constant, else (operation, first flat index, tables known at the start
+    of its round). Terms are decoded from recipes only when asked for."""
+
+    def __init__(self):
+        self.order: list[int] = []
+        self._recipes: dict[int, object] = {}
+        self._terms: dict[int, Term] = {}
+
+    def __contains__(self, tab: int) -> bool:
+        return tab in self._recipes
+
+    def add(self, tab: int, recipe):
+        if tab not in self._recipes:
+            self._recipes[tab] = recipe
+            self.order.append(tab)
+
+    def term(self, tab: int) -> Term:
+        if tab not in self._terms:
+            recipe = self._recipes[tab]
+            if isinstance(recipe, tuple):
+                op, pos, size = recipe
+                digits = []
+                for _ in range(op.arity):  # last axis varies fastest
+                    digits.append(pos % size)
+                    pos //= size
+                recipe = App(op.name, tuple(self.term(self.order[i]) for i in reversed(digits)))
+            self._terms[tab] = recipe
+        return self._terms[tab]
+
+    def witnesses(self) -> dict[int, Term]:
+        return {tab: self.term(tab) for tab in self.order}
+
+
+def _witness_bfs(alg2: FiniteAlgebra, target: Optional[int]) -> _Closure:
     """Breadth-first closure keyed by table; the round number is the term
     depth, so the first term recorded for a table has smallest depth.
 
@@ -136,38 +177,30 @@ def _witness_bfs(alg2: FiniteAlgebra, target: Optional[int]):
     argument (see _curry), and its round walks the first argument in
     blocks of _BLOCK entries (one first argument at least), in flat order;
     within a block only the entries whose table is not yet known are
-    looked up. A new table's witness is decoded from the first flat index
+    looked up. A new table's witness is recorded as the first flat index
     at which it occurs, and the new tables of one operation are recorded
-    in value order. With a target, the round stops at the first block
-    after which the target and every smaller table are known, so the
-    tables recorded up to the target are those the whole round would
-    record."""
+    in value order. With a target, the search ends once the target is
+    recorded, and the round stops at the first block after which the
+    target and every smaller table are known, so the tables recorded up to
+    the target are those the whole round would record."""
     import numpy as np
 
-    witness: dict[int, Term] = {}
-    order: list[int] = []  # discovery order
-
-    def add(tab: int, term: Term):
-        if tab not in witness:
-            witness[tab] = term
-            order.append(tab)
-
-    add(PROJ_X, Var(0))
-    add(PROJ_Y, Var(1))
-    add(PROJ_Z, Var(2))
+    found = _Closure()
+    found.add(PROJ_X, Var(0))
+    found.add(PROJ_Y, Var(1))
+    found.add(PROJ_Z, Var(2))
     for op in alg2.ops:
         if op.arity == 0:
-            add(0xFF if op.table[0] else 0x00, App(op.name))
-    if target is not None and target in witness:
-        return witness, witness[target]
+            found.add(0xFF if op.table[0] else 0x00, App(op.name))
+    if target in found:
+        return found
     known = np.zeros(256, dtype=bool)
-    known[order] = True
+    known[found.order] = True
     ops = [op for op in alg2.ops if op.arity]
     changed = True
-    while changed and len(witness) < 256:
+    while changed and len(found.order) < 256:
         changed = False
-        R = np.array(order, dtype=np.uint8)
-        terms = [witness[t] for t in order]
+        R = np.array(found.order, dtype=np.uint8)
         for op in ops:
             A, X = _curry(op.table, R)
             rows = max(1, _BLOCK // A.size)
@@ -181,34 +214,28 @@ def _witness_bfs(alg2: FiniteAlgebra, target: Optional[int]):
                 if target in first and known[:target].all():
                     break
             for val in sorted(first):
-                pos = first[val]
-                digits = []
-                for _ in range(op.arity):  # last axis varies fastest
-                    digits.append(pos % R.size)
-                    pos //= R.size
-                args = tuple(terms[i] for i in reversed(digits))
-                add(val, App(op.name, args))
+                found.add(val, (op, first[val], R.size))
                 changed = True
                 if val == target:
-                    return witness, witness[val]
-    return witness, None
+                    return found
+    return found
 
 
 def ternary_clone(alg2: FiniteAlgebra) -> dict[int, Term]:
     """The ternary part of the term clone, each table mapped to a
     smallest-depth witness term. At most 256 tables, so this terminates."""
     _check_two(alg2)
-    return _witness_bfs(alg2, None)[0]
+    return _witness_bfs(alg2, None).witnesses()
 
 
 def _witness_term(alg2: FiniteAlgebra, target: int) -> Term:
-    _, term = _witness_bfs(alg2, target)
-    if term is None:
+    found = _witness_bfs(alg2, target)
+    if target not in found:
         raise StructureError(
             f"table {target:#04x} vanished from the clone of {alg2.name} "
             "during witness reconstruction"
         )
-    return term
+    return found.term(target)
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +279,66 @@ _TARGETS = (
 )
 
 
+def _evaluate(table, args: list[int], ones: int) -> int:
+    """A boolean function, flat table with its first argument most
+    significant, applied bitwise to the ints in args; `ones` stands for 1.
+    The fold curries the last argument first: f(..., x) = a ^ ((a ^ b) & x)
+    with a = f(..., 0) and b = f(..., 1). On the first level a and b are
+    constants, so the result is one of 0, not x, x and 1, looked up."""
+    if not args:
+        return ones if table[0] else 0
+    x = args[-1]
+    leaf = (0, ones ^ x, x, ones)
+    pairs = iter(table)
+    vals = [leaf[a + 2 * b] for a, b in zip(pairs, pairs)]
+    for x in reversed(args[:-1]):
+        pairs = iter(vals)
+        vals = [a ^ ((a ^ b) & x) for a, b in zip(pairs, pairs)]
+    return vals[0]
+
+
+@functools.cache
+def _choice_masks(rel: frozenset[tuple[int, ...]], arity: int):
+    """Bit-sliced choices of `arity` rows of rel, one bit per choice.
+
+    Choice c picks row c_i for argument i, where c_0 ... c_{arity-1} are the
+    base-|rel| digits of c, first argument most significant. Returns the
+    masks, masks[j][i] having bit c set when row c_i has a 1 at coordinate
+    j, and the all-ones int over the |rel| ** arity choices. Argument i
+    repeats one period of |rel| runs of |rel| ** (arity - 1 - i) equal bits,
+    so its mask is one multiply of that period by a repunit."""
+    rows = sorted(rel)
+    n, width = len(rows), len(rows[0])
+    masks: list[list[int]] = [[] for _ in range(width)]
+    for i in range(arity):
+        run = n ** (arity - 1 - i)
+        period = n * run
+        repunit = ((1 << period * n**i) - 1) // ((1 << period) - 1)
+        for j in range(width):
+            block = sum(((1 << run) - 1) << (r * run) for r, row in enumerate(rows) if row[j])
+            masks[j].append(block * repunit)
+    return masks, (1 << n**arity) - 1
+
+
+@functools.cache
+def _member_table(rel: frozenset[tuple[int, ...]]) -> tuple[bool, ...]:
+    """The characteristic function of rel, flat, first coordinate most
+    significant."""
+    width = len(next(iter(rel)))
+    return tuple(row in rel for row in itertools.product((0, 1), repeat=width))
+
+
 def _preserves(op: Operation, rel: frozenset[tuple[int, ...]]) -> bool:
     """Does op, applied row-wise to any op.arity rows of rel, give a row of
-    rel? A nullary operation c gives the row (c, ..., c). All
-    len(rel) ** op.arity choices of rows are tried."""
-    value = dict(zip(itertools.product((0, 1), repeat=op.arity), op.table))
-    width = len(next(iter(rel)))
-    for rows in itertools.product(rel, repeat=op.arity):
-        columns = zip(*rows) if rows else [()] * width
-        if tuple(map(value.__getitem__, columns)) not in rel:
-            return False
-    return True
+    rel? A nullary operation c gives the row (c, ..., c).
+
+    All len(rel) ** op.arity choices of rows are tested at once, as the bits
+    of one int (see _choice_masks): op is evaluated bitwise on the masks of
+    each coordinate, rel's characteristic function on the images, and op
+    preserves rel exactly when every bit of the result is set."""
+    masks, ones = _choice_masks(rel, op.arity)
+    images = [_evaluate(op.table, column, ones) for column in masks]
+    return _evaluate(_member_table(rel), images, ones) == ones
 
 
 def classify(alg2: FiniteAlgebra, with_witness: bool = True) -> Classification:
@@ -302,7 +378,8 @@ def classify(alg2: FiniteAlgebra, with_witness: bool = True) -> Classification:
     forms c or x_{i_1} or ..., which make up V) or that of and (the meet
     forms, E). The rule reads only which relations each basic operation
     preserves, so it holds for operations of every arity, nullary ones
-    included.
+    included. Each relation is tested at most once per call, and each test
+    runs over all choices of rows at once (see _preserves).
 
     The witness term is found by breadth-first search only on demand
     (`with_witness=False` skips it). A two-element algebra outside all five

@@ -340,3 +340,19 @@ def reference_witness_bfs(alg2: FiniteAlgebra, target: Optional[int]):
                     if target is not None and tab == target:
                         return witness, witness[tab]
     return witness, None
+
+
+def reference_preserves(op: Operation, rel: frozenset[tuple[int, ...]]) -> bool:
+    """postlattice._preserves as it stood before it tested all choices of
+    rows at once as bits of one int.
+
+    Does op, applied row-wise to any op.arity rows of rel, give a row of
+    rel? A nullary operation c gives the row (c, ..., c). All
+    len(rel) ** op.arity choices of rows are tried."""
+    value = dict(zip(itertools.product((0, 1), repeat=op.arity), op.table))
+    width = len(next(iter(rel)))
+    for rows in itertools.product(rel, repeat=op.arity):
+        columns = zip(*rows) if rows else [()] * width
+        if tuple(map(value.__getitem__, columns)) not in rel:
+            return False
+    return True

@@ -29,6 +29,14 @@ def test_algebra_serialize_is_canonical():
     assert serialize_algebra(chain_lattice(3)) == CHAIN3_TEXT
 
 
+def test_trailing_comments_are_rejected():
+    # only a line whose first token starts with # is a comment
+    with pytest.raises(InputError, match="expected 'op', got '#'"):
+        parse_algebra("algebra a\nsize 2  # two\n")
+    with pytest.raises(InputError, match="labels must be integers"):
+        parse_congruences("cong t 0 0 # all\n")
+
+
 def test_algebra_round_trip_from_memory():
     for alg in [chain_lattice(3), zmod_ring(6), two_majority()]:
         back = parse_algebra(serialize_algebra(alg))

@@ -51,7 +51,12 @@ from crtkit.vectorspace import (
     subspace_to_partition,
 )
 
-from helpers import closed_subpower, random_closed_subpower, reference_witness_bfs
+from helpers import (
+    closed_subpower,
+    random_closed_subpower,
+    reference_preserves,
+    reference_witness_bfs,
+)
 
 
 def two_elem(name, **tables):
@@ -399,6 +404,43 @@ def test_targets_break_the_relations_on_their_rows():
         assert not _preserves(const, _RELATIONS[f"T{c}^3"])
 
 
+def all_tables(arity):
+    return [
+        Operation(f"t{arity}", arity, table)
+        for table in itertools.product((0, 1), repeat=2**arity)
+    ]
+
+
+def projections_and_constants(arity):
+    rows = list(itertools.product((0, 1), repeat=arity))
+    return [Operation(f"p{i}", arity, tuple(row[i] for row in rows)) for i in range(arity)] + [
+        Operation(f"c{c}", arity, (c,) * len(rows)) for c in (0, 1)
+    ]
+
+
+def seeded_tables(arity, count, seed):
+    rng = random.Random(seed)
+    return [
+        Operation(f"r{arity}", arity, tuple(rng.randrange(2) for _ in range(2**arity)))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize(
+    "ops",
+    [pytest.param(all_tables(arity), id=f"every_table_arity{arity}") for arity in range(4)]
+    + [pytest.param(seeded_tables(arity, 60, 90 + arity), id=f"seeded_arity{arity}") for arity in (4, 5)]
+    + [
+        pytest.param(projections_and_constants(arity), id=f"projections_constants_arity{arity}")
+        for arity in range(7)
+    ],
+)
+def test_preserves_matches_reference(ops):
+    for op in ops:
+        for name, rel in _RELATIONS.items():
+            assert _preserves(op, rel) == reference_preserves(op, rel), (op, name)
+
+
 # ternary tables of the clones N (essentially unary), V (join forms) and
 # E (meet forms). By Post's lattice a clone outside one of them has a
 # member of arity at most 3 outside it, so ternary parts decide inclusion.
@@ -457,7 +499,9 @@ def test_witness_search_matches_reference_on_sampled_signatures():
     for draw in range(16):
         alg = sampled_signature(rng, draw)
         for target in (None, S_TABLE, N_TABLE, N_DUAL_TABLE, M_TABLE):
-            witness, term = _witness_bfs(alg, target)
+            found = _witness_bfs(alg, target)
+            witness = found.witnesses()
+            term = found.term(target) if target in found else None
             ref_witness, ref_term = reference_witness_bfs(alg, target)
             assert term == ref_term, (alg.ops, target)
             assert list(witness.items()) == list(ref_witness.items()), (alg.ops, target)
