@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import FiniteAlgebra, Operation, subalgebra
+from .algebra import FiniteAlgebra, Operation
 from .errors import InputError
 
 
@@ -178,35 +178,51 @@ def index_to_tuple(idx: int, base: int, length: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
+def _pointwise_codes(alg: FiniteAlgebra, columns):
+    """Each operation of alg applied coordinate-wise to elements of a power.
+
+    The elements are given by their coordinate digit arrays: element x has
+    coordinate i equal to columns[i][x]. Yields (op, codes) per operation,
+    where codes has shape (len(columns[0]),) * op.arity and holds the code,
+    base alg.size with the leftmost coordinate most significant, of the image
+    of each argument tuple of elements. A nullary operation gives the code of
+    its constant tuple."""
+    import numpy as np
+
+    weights = [alg.size ** (len(columns) - 1 - i) for i in range(len(columns))]
+    for op, table in zip(alg.ops, alg.table_arrays()):
+        codes = np.zeros((), dtype=np.intp)
+        for weight, digits in zip(weights, columns):
+            codes = codes + weight * table[np.ix_(*[digits] * op.arity)]
+        yield op, codes
+
+
 def power_algebra(alg: FiniteAlgebra, exponent: int) -> FiniteAlgebra:
     """Direct power with pointwise operations; tuples are coded base alg.size
-    with the leftmost coordinate most significant."""
+    with the leftmost coordinate most significant.
+
+    Every operation of arity k is tabulated on all alg.size ** (exponent * k)
+    argument tuples, in lexicographic order of their codes; a nullary
+    operation c becomes the constant tuple (c, ..., c). Raises InputError
+    for an exponent below 1."""
     if exponent < 1:
         raise InputError("exponent must be at least 1")
+    import numpy as np
+
     n = alg.size
-    size = n**exponent
-    ops = []
-    for op in alg.ops:
-        table = []
-        for args in itertools.product(range(size), repeat=op.arity):
-            cols = [index_to_tuple(a, n, exponent) for a in args]
-            value = tuple(
-                alg.apply(op.name, *(cols[j][i] for j in range(op.arity)))
-                for i in range(exponent)
-            )
-            table.append(tuple_to_index(value, n))
-        ops.append(Operation(op.name, op.arity, tuple(table)))
-    return FiniteAlgebra(size, ops, name=f"{alg.name}^{exponent}")
+    codes = np.arange(n**exponent)
+    columns = [codes // n ** (exponent - 1 - i) % n for i in range(exponent)]
+    ops = [
+        Operation(op.name, op.arity, tuple(images.ravel().tolist()))
+        for op, images in _pointwise_codes(alg, columns)
+    ]
+    return FiniteAlgebra(n**exponent, ops, name=f"{alg.name}^{exponent}")
 
 
 def fork_nearlattice() -> tuple[FiniteAlgebra, list[tuple[int, int]]]:
     """The subalgebra of the squared two-element nearlattice on
     {(0,1),(1,0),(1,1)}; returns the algebra and its coordinate tuples."""
-    square = power_algebra(two_nearlattice(), 2)
-    coords = [(0, 1), (1, 0), (1, 1)]
-    universe = [tuple_to_index(c, 2) for c in coords]
-    alg, index = subalgebra(square, universe)
-    ordered = sorted(coords, key=lambda c: index[tuple_to_index(c, 2)])
+    alg, ordered = subpower(two_nearlattice(), [(0, 1), (1, 0), (1, 1)])
     alg.name = "fork"
     return alg, ordered
 
@@ -215,16 +231,45 @@ def subpower(alg: FiniteAlgebra, coords: list[tuple[int, ...]]):
     """Subalgebra of a power given by explicit coordinate tuples.
 
     Returns (algebra, ordered coordinate list) with element i of the result
-    carrying coords ordered[i]. The tuple set must be closed pointwise.
-    """
+    carrying the tuple ordered[i]; ordered is the tuples in lexicographic
+    order. Each operation of arity r is tabulated on the len(coords) ** r
+    argument tuples of the given elements only, never on the whole power.
+
+    Raises InputError when coords is empty, holds tuples of unequal or zero
+    length, a coordinate outside alg's universe or a tuple twice, or is not
+    closed: then the message names the operation, its argument tuples and
+    the image tuple that falls outside."""
     if not coords:
         raise InputError("empty coordinate list")
-    length = len(coords[0])
-    if any(len(c) != length for c in coords):
-        raise InputError("coordinate tuples of unequal length")
-    big = power_algebra(alg, length)
-    universe = [tuple_to_index(c, alg.size) for c in coords]
-    sub, index = subalgebra(big, universe)
-    ordered = sorted(coords, key=lambda c: index[tuple_to_index(c, alg.size)])
-    sub.name = f"{alg.name}^{length}|sub"
-    return sub, ordered
+    ordered = sorted(tuple(c) for c in coords)
+    length = len(ordered[0])
+    if length < 1 or any(len(c) != length for c in ordered):
+        raise InputError("coordinate tuples of unequal or zero length")
+    n = alg.size
+    for c in ordered:
+        if not all(0 <= v < n for v in c):
+            raise InputError(f"coordinate tuple {c} has an entry outside 0..{n - 1}")
+    for a, b in zip(ordered, ordered[1:]):
+        if a == b:
+            raise InputError(f"coordinate tuple {a} given twice")
+    import numpy as np
+
+    if n**length - 1 > np.iinfo(np.intp).max:
+        raise InputError(f"tuples of length {length} over {n} elements are too long to code")
+    columns = list(np.array(ordered, dtype=np.intp).T)
+    elements = np.array([tuple_to_index(c, n) for c in ordered], dtype=np.intp)
+    ops = []
+    for op, images in _pointwise_codes(alg, columns):
+        images = images.ravel()
+        found = np.searchsorted(elements, images).clip(max=len(elements) - 1)
+        outside = np.flatnonzero(elements[found] != images)
+        if len(outside):
+            flat = int(outside[0])
+            args = np.unravel_index(flat, (len(ordered),) * op.arity)
+            raise InputError(
+                f"coordinate tuples not closed: {op.name}"
+                f"{tuple(ordered[int(a)] for a in args)} = "
+                f"{index_to_tuple(int(images[flat]), n, length)} falls outside"
+            )
+        ops.append(Operation(op.name, op.arity, tuple(found.tolist())))
+    return FiniteAlgebra(len(ordered), ops, name=f"{alg.name}^{length}|sub"), ordered

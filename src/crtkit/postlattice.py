@@ -306,18 +306,32 @@ def _choice_masks(rel: frozenset[tuple[int, ...]], arity: int):
     masks, masks[j][i] having bit c set when row c_i has a 1 at coordinate
     j, and the all-ones int over the |rel| ** arity choices. Argument i
     repeats one period of |rel| runs of |rel| ** (arity - 1 - i) equal bits,
-    so its mask is one multiply of that period by a repunit."""
+    so its mask is that period repeated |rel| ** i times (see _repeat)."""
     rows = sorted(rel)
     n, width = len(rows), len(rows[0])
     masks: list[list[int]] = [[] for _ in range(width)]
     for i in range(arity):
         run = n ** (arity - 1 - i)
-        period = n * run
-        repunit = ((1 << period * n**i) - 1) // ((1 << period) - 1)
         for j in range(width):
             block = sum(((1 << run) - 1) << (r * run) for r, row in enumerate(rows) if row[j])
-            masks[j].append(block * repunit)
+            masks[j].append(_repeat(block, n * run, n**i))
     return masks, (1 << n**arity) - 1
+
+
+def _repeat(bits: int, width: int, count: int) -> int:
+    """count copies of the width-bit int `bits`, side by side.
+
+    Built by doubling over the binary digits of count, in time linear in
+    the length of the result; a repunit by long division takes quadratic
+    time."""
+    out = 0
+    while count:
+        if count & 1:
+            out = out << width | bits
+        bits |= bits << width
+        width *= 2
+        count >>= 1
+    return out
 
 
 @functools.cache

@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING, Optional
 from crtkit import config
 from crtkit.algebra import App, FiniteAlgebra, Operation, Term, Var, generated_subuniverse
 from crtkit.catalog import index_to_tuple, power_algebra, subpower, tuple_to_index
-from crtkit.errors import BudgetExceededError
+from crtkit.errors import BudgetExceededError, InputError
 from crtkit.partitions import Partition
 from crtkit.postlattice import PROJ_X, PROJ_Y, PROJ_Z
 from crtkit.systems import CrVerdict, _tuple_of_partitions
@@ -71,6 +71,28 @@ def reference_congruence_violation(alg, part):
                     if labels[alg.apply(op.name, *other)] != out:
                         return (op.name, pos, args, y)
     return None
+
+
+def reference_power_algebra(alg: FiniteAlgebra, exponent: int) -> FiniteAlgebra:
+    """catalog.power_algebra as it stood before it computed tables with
+    numpy digit arithmetic: every entry is evaluated through
+    FiniteAlgebra.apply on decoded coordinate tuples."""
+    if exponent < 1:
+        raise InputError("exponent must be at least 1")
+    n = alg.size
+    size = n**exponent
+    ops = []
+    for op in alg.ops:
+        table = []
+        for args in itertools.product(range(size), repeat=op.arity):
+            cols = [index_to_tuple(a, n, exponent) for a in args]
+            value = tuple(
+                alg.apply(op.name, *(cols[j][i] for j in range(op.arity)))
+                for i in range(exponent)
+            )
+            table.append(tuple_to_index(value, n))
+        ops.append(Operation(op.name, op.arity, tuple(table)))
+    return FiniteAlgebra(size, ops, name=f"{alg.name}^{exponent}")
 
 
 def closed_subpower(base, m, seeds):

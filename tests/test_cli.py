@@ -663,6 +663,27 @@ def test_command_loads_numpy_and_scipy_only_where_used(fix, tmp_path, argv, show
 
 
 @pytest.mark.parametrize(
+    "call,loaded",
+    [
+        ("two_majority(); zmod_ring(3); chain_lattice(4); diamond_m3()", False),
+        ("power_algebra(two_majority(), 2)", True),
+        ("subpower(two_majority(), [(0, 1), (1, 1)])", True),
+    ],
+    ids=["stock", "power_algebra", "subpower"],
+)
+def test_catalog_loads_numpy_only_in_its_power_constructors(call, loaded):
+    script = (
+        "import sys\nimport crtkit\nimport crtkit.catalog\n"
+        "before = 'numpy' in sys.modules\n"
+        f"from crtkit.catalog import *\n{call}\n"
+        "print(before, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"False {loaded}\n"
+
+
+@pytest.mark.parametrize(
     "table,congs,element",
     [
         # max on a 3-chain: a commutative monoid with neutral 0, no inverses

@@ -36,6 +36,7 @@ from crtkit.postlattice import (
     S_TABLE,
     _RELATIONS,
     _TARGETS,
+    _choice_masks,
     _preserves,
     _witness_bfs,
     affine_gf2_instance,
@@ -439,6 +440,28 @@ def test_preserves_matches_reference(ops):
     for op in ops:
         for name, rel in _RELATIONS.items():
             assert _preserves(op, rel) == reference_preserves(op, rel), (op, name)
+
+
+@pytest.mark.parametrize("arity", range(8))
+def test_choice_masks_match_the_closed_form(arity):
+    # bit c of masks[j][i] is coordinate j of row c_i, c_i being digit i of c
+    # in base |rel|, first argument most significant: over the grid of
+    # choices (c_0, ..., c_{arity-1}) in C order, column j of the rows laid
+    # along axis i
+    import numpy as np
+
+    for name, rel in _RELATIONS.items():
+        columns = np.array(sorted(rel), dtype=np.uint8).T
+        n = columns.shape[1]
+        masks, ones = _choice_masks.__wrapped__(rel, arity)
+        assert ones == (1 << n**arity) - 1, name
+        assert [len(m) for m in masks] == [arity] * len(columns), name
+        for i in range(arity):
+            axis = (1,) * i + (n,) + (1,) * (arity - 1 - i)
+            grid = np.broadcast_to(columns.reshape((-1, *axis)), (len(columns),) + (n,) * arity)
+            bits = np.packbits(grid.reshape(len(columns), -1), axis=-1, bitorder="little")
+            for j, row in enumerate(bits):
+                assert masks[j][i] == int.from_bytes(row.tobytes(), "little"), (name, i, j)
 
 
 # ternary tables of the clones N (essentially unary), V (join forms) and
