@@ -20,34 +20,10 @@ import argparse
 import os
 import sys
 
-from . import config, postlattice
-from .algebra import (
-    FiniteAlgebra,
-    all_congruences,
-    congruence_lattice_is_distributive,
-    congruence_lattice_is_permutable,
-    congruence_violation,
-    naive_meet_irreducibles,
-    term_str,
-)
-from .catalog import left_zero_mul
+# the library modules load lazily (see crtkit/__init__.py), so a command
+# runs only those it reaches through these module attributes
+from . import algebra, config, formats, postlattice
 from .errors import CrtkitError, InputError
-from .formats import (
-    parse_algebra,
-    parse_congruences,
-    serialize_algebra,
-    serialize_congruences,
-)
-from .nearlattice import NlVerdict
-from .satgadget import (
-    as_left_zero_semigroup,
-    parse_dimacs,
-    reduce_formula,
-    u_embed,
-    validate_3sat_prime,
-)
-from .systems import CrVerdict
-from .vectorspace import VsVerdict
 
 EXIT_CR = 0
 EXIT_NOT_CR = 10
@@ -63,12 +39,12 @@ def _read(path: str) -> str:
 
 
 def _load_instance(args):
-    alg = parse_algebra(_read(args.algebra))
-    named = parse_congruences(_read(args.congs), size=alg.size)
+    alg = formats.parse_algebra(_read(args.algebra))
+    named = formats.parse_congruences(_read(args.congs), size=alg.size)
     if not named:
         raise InputError(f"{args.congs} holds no congruences")
     for name, part in named:
-        hit = congruence_violation(alg, part)
+        hit = algebra.congruence_violation(alg, part)
         if hit is not None:
             op_name, pos, argv, repl = hit
             raise InputError(
@@ -86,27 +62,16 @@ def _print_verdict(verdict) -> int:
         print("RESULT: CR")
         return EXIT_CR
     print("RESULT: NOT-CR")
-    if isinstance(verdict, CrVerdict):
-        print("WITNESS: " + " ".join(str(a) for a in verdict.witness))
-    elif isinstance(verdict, VsVerdict):
-        print(
-            f"REASON: solvable dimension {verdict.dim_solvable} < "
-            f"compatible dimension {verdict.dim_compatible}"
-        )
-    elif isinstance(verdict, NlVerdict):
-        detail = " ".join(str(x) for x in verdict.detail)
-        print(f"REASON: {verdict.reason} {detail}")
-    else:
-        lam, mu = verdict.failing_pair
-        left = " ".join(str(v) for v in lam.labels)
-        right = " ".join(str(v) for v in mu.labels)
-        print(f"REASON: non-permuting {left} / {right}")
+    print(verdict.line)
     return EXIT_NOT_CR
 
 
 def cmd_check(args) -> int:
+    if args.generator is not None and args.method != "auto":
+        raise InputError(f"--generator applies only to --method auto, not {args.method}")
     alg, named = _load_instance(args)
     parts = [part for _, part in named]
+    gen = None if args.generator is None else formats.parse_algebra(_read(args.generator))
     if len(parts) == 1:
         # a single congruence admits every target: the block of the target
         # itself solves the system
@@ -116,13 +81,12 @@ def cmd_check(args) -> int:
         return EXIT_CR
     if args.method != "auto":
         return _print_verdict(postlattice.DECIDERS[args.method](alg, parts))
-    if args.generator is None:
+    if gen is None:
         # auto without a generator: the only safe method is brute
         print("ROUTE: brute")
         return _print_verdict(postlattice.DECIDERS["brute"](alg, parts))
     # auto: classify the provided two-element generator and take the route
     # its class supports
-    gen = parse_algebra(_read(args.generator))
     result = postlattice.route_decide(alg, parts, generator=gen)
     print(f"ROUTE: {result.route}")
     if result.warning is not None:
@@ -150,6 +114,15 @@ def _provenance_lines(inst, doubled: bool) -> list[str]:
 
 
 def cmd_gen_hard(args) -> int:
+    from .catalog import left_zero_mul
+    from .satgadget import (
+        as_left_zero_semigroup,
+        parse_dimacs,
+        reduce_formula,
+        u_embed,
+        validate_3sat_prime,
+    )
+
     phi = parse_dimacs(_read(args.cnf))
     violations = validate_3sat_prime(phi)
     if violations:
@@ -160,7 +133,7 @@ def cmd_gen_hard(args) -> int:
     if args.u_embed:
         alg, parts = u_embed(inst.size, inst.thetas)
         if args.semigroup:
-            alg = FiniteAlgebra(
+            alg = algebra.FiniteAlgebra(
                 alg.size,
                 list(alg.ops) + [left_zero_mul(alg.size)],
                 name=f"{alg.name}xLZ",
@@ -169,14 +142,14 @@ def cmd_gen_hard(args) -> int:
         alg, congs = as_left_zero_semigroup(inst)
         parts = tuple(c.partition for c in congs)
     else:
-        alg = FiniteAlgebra(inst.size, [], name=f"S{inst.size}")
+        alg = algebra.FiniteAlgebra(inst.size, [], name=f"S{inst.size}")
         parts = inst.thetas
 
     os.makedirs(args.out, exist_ok=True)
     named = [(f"theta{i + 1}", part) for i, part in enumerate(parts)]
     outputs = [
-        ("instance.alg", serialize_algebra(alg)),
-        ("instance.congs", serialize_congruences(named)),
+        ("instance.alg", formats.serialize_algebra(alg)),
+        ("instance.congs", formats.serialize_congruences(named)),
         ("provenance.txt", "\n".join(_provenance_lines(inst, args.u_embed)) + "\n"),
     ]
     print(f"SIZE: {alg.size}")
@@ -190,7 +163,7 @@ def cmd_gen_hard(args) -> int:
 
 
 def cmd_classify2(args) -> int:
-    alg = parse_algebra(_read(args.algebra))
+    alg = formats.parse_algebra(_read(args.algebra))
     result = postlattice.classify(alg)
     if result.tag == postlattice.ESSENTIALLY_UNARY:
         print("CLASS: EssentiallyUnary  COMPLEXITY: coNP-complete")
@@ -198,17 +171,16 @@ def cmd_classify2(args) -> int:
         print("CLASS: SemilatticeFamily  COMPLEXITY: open")
     else:
         print(f"CLASS: {result.tag}")
-        print(f"WITNESS: {term_str(result.witness)}")
+        print(f"WITNESS: {algebra.term_str(result.witness)}")
     return EXIT_CR
 
 
 def cmd_conlat(args) -> int:
-    alg = parse_algebra(_read(args.algebra))
-    lattice = all_congruences(alg)
-    parts = [c.partition for c in lattice]
-    mi = {p.labels for p in naive_meet_irreducibles(alg.size, parts)}
-    distributive = congruence_lattice_is_distributive(parts)
-    permutable = congruence_lattice_is_permutable(parts)
+    alg = formats.parse_algebra(_read(args.algebra))
+    parts = [c.partition for c in algebra.all_congruences(alg)]
+    mi = {p.labels for p in algebra.naive_meet_irreducibles(alg.size, parts)}
+    distributive = algebra.congruence_lattice_is_distributive(parts)
+    permutable = algebra.congruence_lattice_is_permutable(parts)
     print(f"ALGEBRA: {alg.name}")
     print(f"SIZE: {alg.size}")
     print(f"CONGRUENCES: {len(parts)}")

@@ -212,6 +212,12 @@ class DdVerdict:
     def __bool__(self):
         return self.is_cr
 
+    @property
+    def line(self) -> str:
+        """What `crtkit check` prints under a NOT-CR verdict."""
+        left, right = (" ".join(str(v) for v in p.labels) for p in self.failing_pair)
+        return f"REASON: non-permuting {left} / {right}"
+
 
 def is_cr_tuple_dualdisc(alg: FiniteAlgebra, thetas) -> DdVerdict:
     """Decide CR for congruences of an algebra with a dual discriminator term

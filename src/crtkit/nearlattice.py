@@ -412,6 +412,11 @@ class NlVerdict:
     def __bool__(self):
         return self.is_cr
 
+    @property
+    def line(self) -> str:
+        """What `crtkit check` prints under a NOT-CR verdict."""
+        return f"REASON: {self.reason} " + " ".join(str(x) for x in self.detail)
+
 
 def is_cr_tuple_nearlattice(view: NearlatticeView, thetas) -> NlVerdict:
     """Decide CR for a tuple of congruences of the view's algebra.

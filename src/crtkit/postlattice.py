@@ -61,11 +61,8 @@ from .algebra import (
     failed_binary_law,
     reduct,
 )
-from .dualdisc import is_cr_tuple_dualdisc
+from . import dualdisc, nearlattice, systems, vectorspace
 from .errors import ClassificationError, InputError, PreconditionError, StructureError
-from .nearlattice import is_cr_tuple_distlattice, is_cr_tuple_nearlattice, make_view
-from .systems import brute_force_is_cr_tuple
-from .vectorspace import congruence_to_subspace, coordinatize, is_cr_tuple_vs, vs_instance
 
 if TYPE_CHECKING:
     import numpy as np
@@ -466,8 +463,9 @@ def affine_gf2_instance(alg, s_term: Term, thetas, e: int):
     after the checks of _derived_addition: the universe is charted with
     origin e and each theta maps to the subspace carried by the e-class."""
     parts = [as_partition(t) for t in thetas]
-    chart = coordinatize(_derived_addition(alg, s_term, parts, e), zero_elem=e)
-    return vs_instance(2, chart.dim, [congruence_to_subspace(chart, p) for p in parts])
+    chart = vectorspace.coordinatize(_derived_addition(alg, s_term, parts, e), zero_elem=e)
+    bases = [vectorspace.congruence_to_subspace(chart, p) for p in parts]
+    return vectorspace.vs_instance(2, chart.dim, bases)
 
 
 # ---------------------------------------------------------------------------
@@ -475,20 +473,23 @@ def affine_gf2_instance(alg, s_term: Term, thetas, e: int):
 
 
 def _decide_vs(alg, parts):
-    chart = coordinatize(alg, "add")
-    bases = [congruence_to_subspace(chart, part) for part in parts]
-    return is_cr_tuple_vs(vs_instance(chart.p, chart.dim, bases))
+    chart = vectorspace.coordinatize(alg, "add")
+    bases = [vectorspace.congruence_to_subspace(chart, part) for part in parts]
+    return vectorspace.is_cr_tuple_vs(vectorspace.vs_instance(chart.p, chart.dim, bases))
 
 
 # route name -> its decision on (algebra, partitions), shared by route_decide
-# and `crtkit check --method`; entries look their deciders up by module-level
-# name at call time, so rebinding a decider's name reaches every route
+# and `crtkit check --method`. Entries look each decider up as an attribute
+# of its module at call time: only the module of the route taken is loaded,
+# and rebinding a decider in its own module reaches every route.
 DECIDERS = {
-    "brute": lambda alg, parts: brute_force_is_cr_tuple(parts),
+    "brute": lambda alg, parts: systems.brute_force_is_cr_tuple(parts),
     "vs": _decide_vs,
-    "nearlattice": lambda alg, parts: is_cr_tuple_nearlattice(make_view(alg), parts),
-    "distlat": lambda alg, parts: is_cr_tuple_distlattice(alg, parts),
-    "dualdisc": lambda alg, parts: is_cr_tuple_dualdisc(alg, parts),
+    "nearlattice": lambda alg, parts: nearlattice.is_cr_tuple_nearlattice(
+        nearlattice.make_view(alg), parts
+    ),
+    "distlat": lambda alg, parts: nearlattice.is_cr_tuple_distlattice(alg, parts),
+    "dualdisc": lambda alg, parts: dualdisc.is_cr_tuple_dualdisc(alg, parts),
 }
 
 

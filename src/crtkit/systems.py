@@ -80,6 +80,11 @@ class CrVerdict:
     def __bool__(self):
         return self.is_cr
 
+    @property
+    def line(self) -> str:
+        """What `crtkit check` prints under a NOT-CR verdict."""
+        return "WITNESS: " + " ".join(str(a) for a in self.witness)
+
 
 def brute_force_is_cr_tuple(thetas, budget: Optional[int] = None) -> CrVerdict:
     """Decide CR by a depth-first search for an unsolvable compatible system.

@@ -191,6 +191,14 @@ class VsVerdict:
     def __bool__(self):
         return self.is_cr
 
+    @property
+    def line(self) -> str:
+        """What `crtkit check` prints under a NOT-CR verdict."""
+        return (
+            f"REASON: solvable dimension {self.dim_solvable} < "
+            f"compatible dimension {self.dim_compatible}"
+        )
+
 
 def is_cr_tuple_vs(inst: VSInstance) -> VsVerdict:
     """Solvable tuples always sit inside compatible ones; CR is equality,

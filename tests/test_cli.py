@@ -257,6 +257,32 @@ def test_check_auto_without_generator_falls_back_to_brute(fix, capsys):
     assert (code, out) == (10, "ROUTE: brute\nRESULT: NOT-CR\nWITNESS: 0 2\n")
 
 
+@pytest.mark.parametrize("method", ["brute", "vs", "nearlattice", "distlat", "dualdisc"])
+def test_check_refuses_generator_beside_another_method(fix, capsys, method):
+    code, out, err = run(
+        capsys,
+        "check", "--algebra", fix["chain3.alg"], "--congs", fix["chain3.congs"],
+        "--method", method, "--generator", fix["2min.alg"],
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: --generator applies only to --method auto, not {method}\n"
+
+
+def test_check_reads_the_generator_before_the_trivial_route(fix, capsys, tmp_path):
+    single = ["check", "--algebra", fix["chain3.alg"], "--congs", fix["single.congs"]]
+    missing = tmp_path / "missing.alg"
+    code, out, err = run(capsys, *single, "--generator", str(missing))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {missing}: No such file or directory\n"
+    broken = tmp_path / "broken.alg"
+    broken.write_text("algebra broken\nsize two\n")
+    code, out, err = run(capsys, *single, "--generator", str(broken))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, err = run(capsys, *single, "--generator", fix["2lat.alg"])
+    assert (code, out, err) == (0, "ROUTE: trivial\nRESULT: CR\n", "")
+
+
 def test_check_auto_semilattice_route_warns_open(fix, capsys):
     code, out, err = run(
         capsys,
@@ -609,31 +635,51 @@ def test_module_entry_point(fix):
 
 
 @pytest.mark.parametrize(
-    "argv,shows,loaded",
+    "argv,shows,loaded,deciders",
     [
-        (None, None, []),
+        (None, None, [], []),
         (
             ["check", "--algebra", "bare4.alg", "--congs", "bare4.congs", "--method", "brute"],
             "RESULT: CR",
             [],
+            ["systems"],
         ),
-        (["check", "--algebra", "bare4.alg", "--congs", "bare4.congs"], "ROUTE: brute", []),
-        (["gen-hard", "--cnf", "pentagon.cnf", "--out", "OUT"], "SIZE: 225", []),
-        (["gen-hard", "--cnf", "pentagon.cnf", "--out", "OUT", "--u-embed"], "SIZE: 450", []),
+        (
+            ["check", "--algebra", "bare4.alg", "--congs", "bare4.congs"],
+            "ROUTE: brute",
+            [],
+            ["systems"],
+        ),
+        # the reduction solves systems, but decides nothing
+        (["gen-hard", "--cnf", "pentagon.cnf", "--out", "OUT"], "SIZE: 225", [], ["systems"]),
+        (
+            ["gen-hard", "--cnf", "pentagon.cnf", "--out", "OUT", "--u-embed"],
+            "SIZE: 450",
+            [],
+            ["systems"],
+        ),
         (
             ["gen-hard", "--cnf", "pentagon.cnf", "--out", "OUT", "--u-embed", "--semigroup"],
             "SIZE: 450",
             [],
+            ["systems"],
         ),
         # certifying each theta on the left-zero product builds arrays
         (
             ["gen-hard", "--cnf", "pentagon.cnf", "--out", "OUT", "--semigroup"],
             "SIZE: 225",
             ["numpy"],
+            ["systems"],
         ),
         # the congruence-lattice layer is numpy and pure Python; importing
         # scipy.sparse.csgraph cost each such command about half a second
-        (["conlat", "--algebra", "z60.alg"], "CONGRUENCES: 12", ["numpy"]),
+        (["conlat", "--algebra", "z60.alg"], "CONGRUENCES: 12", ["numpy"], []),
+        (
+            ["check", "--algebra", "klein.alg", "--congs", "klein2.congs", "--method", "vs"],
+            "RESULT: CR",
+            ["numpy"],
+            ["vectorspace"],
+        ),
     ],
     ids=[
         "import",
@@ -644,22 +690,31 @@ def test_module_entry_point(fix):
         "gen-hard-u-embed-semigroup",
         "gen-hard-semigroup",
         "conlat-z60",
+        "check-vs",
     ],
 )
-def test_command_loads_numpy_and_scipy_only_where_used(fix, tmp_path, argv, shows, loaded):
+def test_command_loads_numpy_and_scipy_only_where_used(
+    fix, tmp_path, argv, shows, loaded, deciders
+):
     # numpy costs each command about 0.18 s of start-up, so it is imported
-    # where arrays are built; a fresh interpreter shows what one command loads
-    script = "import sys\nimport crtkit\ncode = 0\n"
+    # where arrays are built; a fresh interpreter shows what one command
+    # loads. crtkit's own modules load lazily, so it also shows which of the
+    # decider modules' bodies ran: a module not yet run is still lazy.
+    script = "import sys, types\nimport crtkit\ncode = 0\n"
     if argv is not None:
         paths = {**fix, "OUT": str(tmp_path / "out")}
         argv = [paths.get(a, a) for a in argv]
         script += f"from crtkit.cli import main\ncode = main({argv!r})\n"
-    script += "print('EXIT', code, sorted({'numpy', 'scipy'} & set(sys.modules)))\n"
+    script += (
+        "ran = [m for m in ('dualdisc', 'nearlattice', 'systems', 'vectorspace')\n"
+        "       if type(sys.modules['crtkit.' + m]) is types.ModuleType]\n"
+        "print('EXIT', code, sorted({'numpy', 'scipy'} & set(sys.modules)), ran)\n"
+    )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     assert proc.returncode == 0, proc.stderr
     assert shows is None or shows in lines
-    assert lines[-1] == f"EXIT 0 {loaded}"
+    assert lines[-1] == f"EXIT 0 {loaded} {deciders}"
 
 
 @pytest.mark.parametrize(

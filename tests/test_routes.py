@@ -21,6 +21,8 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crtkit.nearlattice
+import crtkit.systems
 from crtkit.algebra import FiniteAlgebra, Operation, all_congruences
 from crtkit.catalog import (
     power_algebra,
@@ -34,6 +36,7 @@ from crtkit.catalog import (
 from crtkit.cli import main
 from crtkit.errors import CrtkitError
 from crtkit.formats import serialize_algebra, serialize_congruences
+from crtkit.partitions import Partition
 from crtkit.postlattice import DECIDERS, classify, route_decide
 from crtkit.systems import brute_force_is_cr_tuple
 
@@ -149,3 +152,43 @@ def test_every_route_returns_brute_force_verdict_or_refuses(instance):
         assert result.is_cr == want, (hint.tag, alg.name, parts)
         if name == kind:
             assert result.route == OWN_ROUTE[kind]
+
+
+def test_rebinding_a_decider_in_its_module_reaches_every_route(monkeypatch, tmp_path):
+    # perfbench's tracer wraps a decider by rebinding its name in its own
+    # module; the decider table, route_decide and `crtkit check` must each
+    # look the decider up there when they call it
+    calls = []
+    for module, name in (
+        (crtkit.nearlattice, "is_cr_tuple_nearlattice"),
+        (crtkit.systems, "brute_force_is_cr_tuple"),
+    ):
+        def patched(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, patched)
+
+    alg = power_algebra(two_nearlattice(), 2)
+    parts = [Partition([0, 0, 1, 1]), Partition([0, 1, 0, 1])]
+    alg_file, congs_file, gen_file = tmp_path / "a.alg", tmp_path / "a.congs", tmp_path / "g.alg"
+    alg_file.write_text(serialize_algebra(alg))
+    congs_file.write_text(serialize_congruences([("h", parts[0]), ("v", parts[1])]))
+    gen_file.write_text(serialize_algebra(two_nearlattice()))
+    check = ["check", "--algebra", str(alg_file), "--congs", str(congs_file)]
+    nl, brute = "is_cr_tuple_nearlattice", "brute_force_is_cr_tuple"
+    out = io.StringIO()
+    for run, reached in (
+        (lambda: DECIDERS["nearlattice"](alg, parts), nl),
+        (lambda: DECIDERS["brute"](alg, parts), brute),
+        (lambda: route_decide(alg, parts, generator=two_nearlattice()), nl),
+        (lambda: route_decide(alg, parts, generator=two_join_semilattice()), brute),
+        (lambda: main([*check, "--generator", str(gen_file)]), nl),
+        (lambda: main([*check, "--method", "nearlattice"]), nl),
+        (lambda: main([*check, "--method", "brute"]), brute),
+        (lambda: main(check), brute),
+    ):
+        calls.clear()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            run()
+        assert calls == [reached]
