@@ -8,8 +8,6 @@ from .errors import InputError
 DEFAULT_TUPLE_BUDGET = 10**7
 # Congruences the join-closure of principal congruences may collect.
 DEFAULT_CONGRUENCE_BUDGET = 100_000
-# Down-sets the bounded enumeration in the Tarski decider may visit.
-DEFAULT_DOWNSET_BUDGET = 2**16
 
 
 def budget(default: int) -> int:

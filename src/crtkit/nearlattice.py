@@ -1,23 +1,27 @@
 """CR tuples over nearlattices: subalgebras of powers of the two-element
 algebra with the single ternary operation n(x,y,z) = (x and y) or z.
 
-Everything runs through a validated view of the input algebra: its induced
-join order, the set P of meet-irreducible elements, and the embedding
-sigma(a) = {p in P : a is not below p}, which maps the algebra isomorphically
-onto a set of down-sets of P. The view constructor certifies all of this
-directly, so downstream procedures may rely on the representation.
+Everything runs through a view of the input algebra: its order, the set P
+of meet-irreducible elements, and the embedding sigma(a) = {p in P : a is
+not below p}, which maps the algebra onto a set of down-sets of P. Each
+view constructor reads the order off its own operations and certifies
+sigma on them (Birkhoff's embedding): sigma is injective and carries every
+operation to its two-element counterpart bit by bit. A nearlattice's n
+acts as (x and y) or z, a distributive lattice's meet and join as and and
+or, an implication algebra's imp as (not x) or y. So downstream procedures
+may rely on the representation.
 
-For a tuple whose congruences intersect to the identity, CR holds exactly
-when (a) every covering pair of P lies inside some F_i = {p : theta_i is
-below the two-block congruence at p}, and (b) every fringe down-set (maximal
-outside the image of sigma) fails interpolation for at least one F_i.
-Tuples with a bigger intersection are pushed to the quotient first.
+For a tuple whose congruences meet to the identity, CR holds exactly when
+(a) every covering pair of P lies inside some F_i = {p : theta_i is below
+the two-block congruence at p}, and (b) every fringe down-set (maximal
+outside the image of sigma) fails interpolation for at least one F_i. When
+the meet delta is bigger, the same test runs on the projection onto
+F(delta): the quotient by delta is the image of a -> sigma(a) & F(delta),
+and its meet-irreducibles are the points of F(delta) in P's order.
 
-Distributive lattices admit a shortcut with no quotient step: sigma is onto
-all down-sets (no fringes) and only covers inside the subposet spanned by
-the union of the F_i matter. Implication algebras admit the opposite
-shortcut: P is an antichain (no covers), leaving a fringe condition over
-the down-sets containing the complement of that union.
+Distributive lattices and implication algebras take this one decision on
+their own views: a distributive lattice has no fringes, and the P of an
+implication algebra is an antichain, so it has no covers.
 """
 
 from __future__ import annotations
@@ -25,18 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from . import config
-from .algebra import (
-    Congruence,
-    FiniteAlgebra,
-    Operation,
-    as_partition,
-    failed_binary_law,
-    quotient,
-)
-from .errors import BudgetExceededError, InputError, StructureError
+from .algebra import FiniteAlgebra, as_partition
+from .errors import InputError, StructureError
 from .partitions import Partition, _bits, canonical_labels
-from .systems import quotient_reduce
 
 if TYPE_CHECKING:
     import numpy as np
@@ -45,7 +40,6 @@ if TYPE_CHECKING:
 @dataclass(eq=False)
 class NearlatticeView:
     alg: FiniteAlgebra
-    op_name: str
     top: int
     leq: tuple[int, ...]  # leq[x] = bitmask of {y : y <= x}
     mi_elements: tuple[int, ...]  # P, ascending element order
@@ -58,21 +52,95 @@ class NearlatticeView:
         return len(self.mi_elements)
 
 
-def _induced_join(table3: np.ndarray) -> np.ndarray:
+# bytes of packed sigma that _certify_op compares per block of first arguments
+_CHUNK_BYTES = 1 << 22
+
+
+def _row_masks(rows: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int with column j at bit j."""
     import numpy as np
 
-    n = table3.shape[0]
-    idx = np.arange(n)
-    return table3[idx[:, None], idx[:, None], np.arange(n)[None, :]]
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _order_view(
+    alg: FiniteAlgebra, leq_bool: np.ndarray, what: str
+) -> tuple[NearlatticeView, np.ndarray]:
+    """The view read off an order matrix (entry [x, y] is x <= y), and
+    sigma packed as little-endian bytes, one row per element.
+
+    Certifies only that sigma is injective; the caller certifies that sigma
+    carries its operations, which makes leq_bool the order of sigma's
+    images. p is meet-irreducible iff its strict up-set is the up-set of
+    one element (its unique upper cover).
+    """
+    import numpy as np
+
+    n = alg.size
+    tops = np.flatnonzero(leq_bool.all(axis=0))
+    if len(tops) != 1:
+        raise StructureError(f"{alg.name}: induced order has no top element")
+    top = int(tops[0])
+    up = _row_masks(leq_bool)
+    up_sets = set(up)
+    mi = np.array(
+        [p for p in range(n) if p != top and up[p] & ~(1 << p) in up_sets], dtype=np.intp
+    )
+    below = leq_bool[np.ix_(mi, mi)].T  # [i, j]: P[j] <= P[i]
+    np.fill_diagonal(below, False)
+    S = np.packbits(~leq_bool[:, mi], axis=1, bitorder="little")
+    sigma = tuple(int.from_bytes(row.tobytes(), "little") for row in S)
+    image = {s: a for a, s in enumerate(sigma)}
+    if len(image) != n:
+        raise StructureError(
+            f"{alg.name}: meet-irreducibles do not separate elements; {what}"
+        )
+    view = NearlatticeView(
+        alg=alg,
+        top=top,
+        leq=tuple(_row_masks(leq_bool.T)),
+        mi_elements=tuple(int(p) for p in mi),
+        p_strict_down=tuple(_row_masks(below)),
+        sigma=sigma,
+        image=image,
+    )
+    return view, S
+
+
+def _certify_op(alg: FiniteAlgebra, name: str, S: np.ndarray, rule, text: str):
+    """Raise StructureError at the first argument tuple (lex order) where
+    sigma of the named operation's value differs from `rule` applied to the
+    packed sigmas of the arguments."""
+    import numpy as np
+
+    T = alg.table_array(name)
+    n, k, width = alg.size, T.ndim, S.shape[1]
+
+    def spread(a, axis):  # the rows of a along one argument axis of k
+        return a.reshape([len(a) if j == axis else 1 for j in range(k)] + [width])
+
+    step = max(1, _CHUNK_BYTES // max(1, n ** (k - 1) * width))
+    for start in range(0, n, step):
+        rows = S[start : start + step]
+        want = rule(spread(rows, 0), *(spread(S, axis) for axis in range(1, k)))
+        bad = np.argwhere((S[T[start : start + step]] != want).any(axis=-1))
+        if len(bad):
+            at = (start + int(bad[0][0]),) + tuple(int(v) for v in bad[0][1:])
+            raise StructureError(
+                f"{alg.name}: {name} is not coordinatewise {text} at arguments {at}"
+            )
 
 
 def make_view(alg: FiniteAlgebra, op_name: Optional[str] = None) -> NearlatticeView:
     """Validate the ternary table and assemble the decision view.
 
-    Raises StructureError unless x v y := n(x,x,y) is a semilattice with top
-    and a -> {p : a not below p} embeds the algebra into a power of the
-    two-element ternary algebra, with n acting coordinatewise.
+    The order is x <= y iff n(x,x,y) = y. Raises StructureError unless it
+    has a top and a -> {p : a not below p} embeds the algebra into a power
+    of the two-element ternary algebra, with n acting coordinatewise.
     """
+    import numpy as np
+
     if op_name is None:
         ternary = [op.name for op in alg.ops if op.arity == 3]
         if len(ternary) != 1:
@@ -83,156 +151,55 @@ def make_view(alg: FiniteAlgebra, op_name: Optional[str] = None) -> NearlatticeV
     op = alg.op(op_name)
     if op.arity != 3:
         raise InputError(f"{op_name!r} has arity {op.arity}, expected 3")
-    return _view_from_table(alg, op_name, alg.table_array(op_name))
-
-
-def _view_from_table(alg: FiniteAlgebra, op_name: str, T: np.ndarray) -> NearlatticeView:
-    import numpy as np
-
-    n = alg.size
-    J = _induced_join(T)
-    law = failed_binary_law(J, ("commutative", "idempotent", "associative"))
-    if law is not None:
-        raise StructureError(f"{alg.name}: induced join is not {law}")
-    idx = np.arange(n)
-    top = 0
-    for x in range(n):
-        top = int(J[top, x])
-    if not np.array_equal(J[:, top], np.full(n, top)):
-        raise StructureError(f"{alg.name}: induced order has no top element")
-
-    leq_bool = J == idx[None, :]  # x <= y iff x v y = y; entry [x, y]
-    leq = tuple(int(sum(1 << x for x in range(n) if leq_bool[x, y])) for y in range(n))
-
-    # p is meet-irreducible iff it is not the top and has a unique lower
-    # cover of its strict up-set (equivalently, a unique minimal element
-    # strictly above it)
-    mi = []
-    for p in range(n):
-        if p == top:
-            continue
-        above = [x for x in range(n) if leq_bool[p, x] and x != p]
-        minimal = [x for x in above if all(not leq_bool[y, x] for y in above if y != x)]
-        if len(minimal) == 1:
-            mi.append(p)
-    mi_elements = tuple(mi)
-    p_index = {p: i for i, p in enumerate(mi_elements)}
-
-    sigma = tuple(
-        int(sum(1 << i for i, p in enumerate(mi_elements) if not leq_bool[a, p]))
-        for a in range(n)
+    T = alg.table_array(op_name)
+    idx = np.arange(alg.size)
+    view, S = _order_view(
+        alg,
+        T[idx[:, None], idx[:, None], idx[None, :]] == idx[None, :],
+        "not a subalgebra of a power of the two-element ternary algebra",
     )
-    if len(set(sigma)) != n:
-        raise StructureError(
-            f"{alg.name}: meet-irreducibles do not separate elements; "
-            "not a subalgebra of a power of the two-element ternary algebra"
-        )
-
-    # coordinatewise action: chi(n(x,y,z)) = (chi(x) & chi(y)) | chi(z),
-    # where chi(a)[p] = 0 iff a <= p
-    C = np.array(
-        [[0 if leq_bool[a, p] else 1 for p in mi_elements] for a in range(n)],
-        dtype=np.uint8,
-    )
-    lhs = C[T]  # shape (n, n, n, |P|)
-    rhs = (C[:, None, None, :] & C[None, :, None, :]) | C[None, None, :, :]
-    if not np.array_equal(lhs, rhs):
-        bad = np.argwhere(lhs != rhs)[0]
-        raise StructureError(
-            f"{alg.name}: {op_name} is not coordinatewise (x and y) or z "
-            f"at arguments {tuple(int(v) for v in bad[:3])}"
-        )
-
-    p_strict_down = tuple(
-        int(
-            sum(
-                1 << j
-                for j, q in enumerate(mi_elements)
-                if q != p and leq_bool[q, p]
-            )
-        )
-        for p in mi_elements
-    )
-    image = {s: a for a, s in enumerate(sigma)}
-    return NearlatticeView(
-        alg=alg,
-        op_name=op_name,
-        top=top,
-        leq=leq,
-        mi_elements=mi_elements,
-        p_strict_down=p_strict_down,
-        sigma=sigma,
-        image=image,
-    )
+    _certify_op(alg, op_name, S, lambda x, y, z: (x & y) | z, "(x and y) or z")
+    return view
 
 
 def lattice_view(
     alg: FiniteAlgebra, meet: str = "meet", join: str = "join"
 ) -> NearlatticeView:
-    """View of a distributive lattice through its derived ternary operation."""
+    """View of a distributive lattice: x <= y iff x v y = y, and sigma must
+    be an injective lattice homomorphism into the subsets of P."""
     import numpy as np
 
-    n = alg.size
     for op in (alg.op(meet), alg.op(join)):
         if op.arity != 2:
             raise InputError(f"{op.name!r} has arity {op.arity}, expected 2")
-    M = alg.table_array(meet)
-    J = alg.table_array(join)
-    idx = np.arange(n)
-    for name, t in ((meet, M), (join, J)):
-        law = failed_binary_law(t, ("commutative", "associative"))
-        if law is not None:
-            raise StructureError(f"{alg.name}: {name} is not {law}")
-    if not (
-        np.array_equal(M[idx[:, None], J], np.broadcast_to(idx[:, None], (n, n)))
-        and np.array_equal(J[idx[:, None], M], np.broadcast_to(idx[:, None], (n, n)))
-    ):
-        raise StructureError(f"{alg.name}: absorption fails; not a lattice")
-    if not np.array_equal(M[:, J], J[M[:, :, None], M[:, None, :]]):
-        raise StructureError(f"{alg.name}: lattice is not distributive")
-    T = J[M[:, :, None], idx[None, None, :]]
-    derived = FiniteAlgebra(
-        n,
-        [Operation("n", 3, tuple(int(v) for v in T.reshape(-1)))],
-        name=f"{alg.name}~n",
+    view, S = _order_view(
+        alg,
+        alg.table_array(join) == np.arange(alg.size)[None, :],
+        "not a distributive lattice",
     )
-    return _view_from_table(derived, "n", T)
+    _certify_op(alg, meet, S, lambda x, y: x & y, "x and y")
+    _certify_op(alg, join, S, lambda x, y: x | y, "x or y")
+    return view
 
 
 def tarski_view(alg: FiniteAlgebra, imp: str = "imp") -> NearlatticeView:
-    """View of an implication algebra via n(x,y,z) = (x -> (y -> z)) -> z."""
+    """View of an implication algebra: x <= y iff x -> y is the top
+    (x -> x), sigma must carry imp to (not x) or y, and P must be an
+    antichain."""
     import numpy as np
 
-    n = alg.size
     op = alg.op(imp)
     if op.arity != 2:
         raise InputError(f"{imp!r} has arity {op.arity}, expected 2")
     I = alg.table_array(imp)
-    idx = np.arange(n)
-    inner = I[:, I]  # [x,y,z] = x -> (y -> z)
-    T = I[inner, idx[None, None, :]]
-    derived = FiniteAlgebra(
-        n,
-        [Operation("n", 3, tuple(int(v) for v in T.reshape(-1)))],
-        name=f"{alg.name}~n",
-    )
-    view = _view_from_table(derived, "n", T)
-    # certify the implication itself acts coordinatewise as (not x) or y
-    C = np.array(
-        [
-            [0 if (view.leq[p] >> a) & 1 else 1 for p in view.mi_elements]
-            for a in range(n)
-        ],
-        dtype=np.uint8,
-    )
-    if not np.array_equal(C[I], (1 - C[:, None, :]) | C[None, :, :]):
-        raise StructureError(f"{alg.name}: {imp} is not coordinatewise implication")
-    for i, p in enumerate(view.mi_elements):
-        if view.p_strict_down[i]:
-            raise StructureError(
-                f"{alg.name}: meet-irreducibles are not an antichain; "
-                "not an implication algebra"
-            )
+    view, S = _order_view(alg, I == I[0, 0], "not an implication algebra")
+    full = np.packbits(np.ones(view.p_count, dtype=bool), bitorder="little")
+    _certify_op(alg, imp, S, lambda x, y: (~x & full) | y, "(not x) or y")
+    if any(view.p_strict_down):
+        raise StructureError(
+            f"{alg.name}: meet-irreducibles are not an antichain; "
+            "not an implication algebra"
+        )
     return view
 
 
@@ -313,65 +280,54 @@ def solve_via_view(view: NearlatticeView, thetas, targets) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# down-sets of P, fringes, interpolation
+# covers, fringes, interpolation
 
 
-def all_down_sets(view: NearlatticeView, budget: Optional[int] = None) -> list[int]:
-    """Every down-set of P as a bitmask; budget-capped breadth-first closure."""
-    limit = budget if budget is not None else config.budget(config.DEFAULT_DOWNSET_BUDGET)
-    found = {0}
-    frontier = [0]
-    while frontier:
-        s = frontier.pop()
-        for i in range(view.p_count):
-            if (s >> i) & 1:
+def _subposet(view: NearlatticeView, keep: int) -> tuple[list[int], list[int]]:
+    """Strict down-sets and strict up-sets of the points of P on keep,
+    within keep; empty at the other indices."""
+    down = [d & keep if (keep >> i) & 1 else 0 for i, d in enumerate(view.p_strict_down)]
+    up = [0] * len(down)
+    for i, d in enumerate(down):
+        for j in _bits(d):
+            up[j] |= 1 << i
+    return down, up
+
+
+def _covers(down: list[int], up: list[int], keep: int):
+    """Covering pairs (upper index, lower index) of the subposet on keep."""
+    for i in _bits(keep):
+        for j in _bits(down[i]):
+            if not down[i] & up[j]:
+                yield i, j
+
+
+def _fringes(image: set, down: list[int], up: list[int], keep: int) -> list[int]:
+    """Maximal down-sets of the subposet on keep outside image, ascending.
+
+    Every such down-set arises by deleting one maximal point from some
+    member of image, so that candidate family is screened: a candidate
+    outside image is a fringe when all its minimal extensions are in it.
+    """
+    out = set()
+    for s in image:
+        for i in _bits(s):
+            b = s & ~(1 << i)
+            if s & up[i] or b in image or b in out:
                 continue
-            if view.p_strict_down[i] & ~s:
-                continue
-            t = s | (1 << i)
-            if t not in found:
-                found.add(t)
-                if len(found) > limit:
-                    raise BudgetExceededError(
-                        f"down-set count exceeds {limit}",
-                        checked=len(found),
-                        budget=limit,
-                    )
-                frontier.append(t)
-    return sorted(found)
-
-
-def _minimal_extensions(view: NearlatticeView, s: int):
-    for i in range(view.p_count):
-        if not (s >> i) & 1 and not (view.p_strict_down[i] & ~s):
-            yield s | (1 << i)
+            if all(
+                (b | (1 << j)) in image
+                for j in _bits(keep & ~b)
+                if not down[j] & ~b
+            ):
+                out.add(b)
+    return sorted(out)
 
 
 def fringe_elements(view: NearlatticeView) -> list[int]:
-    """Maximal down-sets of P outside the image of sigma.
-
-    Every such down-set arises by deleting one maximal point from some
-    sigma(a), so that candidate family is screened: keep the down-sets not
-    in the image all of whose minimal extensions are in the image.
-    """
-    image = set(view.sigma)
-    candidates = set()
-    for a in range(view.alg.size):
-        s = view.sigma[a]
-        for i in _bits(s):
-            up_strict = sum(
-                1 << j for j in range(view.p_count) if (view.p_strict_down[j] >> i) & 1
-            )
-            if s & up_strict:
-                continue  # not maximal in s
-            candidates.add(s & ~(1 << i))
-    out = []
-    for s in candidates:
-        if s in image:
-            continue
-        if all(t in image for t in _minimal_extensions(view, s)):
-            out.append(s)
-    return sorted(out)
+    """Maximal down-sets of P outside the image of sigma, ascending."""
+    full = (1 << view.p_count) - 1
+    return _fringes(set(view.sigma), *_subposet(view, full), full)
 
 
 def is_interpolable(view: NearlatticeView, bmask: int, fmask: int) -> bool:
@@ -382,17 +338,7 @@ def is_interpolable(view: NearlatticeView, bmask: int, fmask: int) -> bool:
 
 def covers_in_subposet(view: NearlatticeView, qmask: int) -> list[tuple[int, int]]:
     """Covering pairs (upper index, lower index) of the subposet on qmask."""
-    up = [0] * view.p_count
-    for i in range(view.p_count):
-        for j in _bits(view.p_strict_down[i]):
-            up[j] |= 1 << i
-    out = []
-    for i in _bits(qmask):
-        below = view.p_strict_down[i] & qmask
-        for j in _bits(below):
-            if not (view.p_strict_down[i] & up[j] & qmask):
-                out.append((i, j))
-    return out
+    return list(_covers(*_subposet(view, qmask), qmask))
 
 
 def _mask_to_elements(view: NearlatticeView, mask: int) -> tuple[int, ...]:
@@ -421,34 +367,26 @@ class NlVerdict:
 def is_cr_tuple_nearlattice(view: NearlatticeView, thetas) -> NlVerdict:
     """Decide CR for a tuple of congruences of the view's algebra.
 
-    When the members meet strictly above the identity the tuple is pushed to
-    the quotient (same verdict either way); failure details are reported in
-    ground-set elements, using least class members after a push.
+    The test runs on the projection onto F(delta), delta the members' meet:
+    sigma(a) & F(delta) over the elements, and P restricted to F(delta).
+    When delta is the identity, F(delta) is all of P. Failure details are
+    elements of P, also when delta is above the identity: a cover (p, q)
+    with q < p and no member's F mask holding both, or the points of a
+    fringe down-set.
     """
     certified = certify_tuple(view, thetas)
-    parts = [part for part, _ in certified]
-    delta, reduced = quotient_reduce(parts)
-    if delta.num_blocks != delta.n:
-        qalg, _ = quotient(view.alg, Congruence(view.alg, delta))
-        qview = make_view(qalg, view.op_name)
-        verdict = _decide_reduced(qview, certify_tuple(qview, reduced))
-        if verdict.is_cr:
-            return verdict
-        reps = delta.representatives()
-        return NlVerdict(
-            False, verdict.reason, tuple(reps[c] for c in verdict.detail)
-        )
-    return _decide_reduced(view, certified)
-
-
-def _decide_reduced(view: NearlatticeView, certified) -> NlVerdict:
     fmasks = [fmask for _, fmask in certified]
-    for i, j in covers_in_subposet(view, (1 << view.p_count) - 1):
+    union = 0
+    for f in fmasks:
+        union |= f
+    keep = f_of_theta(view, theta_of_f(view, union))
+    down, up = _subposet(view, keep)
+    for i, j in _covers(down, up, keep):
         if not any((f >> i) & 1 and (f >> j) & 1 for f in fmasks):
             return NlVerdict(
                 False, "cover", (view.mi_elements[i], view.mi_elements[j])
             )
-    for b in fringe_elements(view):
+    for b in _fringes({s & keep for s in view.sigma}, down, up, keep):
         if all(is_interpolable(view, b, f) for f in fmasks):
             return NlVerdict(False, "fringe", _mask_to_elements(view, b))
     return NlVerdict(True)
@@ -457,60 +395,13 @@ def _decide_reduced(view: NearlatticeView, certified) -> NlVerdict:
 def is_cr_tuple_distlattice(
     alg: FiniteAlgebra, thetas, meet: str = "meet", join: str = "join"
 ) -> NlVerdict:
-    """Distributive-lattice shortcut: no quotient step and no fringes; CR
-    holds exactly when every cover of the subposet spanned by the union of
-    the F masks lies inside one of them."""
-    view = lattice_view(alg, meet=meet, join=join)
-    certified = certify_tuple(view, thetas)
-    fmasks = [fmask for _, fmask in certified]
-    union = 0
-    for f in fmasks:
-        union |= f
-    for i, j in covers_in_subposet(view, union):
-        if not any((f >> i) & 1 and (f >> j) & 1 for f in fmasks):
-            return NlVerdict(
-                False, "cover", (view.mi_elements[i], view.mi_elements[j])
-            )
-    return NlVerdict(True)
+    """The nearlattice decision on lattice_view. A distributive lattice has
+    no fringes and F(delta) is the union of the F masks, so CR holds exactly
+    when every cover of the subposet on that union lies inside one mask."""
+    return is_cr_tuple_nearlattice(lattice_view(alg, meet=meet, join=join), thetas)
 
 
-def is_cr_tuple_tarski(
-    alg: FiniteAlgebra, thetas, imp: str = "imp", budget: Optional[int] = None
-) -> NlVerdict:
-    """Implication-algebra shortcut: P is an antichain, so only the fringe
-    condition remains, taken over down-sets containing the complement of the
-    union of the F masks."""
-    view = tarski_view(alg, imp=imp)
-    certified = certify_tuple(view, thetas)
-    fmasks = [fmask for _, fmask in certified]
-    union = 0
-    for f in fmasks:
-        union |= f
-    rest = ((1 << view.p_count) - 1) & ~union
-    q_indices = list(_bits(union))
-    limit = budget if budget is not None else config.budget(config.DEFAULT_DOWNSET_BUDGET)
-    if (1 << len(q_indices)) > limit:
-        raise BudgetExceededError(
-            f"2^{len(q_indices)} down-sets exceed the budget {limit}",
-            checked=0,
-            budget=limit,
-        )
-    image = set(view.sigma)
-    outside = []
-    for pick in range(1 << len(q_indices)):
-        s = rest
-        for t, i in enumerate(q_indices):
-            if (pick >> t) & 1:
-                s |= 1 << i
-        if s not in image:
-            outside.append(s)
-    # supersets come first, so comparing against kept maximal sets suffices
-    outside.sort(key=lambda m: bin(m).count("1"), reverse=True)
-    fringe = []
-    for s in outside:
-        if not any((s & t) == s for t in fringe):
-            fringe.append(s)
-    for b in fringe:
-        if all(is_interpolable(view, b, f) for f in fmasks):
-            return NlVerdict(False, "fringe", _mask_to_elements(view, b))
-    return NlVerdict(True)
+def is_cr_tuple_tarski(alg: FiniteAlgebra, thetas, imp: str = "imp") -> NlVerdict:
+    """The nearlattice decision on tarski_view. P is an antichain, so only
+    the fringe condition remains."""
+    return is_cr_tuple_nearlattice(tarski_view(alg, imp=imp), thetas)

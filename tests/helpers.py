@@ -6,12 +6,23 @@ import itertools
 from typing import TYPE_CHECKING, Optional
 
 from crtkit import config
-from crtkit.algebra import App, FiniteAlgebra, Operation, Term, Var, generated_subuniverse
+from crtkit.algebra import (
+    App,
+    Congruence,
+    FiniteAlgebra,
+    Operation,
+    Term,
+    Var,
+    failed_binary_law,
+    generated_subuniverse,
+    quotient,
+)
 from crtkit.catalog import index_to_tuple, power_algebra, subpower, tuple_to_index
-from crtkit.errors import BudgetExceededError, InputError
+from crtkit.errors import BudgetExceededError, InputError, StructureError
+from crtkit.nearlattice import NearlatticeView, NlVerdict, certify_tuple
 from crtkit.partitions import Partition
 from crtkit.postlattice import PROJ_X, PROJ_Y, PROJ_Z
-from crtkit.systems import CrVerdict, _tuple_of_partitions
+from crtkit.systems import CrVerdict, _tuple_of_partitions, quotient_reduce
 
 if TYPE_CHECKING:
     import numpy as np
@@ -378,3 +389,216 @@ def reference_preserves(op: Operation, rel: frozenset[tuple[int, ...]]) -> bool:
         if tuple(map(value.__getitem__, columns)) not in rel:
             return False
     return True
+
+
+def all_down_sets(view: NearlatticeView) -> list[int]:
+    """Every down-set of the view's P as a bitmask, ascending."""
+    found = {0}
+    frontier = [0]
+    while frontier:
+        s = frontier.pop()
+        for i in range(view.p_count):
+            if not (s >> i) & 1 and not view.p_strict_down[i] & ~s:
+                t = s | (1 << i)
+                if t not in found:
+                    found.add(t)
+                    frontier.append(t)
+    return sorted(found)
+
+
+def reference_view(alg: FiniteAlgebra, kind: str = "nearlattice") -> NearlatticeView:
+    """nearlattice's views as they stood when every constructor tabulated a
+    derived ternary operation: n itself ("nearlattice"), (x meet y) join z
+    ("lattice") or (x imp (y imp z)) imp z ("tarski"), then read the order
+    off n(x,x,y) and certified n on an (n, n, n, |P|) array. The view's alg
+    is the derived ternary algebra, so that reference_nearlattice can
+    push a tuple to its quotient."""
+    import numpy as np
+
+    n = alg.size
+    idx = np.arange(n)
+    if kind == "nearlattice":
+        (name,) = [op.name for op in alg.ops if op.arity == 3]
+        derived, T = alg, alg.table_array(name)
+    else:
+        if kind == "lattice":
+            M, J = alg.table_array("meet"), alg.table_array("join")
+            for t in (M, J):
+                if failed_binary_law(t, ("commutative", "associative")) is not None:
+                    raise StructureError("not a lattice")
+            eye = np.broadcast_to(idx[:, None], (n, n))
+            if not (np.array_equal(M[idx[:, None], J], eye) and np.array_equal(J[idx[:, None], M], eye)):
+                raise StructureError("absorption fails; not a lattice")
+            if not np.array_equal(M[:, J], J[M[:, :, None], M[:, None, :]]):
+                raise StructureError("lattice is not distributive")
+            T = J[M[:, :, None], idx[None, None, :]]
+        else:
+            I = alg.table_array("imp")
+            T = I[I[:, I], idx[None, None, :]]
+        name = "n"
+        table = tuple(int(v) for v in T.reshape(-1))
+        derived = FiniteAlgebra(n, [Operation(name, 3, table)], name=f"{alg.name}~n")
+    J = T[idx[:, None], idx[:, None], idx[None, :]]
+    if failed_binary_law(J, ("commutative", "idempotent", "associative")) is not None:
+        raise StructureError("induced join is not a semilattice")
+    top = 0
+    for x in range(n):
+        top = int(J[top, x])
+    if not np.array_equal(J[:, top], np.full(n, top)):
+        raise StructureError("induced order has no top element")
+    leq_bool = J == idx[None, :]
+    leq = tuple(sum(1 << x for x in range(n) if leq_bool[x, y]) for y in range(n))
+    mi = []
+    for p in range(n):
+        above = [x for x in range(n) if leq_bool[p, x] and x != p]
+        minimal = [x for x in above if all(not leq_bool[y, x] for y in above if y != x)]
+        if p != top and len(minimal) == 1:
+            mi.append(p)
+    sigma = tuple(
+        sum(1 << i for i, p in enumerate(mi) if not leq_bool[a, p]) for a in range(n)
+    )
+    if len(set(sigma)) != n:
+        raise StructureError("meet-irreducibles do not separate elements")
+    C = np.array([[0 if leq_bool[a, p] else 1 for p in mi] for a in range(n)], dtype=np.uint8)
+    C = C.reshape(n, len(mi))
+    if not np.array_equal(C[T], (C[:, None, None, :] & C[None, :, None, :]) | C[None, None, :, :]):
+        raise StructureError("n is not coordinatewise (x and y) or z")
+    if kind == "tarski":
+        if not np.array_equal(C[I], (1 - C[:, None, :]) | C[None, :, :]):
+            raise StructureError("imp is not coordinatewise implication")
+    p_strict_down = tuple(
+        sum(1 << j for j, q in enumerate(mi) if q != p and leq_bool[q, p]) for p in mi
+    )
+    if kind == "tarski" and any(p_strict_down):
+        raise StructureError("meet-irreducibles are not an antichain")
+    return NearlatticeView(
+        alg=derived,
+        top=top,
+        leq=leq,
+        mi_elements=tuple(mi),
+        p_strict_down=p_strict_down,
+        sigma=sigma,
+        image={s: a for a, s in enumerate(sigma)},
+    )
+
+
+def _reference_up(view):
+    up = [0] * view.p_count
+    for i in range(view.p_count):
+        for j in range(view.p_count):
+            if (view.p_strict_down[i] >> j) & 1:
+                up[j] |= 1 << i
+    return up
+
+
+def _reference_covers(view, qmask):
+    up = _reference_up(view)
+    out = []
+    for i in range(view.p_count):
+        if not (qmask >> i) & 1:
+            continue
+        below = view.p_strict_down[i] & qmask
+        for j in range(view.p_count):
+            if (below >> j) & 1 and not (view.p_strict_down[i] & up[j] & qmask):
+                out.append((i, j))
+    return out
+
+
+def _reference_fringes(view):
+    image = set(view.sigma)
+    up = _reference_up(view)
+    candidates = set()
+    for s in image:
+        for i in range(view.p_count):
+            if (s >> i) & 1 and not s & up[i]:
+                candidates.add(s & ~(1 << i))
+    out = []
+    for s in candidates - image:
+        exts = [
+            s | (1 << i)
+            for i in range(view.p_count)
+            if not (s >> i) & 1 and not view.p_strict_down[i] & ~s
+        ]
+        if all(t in image for t in exts):
+            out.append(s)
+    return sorted(out)
+
+
+def _reference_interpolable(view, bmask, fmask):
+    return any(s & fmask == bmask & fmask for s in view.sigma)
+
+
+def _elements(view, mask):
+    return tuple(p for i, p in enumerate(view.mi_elements) if (mask >> i) & 1)
+
+
+def reference_nearlattice(view: NearlatticeView, thetas) -> NlVerdict:
+    """The nearlattice decision as it stood when a tuple meeting above the
+    identity was pushed to the quotient by its meet delta, with a second
+    reference_view there; details after a push are least class members.
+    `view` is a reference_view."""
+    certified = certify_tuple(view, thetas)
+    delta, reduced = quotient_reduce([part for part, _ in certified])
+    if delta.num_blocks != delta.n:
+        qalg, _ = quotient(view.alg, Congruence(view.alg, delta))
+        verdict = reference_nearlattice(reference_view(qalg), reduced)
+        if verdict.is_cr:
+            return verdict
+        reps = delta.representatives()
+        return NlVerdict(False, verdict.reason, tuple(reps[c] for c in verdict.detail))
+    fmasks = [fmask for _, fmask in certified]
+    for i, j in _reference_covers(view, (1 << view.p_count) - 1):
+        if not any((f >> i) & 1 and (f >> j) & 1 for f in fmasks):
+            return NlVerdict(False, "cover", (view.mi_elements[i], view.mi_elements[j]))
+    for b in _reference_fringes(view):
+        if all(_reference_interpolable(view, b, f) for f in fmasks):
+            return NlVerdict(False, "fringe", _elements(view, b))
+    return NlVerdict(True)
+
+
+def reference_distlattice(alg: FiniteAlgebra, thetas) -> NlVerdict:
+    """The distributive-lattice shortcut as it stood: no quotient step and
+    no fringes, only the covers of the subposet on the union of the F
+    masks."""
+    view = reference_view(alg, "lattice")
+    fmasks = [fmask for _, fmask in certify_tuple(view, thetas)]
+    union = 0
+    for f in fmasks:
+        union |= f
+    for i, j in _reference_covers(view, union):
+        if not any((f >> i) & 1 and (f >> j) & 1 for f in fmasks):
+            return NlVerdict(False, "cover", (view.mi_elements[i], view.mi_elements[j]))
+    return NlVerdict(True)
+
+
+def reference_tarski(alg: FiniteAlgebra, thetas) -> NlVerdict:
+    """The implication-algebra shortcut as it stood: enumerate the 2^q
+    down-sets that contain the complement of the union of the F masks
+    (q the union's size), keep the maximal ones outside the image, and
+    test each for interpolation."""
+    view = reference_view(alg, "tarski")
+    fmasks = [fmask for _, fmask in certify_tuple(view, thetas)]
+    union = 0
+    for f in fmasks:
+        union |= f
+    rest = ((1 << view.p_count) - 1) & ~union
+    q_indices = [i for i in range(view.p_count) if (union >> i) & 1]
+    image = set(view.sigma)
+    outside = []
+    for pick in range(1 << len(q_indices)):
+        s = rest
+        for t, i in enumerate(q_indices):
+            if (pick >> t) & 1:
+                s |= 1 << i
+        if s not in image:
+            outside.append(s)
+    # supersets come first, so comparing against kept maximal sets suffices
+    outside.sort(key=lambda m: bin(m).count("1"), reverse=True)
+    fringe = []
+    for s in outside:
+        if not any((s & t) == s for t in fringe):
+            fringe.append(s)
+    for b in fringe:
+        if all(_reference_interpolable(view, b, f) for f in fmasks):
+            return NlVerdict(False, "fringe", _elements(view, b))
+    return NlVerdict(True)

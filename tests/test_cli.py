@@ -59,6 +59,7 @@ def fix(tmp_path_factory):
 
     wf("minsq.alg", serialize_algebra(power_algebra(two_minority(), 2)))
     wf("majsq.alg", serialize_algebra(power_algebra(two_majority(), 2)))
+    wf("latsq.alg", serialize_algebra(power_algebra(two_lattice(), 2)))
 
     wf("2min.alg", serialize_algebra(two_minority()))
     wf("2lat.alg", serialize_algebra(two_lattice()))
@@ -680,6 +681,14 @@ def test_module_entry_point(fix):
             ["numpy"],
             ["vectorspace"],
         ),
+        # the distlat decision projects onto the meet's F mask: no quotient,
+        # so it runs no systems code
+        (
+            ["check", "--algebra", "latsq.alg", "--congs", "bare4.congs", "--method", "distlat"],
+            "RESULT: CR",
+            ["numpy"],
+            ["nearlattice"],
+        ),
     ],
     ids=[
         "import",
@@ -691,6 +700,7 @@ def test_module_entry_point(fix):
         "gen-hard-semigroup",
         "conlat-z60",
         "check-vs",
+        "check-distlat",
     ],
 )
 def test_command_loads_numpy_and_scipy_only_where_used(
