@@ -29,38 +29,58 @@ class Operation(NamedTuple):
 
 
 class FiniteAlgebra:
-    """An algebra on {0..size-1}; equality is object identity."""
+    """An algebra on {0..size-1}; equality is object identity.
+
+    A table may be given as a numpy integer array (any shape with size **
+    arity entries, flat order as for tuples): it is range-checked with one
+    array min and max, and seeds table_arrays(), so an algebra built by
+    array arithmetic makes no round trip through Python ints and back."""
 
     def __init__(self, size: int, ops, name: str = "A"):
         if size < 1:
             raise InputError("the universe must be nonempty")
         self.size = size
         self.name = name
-        self.ops: tuple[Operation, ...] = tuple(
-            op if isinstance(op, Operation) else Operation(op[0], op[1], tuple(op[2]))
-            for op in ops
-        )
         self._by_name = {}
-        for op in self.ops:
-            if op.name in self._by_name:
-                raise InputError(f"duplicate operation name {op.name!r}")
-            if op.arity < 0:
-                raise InputError(f"operation {op.name!r} has negative arity")
-            if len(op.table) != size**op.arity:
+        self._arrays = []
+        checked = []
+        for name_, arity, table in ops:
+            if name_ in self._by_name:
+                raise InputError(f"duplicate operation name {name_!r}")
+            if arity < 0:
+                raise InputError(f"operation {name_!r} has negative arity")
+            is_array = hasattr(table, "dtype")
+            if not is_array:
+                table = tuple(table)
+            entries = table.size if is_array else len(table)
+            if entries != size**arity:
                 raise InputError(
-                    f"operation {op.name!r} table has {len(op.table)} entries, "
-                    f"expected {size**op.arity}"
+                    f"operation {name_!r} table has {entries} entries, "
+                    f"expected {size**arity}"
                 )
-            if min(op.table) < 0 or max(op.table) >= size:
-                raise InputError(f"operation {op.name!r} table value out of range")
-            self._by_name[op.name] = op
+            if is_array:
+                if table.dtype.kind not in "iu":
+                    raise InputError(f"operation {name_!r} table is not integer")
+                low, high = table.min(), table.max()
+            else:
+                low, high = min(table), max(table)
+            if low < 0 or high >= size:
+                raise InputError(f"operation {name_!r} table value out of range")
+            arr = None
+            if is_array:
+                arr = _frozen_table(table, size, arity)
+                table = tuple(arr.ravel().tolist())
+            op = Operation(name_, arity, table)
+            self._by_name[name_] = op
+            self._arrays.append(arr)
+            checked.append(op)
+        self.ops: tuple[Operation, ...] = tuple(checked)
         # strides[name][i] = weight of argument i in the flat table index
         self._strides = {
             op.name: tuple(size**k for k in range(op.arity - 1, -1, -1))
             for op in self.ops
         }
         self._translations = None
-        self._arrays = None
 
     def op(self, name: str) -> Operation:
         try:
@@ -110,15 +130,12 @@ class FiniteAlgebra:
         return self._translations
 
     def table_arrays(self) -> list[np.ndarray]:
-        """Each operation's table as a read-only array of shape (size,) * arity."""
-        if self._arrays is None:
-            import numpy as np
-
-            self._arrays = []
-            for op in self.ops:
-                arr = np.array(op.table, dtype=np.intp).reshape((self.size,) * op.arity)
-                arr.flags.writeable = False
-                self._arrays.append(arr)
+        """Each operation's table as a read-only array of shape (size,) *
+        arity, in the dtype table_dtype(size); tables given as tuples are
+        converted on the first call."""
+        for i, op in enumerate(self.ops):
+            if self._arrays[i] is None:
+                self._arrays[i] = _frozen_table(op.table, self.size, op.arity)
         return self._arrays
 
     def table_array(self, name: str) -> np.ndarray:
@@ -130,18 +147,74 @@ class FiniteAlgebra:
         return f"FiniteAlgebra({self.name!r}, size={self.size}, ops=[{sig}])"
 
 
+def _frozen_table(table, size: int, arity: int) -> np.ndarray:
+    """A read-only copy of a flat or shaped table, of shape (size,) * arity
+    and dtype table_dtype(size)."""
+    import numpy as np
+
+    arr = np.array(table, dtype=table_dtype(size)).reshape((size,) * arity)
+    arr.flags.writeable = False
+    return arr
+
+
+def table_dtype(size: int):
+    """The narrowest unsigned integer dtype holding 0..size-1, in which
+    tables, gathers and index grids over a universe of that size are kept."""
+    import numpy as np
+
+    return np.min_scalar_type(max(size - 1, 0))
+
+
+# entries per block of an array kernel over blocks of first arguments
+_BLOCK = 1 << 20
+
+# operation tables a constructor may tabulate; one of size ** arity entries
+# costs 8 bytes per entry in Operation.table alone
+MAX_TABLE_ENTRIES = 1 << 24
+
+# edges (pairs times distinct translations) principal_partition_set may
+# walk; it keeps a key of 8 bytes per distinct edge
+MAX_PRINCIPAL_EDGES = 1 << 25
+
+
+def check_table_size(size: int, arity: int, what: str):
+    """Raise InputError, before anything is allocated, when a table of
+    size ** arity entries would exceed MAX_TABLE_ENTRIES."""
+    entries = size**arity
+    if entries > MAX_TABLE_ENTRIES:
+        raise InputError(
+            f"{what} needs a table of {size}^{arity} = {entries} entries, "
+            f"more than the {MAX_TABLE_ENTRIES} allowed"
+        )
+
+
+def _associative(np, T: np.ndarray) -> bool:
+    """(xy)z = x(yz), tested in blocks of first arguments x of at most about
+    _BLOCK entries each, so no n^3 array is ever built; T is narrow, and
+    the copy of it that indexes is intp, built once."""
+    n = len(T)
+    index = T.astype(np.intp)
+    rows = max(1, _BLOCK // (n * n))
+    return all(
+        np.array_equal(T[index[lo : lo + rows]], T[lo : lo + rows][:, index])
+        for lo in range(0, n, rows)
+    )
+
+
 _BINARY_LAWS = {
     "commutative": lambda np, T: np.array_equal(T, T.T),
-    "associative": lambda np, T: np.array_equal(T[T, :], T[:, T]),
+    "associative": _associative,
     "idempotent": lambda np, T: np.array_equal(np.diagonal(T), np.arange(len(T))),
 }
 
 
 def failed_binary_law(T: np.ndarray, laws) -> Optional[str]:
     """The first of `laws` (names in _BINARY_LAWS, tested in the given
-    order) that the n x n table T of a binary operation breaks, or None."""
+    order) that the n x n table T of a binary operation breaks, or None.
+    T is read in the dtype table_dtype(n)."""
     import numpy as np
 
+    T = np.asarray(T).astype(table_dtype(len(T)), copy=False)
     return next((law for law in laws if not _BINARY_LAWS[law](np, T)), None)
 
 
@@ -185,6 +258,51 @@ def _eval(alg, term, args):
             f"term applies {term.op!r} to {len(term.args)} subterms, arity is {op.arity}"
         )
     return alg.apply(term.op, *(_eval(alg, t, args) for t in term.args))
+
+
+def eval_term_grid(alg: FiniteAlgebra, term: Term, grids) -> np.ndarray:
+    """Evaluate a term at every point of a grid: grids[i] is an integer
+    array (or scalar) of elements for x(i+1), all broadcastable together. A
+    Var reads its grid and an App gathers its operation's table_array at
+    its subterms' arrays, so the result has the broadcast shape of the
+    grids the term uses. Raises InputError where eval_term would."""
+    if isinstance(term, Var):
+        if not 0 <= term.index < len(grids):
+            raise InputError(f"term uses x{term.index + 1} but got {len(grids)} arguments")
+        return grids[term.index]
+    if not isinstance(term, App):
+        raise InputError(f"not a term node: {term!r}")
+    op = alg.op(term.op)
+    if len(term.args) != op.arity:
+        raise InputError(
+            f"term applies {term.op!r} to {len(term.args)} subterms, arity is {op.arity}"
+        )
+    table = alg.table_array(term.op)
+    return table[tuple(eval_term_grid(alg, t, grids) for t in term.args)]
+
+
+def term_table(alg: FiniteAlgebra, term: Term, arity: int) -> np.ndarray:
+    """The table of a term read as an operation of the given arity (at
+    least 1), as an array of shape (alg.size,) * arity in table_dtype.
+
+    It is evaluated by eval_term_grid over blocks of first arguments of
+    about _BLOCK entries each, so what it holds beyond the result is
+    bounded. A table over MAX_TABLE_ENTRIES raises InputError before
+    anything is allocated."""
+    n = alg.size
+    check_table_size(n, arity, f"the term {term_str(term)} on {alg.name}")
+    import numpy as np
+
+    dtype = table_dtype(n)
+    axes = [
+        np.arange(n, dtype=dtype).reshape([n if j == i else 1 for j in range(arity)])
+        for i in range(arity)
+    ]
+    out = np.empty((n,) * arity, dtype=dtype)
+    rows = max(1, _BLOCK // n ** (arity - 1))
+    for lo in range(0, n, rows):
+        out[lo : lo + rows] = eval_term_grid(alg, term, [axes[0][lo : lo + rows], *axes[1:]])
+    return out
 
 
 def term_str(term: Term) -> str:
@@ -255,7 +373,7 @@ def congruence_violation(alg: FiniteAlgebra, part: Partition):
         return None  # constants respect every partition
     import numpy as np
 
-    labels = np.array(part.labels, dtype=np.intp)
+    labels = np.array(part.labels, dtype=table_dtype(part.num_blocks))
     rep = np.array(part.representatives(), dtype=np.intp)[labels]
     for op, table in zip(alg.ops, alg.table_arrays()):
         image = labels[table]
@@ -334,7 +452,8 @@ def principal_partition_set(alg: FiniteAlgebra) -> list[Partition]:
     one-variable translation g; the congruence generated by a pair is the
     equivalence closure of the pairs reachable from it, so it is computed
     once per strongly connected component of that graph (Freese, "Computing
-    congruences efficiently", 2008), children before parents.
+    congruences efficiently", 2008), children before parents. A graph of
+    more than MAX_PRINCIPAL_EDGES edges raises InputError.
     """
     n = alg.size
     if n == 1:
@@ -343,28 +462,37 @@ def principal_partition_set(alg: FiniteAlgebra) -> list[Partition]:
 
     xs, ys = np.triu_indices(n, k=1)
     num_pairs = len(xs)
-    pair_id = np.full((n, n), -1, dtype=np.int64)
-    pair_id[xs, ys] = np.arange(num_pairs)
+    pair_id = np.full((n, n), -1, dtype=np.int32)
+    pair_id[xs, ys] = np.arange(num_pairs, dtype=np.int32)
 
     # one row per translation, each once (commutative operations repeat them)
-    rows = [np.empty((0, n), dtype=np.intp)]
+    rows = [np.empty((0, n), dtype=table_dtype(n))]
     for op, tbl in zip(alg.ops, alg.table_arrays()):
         rows += [np.moveaxis(tbl, pos, 0).reshape(n, -1).T for pos in range(op.arity)]
     translations = np.unique(np.concatenate(rows), axis=0)
+    edges = num_pairs * len(translations)
+    if edges > MAX_PRINCIPAL_EDGES:
+        raise InputError(
+            f"the principal congruences of {alg.name} need {num_pairs} pairs x "
+            f"{len(translations)} translations = {edges} edges, more than the "
+            f"{MAX_PRINCIPAL_EDGES} allowed"
+        )
     chunk = max(1, (4 << 20) // num_pairs)
     key_parts = [np.empty(0, dtype=np.int64)]
     for start in range(0, len(translations), chunk):
         block = translations[start : start + chunk]
         gx, gy = block[:, xs], block[:, ys]
         keep = gx != gy
-        src = np.broadcast_to(np.arange(num_pairs), gx.shape)[keep]
+        src = np.broadcast_to(np.arange(num_pairs, dtype=np.int64), gx.shape)[keep]
         dst = pair_id[np.minimum(gx, gy)[keep], np.maximum(gx, gy)[keep]]
         key_parts.append(_sorted_unique(src * num_pairs + dst))
     keys = _sorted_unique(np.concatenate(key_parts))
-    src, dst = keys // num_pairs, keys % num_pairs
-    # keys are sorted, so each node's successors are a contiguous run of dst
+    src, dst = keys // num_pairs, (keys % num_pairs).astype(np.int32)
+    del keys, key_parts
+    # keys are sorted, so each node's successors are a contiguous run of dst;
+    # the search reads them through a memoryview, 4 bytes an edge
     start = np.searchsorted(src, np.arange(num_pairs + 1)).tolist()
-    comp = _strong_components(start, dst.tolist())
+    comp = _strong_components(start, memoryview(dst))
 
     comp_arr = np.array(comp, dtype=np.int64)
     comp_src, comp_dst = comp_arr[src], comp_arr[dst]
@@ -415,7 +543,7 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
-def _strong_components(start: list[int], succ: list[int]) -> list[int]:
+def _strong_components(start: list[int], succ) -> list[int]:
     """Tarjan's strongly connected components of the graph whose node v has
     successors succ[start[v]:start[v + 1]], without recursion.
 
@@ -607,16 +735,15 @@ def quotient(alg: FiniteAlgebra, delta) -> tuple[FiniteAlgebra, tuple[int, ...]]
     Classes are numbered by least member (the canonical label order).
     """
     part = _certified(alg, delta)
-    reps = part.representatives()
-    labels = part.labels
-    size = part.num_blocks
-    ops = []
-    for op in alg.ops:
-        table = []
-        for args in itertools.product(reps, repeat=op.arity):
-            table.append(labels[alg.apply(op.name, *args)])
-        ops.append(Operation(op.name, op.arity, tuple(table)))
-    return FiniteAlgebra(size, ops, name=f"{alg.name}/q"), labels
+    import numpy as np
+
+    reps = np.array(part.representatives(), dtype=np.intp)
+    labels = np.array(part.labels, dtype=table_dtype(part.num_blocks))
+    ops = [
+        Operation(op.name, op.arity, labels[table[np.ix_(*[reps] * op.arity)]])
+        for op, table in zip(alg.ops, alg.table_arrays())
+    ]
+    return FiniteAlgebra(part.num_blocks, ops, name=f"{alg.name}/q"), part.labels
 
 
 def _certified(alg: FiniteAlgebra, theta) -> Partition:
@@ -686,23 +813,19 @@ def reduct(alg: FiniteAlgebra, interp, name: Optional[str] = None) -> FiniteAlge
     ops = []
     for sym, (arity, term) in items:
         if arity == 0:
-            values = {eval_term(alg, term, (a,)) for a in range(alg.size)}
-            if len(values) != 1:
+            values = term_table(alg, term, 1)
+            if (values != values[0]).any():
                 raise PreconditionError(
                     f"constant symbol {sym!r} interprets as a non-constant term"
                 )
-            ops.append(Operation(sym, 0, (values.pop(),)))
+            ops.append(Operation(sym, 0, (int(values[0]),)))
             continue
         used = term_variables(term)
         if used and max(used) >= arity:
             raise InputError(
                 f"symbol {sym!r} of arity {arity} interprets via x{max(used) + 1}"
             )
-        table = tuple(
-            eval_term(alg, term, args)
-            for args in itertools.product(range(alg.size), repeat=arity)
-        )
-        ops.append(Operation(sym, arity, table))
+        ops.append(Operation(sym, arity, term_table(alg, term, arity)))
     return FiniteAlgebra(alg.size, ops, name=name or f"{alg.name}^T")
 
 
@@ -729,22 +852,10 @@ def congruence_lattice_is_distributive(lattice: list[Partition]) -> bool:
     "Rings of sets", 1937). The down-sets are counted with an early stop
     at |L| + 1.
     """
-    parts = list({p.labels: p for p in lattice}.values())
+    parts, masks, join_irr = _join_irreducibles(lattice)
     if not parts:
         return True
-    n = parts[0].n
-    # x <= y iff the relation mask of x has no bit outside y's
-    masks = [_relation_mask(p) for p in parts]
-    join_irr = []
-    for j, mj in enumerate(masks):
-        smaller = [mx for mx in masks if mx != mj and mx & ~mj == 0]
-        if not smaller:
-            continue  # the least member is the empty join
-        # j is join-irreducible when the strictly smaller members do not
-        # join to it; their join lies below j, so counting blocks suffices
-        join = _equivalence_closure(functools.reduce(operator.or_, smaller), n)
-        if join.num_blocks != parts[j].num_blocks:
-            join_irr.append(mj)
+    join_irr = [masks[j] for j in join_irr]
     k = len(join_irr)
     down = [0] * k
     up = [0] * k
@@ -779,12 +890,37 @@ def _count_down_sets(down: list[int], up: list[int], limit: int) -> int:
     return count
 
 
+def _join_irreducibles(lattice: list[Partition]):
+    """(distinct members, their relation masks, indices of the
+    join-irreducible members) of a lattice of partitions closed under join."""
+    parts = list({p.labels: p for p in lattice}.values())
+    # x <= y iff the relation mask of x has no bit outside y's
+    masks = [_relation_mask(p) for p in parts]
+    join_irr = []
+    for j, mj in enumerate(masks):
+        smaller = [mx for mx in masks if mx != mj and mx & ~mj == 0]
+        if not smaller:
+            continue  # the least member is the empty join
+        # j is join-irreducible when the strictly smaller members do not
+        # join to it; their join lies below j, so counting blocks suffices
+        join = _equivalence_closure(functools.reduce(operator.or_, smaller), parts[j].n)
+        if join.num_blocks != parts[j].num_blocks:
+            join_irr.append(j)
+    return parts, masks, join_irr
+
+
 def congruence_lattice_is_permutable(lattice: list[Partition]) -> bool:
-    """Whether every two members of a whole congruence lattice permute;
+    """Whether every two members of a whole congruence lattice permute.
+
+    Only pairs of join-irreducible members are tested. If b permutes with
+    a1 and a2, it permutes with a1 o a2 and so with a1 v a2, the union of
+    the powers of a1 o a2; every member is a join of join-irreducibles (the
+    least member, the empty join, permutes with all members, which lie
+    above it), so permuting join-irreducibles make every pair permute.
     Partition.permutes is symmetric, so each unordered pair is tested once."""
-    return all(
-        x.permutes(y) for i, x in enumerate(lattice) for y in lattice[i + 1 :]
-    )
+    parts, _, join_irr = _join_irreducibles(lattice)
+    ji = [parts[j] for j in join_irr]
+    return all(x.permutes(y) for i, x in enumerate(ji) for y in ji[i + 1 :])
 
 
 # ---------------------------------------------------------------------------

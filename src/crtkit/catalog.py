@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import FiniteAlgebra, Operation
+from .algebra import FiniteAlgebra, Operation, check_table_size, table_dtype
 from .errors import InputError
 
 
@@ -178,22 +178,23 @@ def index_to_tuple(idx: int, base: int, length: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _pointwise_codes(alg: FiniteAlgebra, columns):
+def _pointwise_codes(alg: FiniteAlgebra, columns, dtype):
     """Each operation of alg applied coordinate-wise to elements of a power.
 
     The elements are given by their coordinate digit arrays: element x has
     coordinate i equal to columns[i][x]. Yields (op, codes) per operation,
     where codes has shape (len(columns[0]),) * op.arity and holds the code,
     base alg.size with the leftmost coordinate most significant, of the image
-    of each argument tuple of elements. A nullary operation gives the code of
-    its constant tuple."""
+    of each argument tuple of elements, in the given integer dtype, which
+    must hold every code. A nullary operation gives the code of its
+    constant tuple."""
     import numpy as np
 
     weights = [alg.size ** (len(columns) - 1 - i) for i in range(len(columns))]
     for op, table in zip(alg.ops, alg.table_arrays()):
-        codes = np.zeros((), dtype=np.intp)
+        codes = np.zeros((), dtype=dtype)
         for weight, digits in zip(weights, columns):
-            codes = codes + weight * table[np.ix_(*[digits] * op.arity)]
+            codes = codes + np.multiply(table[np.ix_(*[digits] * op.arity)], weight, dtype=dtype)
         yield op, codes
 
 
@@ -204,17 +205,20 @@ def power_algebra(alg: FiniteAlgebra, exponent: int) -> FiniteAlgebra:
     Every operation of arity k is tabulated on all alg.size ** (exponent * k)
     argument tuples, in lexicographic order of their codes; a nullary
     operation c becomes the constant tuple (c, ..., c). Raises InputError
-    for an exponent below 1."""
+    for an exponent below 1, and before tabulating anything when a table
+    would exceed algebra.MAX_TABLE_ENTRIES."""
     if exponent < 1:
         raise InputError("exponent must be at least 1")
     import numpy as np
 
     n = alg.size
+    for op in alg.ops:
+        check_table_size(n**exponent, op.arity, f"{op.name} on {alg.name}^{exponent}")
     codes = np.arange(n**exponent)
     columns = [codes // n ** (exponent - 1 - i) % n for i in range(exponent)]
     ops = [
-        Operation(op.name, op.arity, tuple(images.ravel().tolist()))
-        for op, images in _pointwise_codes(alg, columns)
+        Operation(op.name, op.arity, images)
+        for op, images in _pointwise_codes(alg, columns, table_dtype(n**exponent))
     ]
     return FiniteAlgebra(n**exponent, ops, name=f"{alg.name}^{exponent}")
 
@@ -238,7 +242,8 @@ def subpower(alg: FiniteAlgebra, coords: list[tuple[int, ...]]):
     Raises InputError when coords is empty, holds tuples of unequal or zero
     length, a coordinate outside alg's universe or a tuple twice, or is not
     closed: then the message names the operation, its argument tuples and
-    the image tuple that falls outside."""
+    the image tuple that falls outside. Like power_algebra, it refuses a
+    table over algebra.MAX_TABLE_ENTRIES before tabulating it."""
     if not coords:
         raise InputError("empty coordinate list")
     ordered = sorted(tuple(c) for c in coords)
@@ -252,6 +257,8 @@ def subpower(alg: FiniteAlgebra, coords: list[tuple[int, ...]]):
     for a, b in zip(ordered, ordered[1:]):
         if a == b:
             raise InputError(f"coordinate tuple {a} given twice")
+    for op in alg.ops:
+        check_table_size(len(ordered), op.arity, f"{op.name} on {len(ordered)} tuples")
     import numpy as np
 
     if n**length - 1 > np.iinfo(np.intp).max:
@@ -259,7 +266,7 @@ def subpower(alg: FiniteAlgebra, coords: list[tuple[int, ...]]):
     columns = list(np.array(ordered, dtype=np.intp).T)
     elements = np.array([tuple_to_index(c, n) for c in ordered], dtype=np.intp)
     ops = []
-    for op, images in _pointwise_codes(alg, columns):
+    for op, images in _pointwise_codes(alg, columns, np.intp):
         images = images.ravel()
         found = np.searchsorted(elements, images).clip(max=len(elements) - 1)
         outside = np.flatnonzero(elements[found] != images)
@@ -271,5 +278,5 @@ def subpower(alg: FiniteAlgebra, coords: list[tuple[int, ...]]):
                 f"{tuple(ordered[int(a)] for a in args)} = "
                 f"{index_to_tuple(int(images[flat]), n, length)} falls outside"
             )
-        ops.append(Operation(op.name, op.arity, tuple(found.tolist())))
+        ops.append(Operation(op.name, op.arity, found))
     return FiniteAlgebra(len(ordered), ops, name=f"{alg.name}^{length}|sub"), ordered

@@ -25,6 +25,10 @@ import sys
 from . import algebra, config, formats, postlattice
 from .errors import CrtkitError, InputError
 
+# the keys of postlattice.DECIDERS, in its order, listed here so that
+# building the parser does not load postlattice
+METHODS = ("brute", "vs", "nearlattice", "distlat", "dualdisc")
+
 EXIT_CR = 0
 EXIT_NOT_CR = 10
 EXIT_ERROR = 2
@@ -206,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--congs", required=True, help="congruence file")
     check.add_argument(
         "--method",
-        choices=["auto", *postlattice.DECIDERS],
+        choices=["auto", *METHODS],
         default="auto",
         help="decision procedure (auto routes via --generator, else brute)",
     )

@@ -12,11 +12,13 @@ family iff it contains every irreducible member.
 The tuple decider works on the congruence side: with Sigma the set of
 meet-irreducible congruences above the meet of the tuple, CR holds iff every
 two distinct members of Sigma either permute, or admit a third member of
-Sigma below their composition, or sit jointly above some tuple member.
+Sigma below their composition, or sit jointly above some tuple member. It
+runs on the quotient by that meet, where Sigma is read off.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -24,11 +26,13 @@ from typing import Optional, Sequence
 from .algebra import (
     FiniteAlgebra,
     as_partition,
+    congruence,
     congruence_violation,
     meet_irreducible_congruences,
+    quotient,
 )
 from .errors import InputError, PreconditionError, StructureError
-from .partitions import Partition
+from .partitions import Partition, quotient_partition
 
 
 @dataclass(frozen=True, order=True)
@@ -162,12 +166,22 @@ def projections_full_or_cross(shape: Sequence[int], tuples) -> bool:
 
 
 def sigma_above(alg: FiniteAlgebra, delta: Partition) -> list[Partition]:
-    """Meet-irreducible congruences lying above delta."""
-    return [
-        c.partition
-        for c in meet_irreducible_congruences(alg)
-        if delta.refines(c.partition)
-    ]
+    """Meet-irreducible congruences lying above the congruence delta, sorted
+    by label vector. They are read off alg / delta: the interval [delta, 1]
+    of Con(alg) is isomorphic to Con(alg / delta) (correspondence theorem;
+    Burris and Sankappanavar, "A Course in Universal Algebra", 1981, §6),
+    and a member of the interval has all its upper covers inside it."""
+    return sorted(_lift_all(alg, delta)[1].values(), key=lambda p: p.labels)
+
+
+def _lift_all(alg: FiniteAlgebra, delta):
+    """(alg / delta, {meet-irreducible congruence of alg / delta: its lift
+    to alg}); delta is certified unless it is a Congruence of alg."""
+    quo, proj = quotient(alg, delta)
+    return quo, {
+        c.partition: Partition(c.partition.labels[x] for x in proj)
+        for c in meet_irreducible_congruences(quo)
+    }
 
 
 def _inside_composition(lam: Partition, mu: Partition, part: Partition) -> bool:
@@ -223,37 +237,36 @@ def is_cr_tuple_dualdisc(alg: FiniteAlgebra, thetas) -> DdVerdict:
     """Decide CR for congruences of an algebra with a dual discriminator term
     (caller-asserted; the congruence lattice must at least be distributive).
 
-    Tuple members must be intersections of meet-irreducible congruences,
-    which certifies them as congruences without touching operation tables.
-    A member that is not is certified against the tables: a congruence
-    there shows that the lattice is not distributive (PreconditionError),
-    anything else is not a congruence (StructureError).
+    Each tuple member is certified against the tables (StructureError for
+    one that is not a congruence). The decision then runs on alg / delta,
+    delta the meet of the tuple (see sigma_above), and the failing pair is
+    lifted back to alg. Members must be intersections of meet-irreducible
+    congruences there; a member that is not shows that the congruence
+    lattice is not distributive (PreconditionError).
     """
     parts = [as_partition(t) for t in thetas]
     if not parts:
         raise InputError("need at least one congruence")
     if any(p.n != alg.size for p in parts):
         raise InputError("partition size does not match the algebra")
-    mi = [c.partition for c in meet_irreducible_congruences(alg)]
     for pos, part in enumerate(parts):
-        above = [m for m in mi if part.refines(m)]
-        meet = Partition.total(part.n)
-        for m in above:
-            meet = meet.meet(m)
-        if meet != part:
-            if congruence_violation(alg, part) is None:
-                raise PreconditionError(
-                    f"tuple member {pos + 1} is a congruence of {alg.name} but not "
-                    f"an intersection of meet-irreducible congruences, so the "
-                    f"congruence lattice of {alg.name} is not distributive"
-                )
+        if congruence_violation(alg, part) is not None:
             raise StructureError(
                 f"tuple member {pos + 1} is not a congruence of {alg.name}"
             )
-    delta = parts[0]
-    for p in parts[1:]:
-        delta = delta.meet(p)
-    sigma = [m for m in mi if delta.refines(m)]
+    delta = functools.reduce(Partition.meet, parts)
+    quo, lift = _lift_all(alg, congruence(alg, delta, check=False))
+    down = [quotient_partition(p, delta) for p in parts]
+    for pos, part in enumerate(down):
+        above = [m for m in lift if part.refines(m)]
+        if functools.reduce(Partition.meet, above, Partition.total(quo.size)) != part:
+            raise PreconditionError(
+                f"tuple member {pos + 1} is a congruence of {alg.name} but not "
+                f"an intersection of meet-irreducible congruences, so the "
+                f"congruence lattice of {alg.name} is not distributive"
+            )
+    # ordered as their lifts, so the failing pair is the one found on alg
+    sigma = sorted(lift, key=lambda m: lift[m].labels)
     # In a dual discriminator variety each alg / s (s in sigma) is simple with
     # the term acting as the dual discriminator d, so the rows of s-labels of
     # the elements are closed under d, a majority operation: cut out by their
@@ -261,7 +274,7 @@ def is_cr_tuple_dualdisc(alg: FiniteAlgebra, thetas) -> DdVerdict:
     # Conversely such rows form a subalgebra of a product of simple algebras
     # under d whose meet-irreducible congruences are, by Jonsson's lemma,
     # exactly sigma, so the decision below is the one for that subalgebra.
-    rows = {tuple(s.labels[x] for s in sigma) for x in range(alg.size)}
+    rows = {tuple(s.labels[x] for s in sigma) for x in range(quo.size)}
     shape = [s.num_blocks for s in sigma]
     if not (projections_full_or_cross(shape, rows) and _cut_out_by_pairs(rows)):
         raise PreconditionError(
@@ -277,7 +290,7 @@ def is_cr_tuple_dualdisc(alg: FiniteAlgebra, thetas) -> DdVerdict:
         ):
             continue
         lm = lam.meet(mu)
-        if any(p.refines(lm) for p in parts):
+        if any(p.refines(lm) for p in down):
             continue
-        return DdVerdict(False, (lam, mu))
+        return DdVerdict(False, (lift[lam], lift[mu]))
     return DdVerdict(True)

@@ -58,8 +58,10 @@ from .algebra import (
     as_partition,
     congruence_violation,
     eval_term,
+    eval_term_grid,
     failed_binary_law,
     reduct,
+    table_dtype,
 )
 from . import dualdisc, nearlattice, systems, vectorspace
 from .errors import ClassificationError, InputError, PreconditionError, StructureError
@@ -443,9 +445,9 @@ def _derived_addition(alg, s_term: Term, parts, e: int) -> FiniteAlgebra:
         raise InputError("need at least one congruence")
     if not 0 <= e < n:
         raise InputError(f"element {e} is out of range for {alg.name}")
-    table = tuple(eval_term(alg, s_term, (x, y, e)) for x in range(n) for y in range(n))
-    T = np.array(table, dtype=np.int64).reshape(n, n)
     idx = np.arange(n)
+    T = np.empty((n, n), dtype=table_dtype(n))
+    T[...] = eval_term_grid(alg, s_term, (idx[:, None], idx[None, :], e))
     law = failed_binary_law(T, ("commutative", "associative"))
     if law is not None:
         raise PreconditionError(f"derived addition is not {law}")
@@ -453,7 +455,7 @@ def _derived_addition(alg, s_term: Term, parts, e: int) -> FiniteAlgebra:
         raise PreconditionError(f"element {e} is not neutral for the derived addition")
     if not np.array_equal(T[idx, idx], np.full(n, e)):
         raise PreconditionError("derived addition does not square to the neutral element")
-    derived = FiniteAlgebra(n, [Operation("add", 2, table)], name=f"{alg.name}+")
+    derived = FiniteAlgebra(n, [Operation("add", 2, T)], name=f"{alg.name}+")
     _certify_on(derived, parts, "compatible with the derived addition")
     return derived
 

@@ -602,3 +602,69 @@ def reference_tarski(alg: FiniteAlgebra, thetas) -> NlVerdict:
         if all(_reference_interpolable(view, b, f) for f in fmasks):
             return NlVerdict(False, "fringe", _elements(view, b))
     return NlVerdict(True)
+
+
+def reference_associative(T) -> bool:
+    """The n^3 expression algebra.failed_binary_law tested associativity by
+    before it walked blocks of first arguments: (xy)z against x(yz) as two
+    whole (n, n, n) arrays."""
+    import numpy as np
+
+    return bool(np.array_equal(T[T, :], T[:, T]))
+
+
+def reference_term_table(alg: FiniteAlgebra, term: Term, arity: int) -> tuple[int, ...]:
+    """A term's table by one eval_term call per argument tuple, as reduct
+    built its tables before it evaluated terms on arrays."""
+    from crtkit.algebra import eval_term
+
+    return tuple(
+        eval_term(alg, term, args) for args in itertools.product(range(alg.size), repeat=arity)
+    )
+
+
+def reference_quotient_tables(alg: FiniteAlgebra, part: Partition) -> list[tuple[int, ...]]:
+    """The quotient's tables by one apply per tuple of block representatives,
+    as algebra.quotient built them before it gathered on arrays."""
+    reps = part.representatives()
+    return [
+        tuple(part.labels[alg.apply(op.name, *args)] for args in itertools.product(reps, repeat=op.arity))
+        for op in alg.ops
+    ]
+
+
+def reference_dualdisc(alg: FiniteAlgebra, parts):
+    """dualdisc.is_cr_tuple_dualdisc as it stood before it ran on the
+    quotient by the meet of the tuple: sigma is filtered from the
+    meet-irreducible congruences of the whole algebra. Returns
+    (is_cr, failing pair) or raises as that decider did."""
+    from crtkit.algebra import congruence_violation, meet_irreducible_congruences
+    from crtkit.dualdisc import _cut_out_by_pairs, _inside_composition, projections_full_or_cross
+    from crtkit.errors import PreconditionError
+
+    mi = [c.partition for c in meet_irreducible_congruences(alg)]
+    for pos, part in enumerate(parts):
+        meet = Partition.total(part.n)
+        for m in mi:
+            if part.refines(m):
+                meet = meet.meet(m)
+        if meet != part:
+            if congruence_violation(alg, part) is None:
+                raise PreconditionError(f"tuple member {pos + 1}: lattice not distributive")
+            raise StructureError(f"tuple member {pos + 1} is not a congruence")
+    delta = parts[0]
+    for p in parts[1:]:
+        delta = delta.meet(p)
+    sigma = [m for m in mi if delta.refines(m)]
+    rows = {tuple(s.labels[x] for s in sigma) for x in range(alg.size)}
+    if not (projections_full_or_cross([s.num_blocks for s in sigma], rows) and _cut_out_by_pairs(rows)):
+        raise PreconditionError("no dual discriminator variety")
+    for lam, mu in itertools.combinations(sigma, 2):
+        if lam.permutes(mu):
+            continue
+        if any(s != lam and s != mu and _inside_composition(lam, mu, s) for s in sigma):
+            continue
+        if any(p.refines(lam.meet(mu)) for p in parts):
+            continue
+        return False, (lam, mu)
+    return True, None

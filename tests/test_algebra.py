@@ -1,7 +1,9 @@
 """Finite algebras, congruences, and congruence lattices."""
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from crtkit.algebra import (
     FiniteAlgebra,
     Operation,
     Var,
+    MAX_TABLE_ENTRIES,
     all_congruences,
     as_partition,
     congruence,
@@ -18,6 +21,7 @@ from crtkit.algebra import (
     congruence_lattice_is_permutable,
     congruence_violation,
     eval_term,
+    eval_term_grid,
     failed_binary_law,
     generated_subuniverse,
     is_arithmetic,
@@ -30,9 +34,12 @@ from crtkit.algebra import (
     reduct,
     subalgebra,
     subdirect_embedding,
+    table_dtype,
     term_str,
+    term_table,
     term_variables,
 )
+import crtkit.algebra
 from crtkit.catalog import (
     boolean_lattice,
     chain_lattice,
@@ -53,8 +60,11 @@ from crtkit.partitions import Partition
 
 from helpers import (
     naive_is_congruence,
+    reference_associative,
     reference_is_distributive,
     reference_is_permutable,
+    reference_quotient_tables,
+    reference_term_table,
     set_partitions,
 )
 
@@ -344,6 +354,15 @@ def test_principal_partition_set_beyond_24_elements(build):
     assert_principal_set_matches_pairs(build())
 
 
+def test_principal_partition_set_refuses_a_graph_over_the_edge_bound(monkeypatch):
+    # Z60 has 1770 pairs and 119 distinct translations
+    monkeypatch.setattr(crtkit.algebra, "MAX_PRINCIPAL_EDGES", 1770 * 119 - 1)
+    with pytest.raises(InputError, match="1770 pairs x 119 translations = 210630 edges"):
+        principal_partition_set(zmod_ring(60))
+    monkeypatch.setattr(crtkit.algebra, "MAX_PRINCIPAL_EDGES", 1770 * 119)
+    assert len(principal_partition_set(zmod_ring(60))) == 11
+
+
 def test_principal_partition_set_without_operations():
     # no translations: every pair generates its own congruence
     principal = principal_partition_set(FiniteAlgebra(4, []))
@@ -380,3 +399,141 @@ def test_generated_subuniverse_and_subalgebra():
             assert sub.apply("add", x, y) == (x + y) % 4
     with pytest.raises(PreconditionError):
         subalgebra(alg, [0, 2, 3])  # not closed: 2+2 = 4
+
+
+def _planted_left_zero(n, a):
+    """x * y = x, except a * 0 = 0 for a > 0: with n >= 3 the products
+    (a y) 0 = 0 and a (y 0) = a differ for every y outside {0, a}, and every
+    triple with first argument x != a still associates."""
+    T = np.repeat(np.arange(n), n).reshape(n, n)
+    T[a, 0] = 0
+    return T
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257])
+def test_associativity_blocks_match_the_cubic_expression(n):
+    rng = np.random.default_rng(n)
+    dtype = table_dtype(n)
+    tables = [rng.integers(0, n, size=(n, n)) for _ in range(3)]
+    idx = np.arange(n)
+    tables += [
+        np.maximum.outer(idx, idx),
+        np.add.outer(idx, idx) % n,
+        np.repeat(idx, n).reshape(n, n),
+    ]
+    if n >= 3:
+        # the one failing first argument, n - 1, lies in the last block
+        planted = _planted_left_zero(n, n - 1)
+        assert not reference_associative(planted.astype(dtype))
+        tables.append(planted)
+    for T in tables:
+        want = reference_associative(T.astype(dtype))
+        assert failed_binary_law(T, ("associative",)) == (None if want else "associative")
+
+
+@pytest.mark.parametrize("block", [1, 4, 9, 10])
+def test_associativity_blocks_of_every_size_agree(monkeypatch, block):
+    # a block holds max(1, block // n^2) first arguments, so small blocks
+    # walk small tables in one, two or many blocks
+    monkeypatch.setattr(crtkit.algebra, "_BLOCK", block)
+    for T in itertools.product(range(2), repeat=4):
+        T = np.array(T).reshape(2, 2)
+        want = reference_associative(T)
+        assert (failed_binary_law(T, ("associative",)) is None) == want, T
+    rng = np.random.default_rng(block)
+    for n in (3, 4, 5):
+        for a in range(1, n):
+            assert failed_binary_law(_planted_left_zero(n, a), ("associative",)) == "associative"
+        for _ in range(50):
+            T = rng.integers(0, n, size=(n, n))
+            want = reference_associative(T)
+            assert (failed_binary_law(T, ("associative",)) is None) == want, T
+
+
+def _random_term(rng, alg, depth, arity):
+    if depth == 0 or rng.random() < 0.3:
+        return Var(rng.randrange(arity))
+    op = rng.choice(alg.ops)
+    return App(op.name, tuple(_random_term(rng, alg, depth - 1, arity) for _ in range(op.arity)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: zmod_ring(6), lambda: power_algebra(two_majority(), 2), lambda: chain_lattice(4)],
+    ids=["Z6", "2maj^2", "chain4"],
+)
+def test_term_table_matches_eval_term(build):
+    alg = build()
+    rng = random.Random(alg.name)
+    for _ in range(40):
+        arity = rng.randint(1, 3)
+        term = _random_term(rng, alg, 3, arity)
+        table = term_table(alg, term, arity)
+        assert table.shape == (alg.size,) * arity and table.dtype == table_dtype(alg.size)
+        assert tuple(table.ravel().tolist()) == reference_term_table(alg, term, arity), term_str(term)
+        sym = reduct(alg, {"t": (arity, term)}).op("t")
+        assert sym.table == reference_term_table(alg, term, arity)
+
+
+def test_term_grids_broadcast_and_refuse_as_eval_term_does():
+    alg = zmod_ring(5)
+    add = App("add", (Var(0), App("mul", (Var(1), Var(2)))))
+    got = eval_term_grid(alg, add, (np.arange(5)[:, None], np.arange(5)[None, :], 3))
+    assert got.tolist() == [[(x + 3 * y) % 5 for y in range(5)] for x in range(5)]
+    # a constant term is a scalar, and a grid a term skips is never read
+    assert int(eval_term_grid(alg, App("zero"), ())) == 0
+    assert eval_term_grid(alg, Var(1), (None, np.arange(5))).tolist() == list(range(5))
+    for bad in (Var(3), App("add", (Var(0),)), "x1"):
+        with pytest.raises(InputError) as grid_error:
+            eval_term_grid(alg, bad, (0, 1, 2))
+        with pytest.raises(InputError) as point_error:
+            eval_term(alg, bad, (0, 1, 2))
+        assert str(grid_error.value) == str(point_error.value)
+
+
+def test_tables_over_the_entry_bound_are_refused_before_tabulation():
+    alg = chain_lattice(257)
+    term = App("join", (App("meet", (Var(0), Var(1))), Var(2)))
+    assert 257**3 > MAX_TABLE_ENTRIES
+    with pytest.raises(InputError, match=r"257\^3 = 16974593 entries, more than the 16777216"):
+        reduct(alg, {"n": (3, term)})
+    with pytest.raises(InputError, match=r"m on 2maj\^9 needs a table of 512\^3"):
+        power_algebra(two_majority(), 9)
+    assert term_table(alg, term.args[0], 2).shape == (257, 257)
+
+
+def test_quotient_gathers_the_per_entry_tables():
+    rng = random.Random(7)
+    for alg in (zmod_ring(12), power_algebra(two_majority(), 3), chain_lattice(5)):
+        for theta in rng.sample([c.partition for c in all_congruences(alg)], 4):
+            q, labels = quotient(alg, theta)
+            assert labels == theta.labels and q.size == theta.num_blocks
+            assert [op.table for op in q.ops] == reference_quotient_tables(alg, theta)
+
+
+def test_array_tables_are_checked_and_seed_the_table_arrays():
+    table = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]], dtype=np.int64)
+    alg = FiniteAlgebra(3, [Operation("add", 2, table), ("zero", 0, np.int64(0))])
+    assert alg.op("add").table == (0, 1, 2, 1, 2, 0, 2, 0, 1)
+    assert alg.op("zero").table == (0,)
+    seeded = alg.table_array("add")
+    assert seeded.dtype == np.uint8 and seeded.tolist() == table.tolist()
+    assert not seeded.flags.writeable and not np.shares_memory(seeded, table)
+    for bad in (np.arange(8), np.array([0, 1, 3, 0, 0, 0, 0, 0, 0]), np.full(9, -1), np.zeros(9)):
+        with pytest.raises(InputError):
+            FiniteAlgebra(3, [Operation("f", 2, bad)])
+    # a table given as a tuple is converted only when its array is asked for
+    tuples = FiniteAlgebra(3, [Operation("add", 2, tuple(table.ravel().tolist()))])
+    assert tuples._arrays == [None]
+    assert tuples.table_array("add").tolist() == table.tolist()
+
+
+def test_permutability_composes_join_irreducible_pairs_only(monkeypatch):
+    lattice = [c.partition for c in all_congruences(power_algebra(zmod_group(2), 4))]
+    assert len(lattice) == 67  # the subspaces of GF(2)^4
+    calls = []
+    original = Partition.permutes
+    monkeypatch.setattr(Partition, "permutes", lambda x, y: calls.append(1) or original(x, y))
+    assert congruence_lattice_is_permutable(lattice)
+    # the 15 lines are the join-irreducibles: 15 * 14 / 2 pairs, not 67 * 66 / 2
+    assert len(calls) == 105

@@ -26,7 +26,7 @@ from crtkit.catalog import (
     zmod_group,
     zmod_ring,
 )
-from crtkit.cli import build_parser, main
+from crtkit.cli import METHODS, build_parser, main
 from crtkit.formats import parse_algebra, parse_congruences, serialize_algebra
 from crtkit.postlattice import DECIDERS
 
@@ -778,6 +778,28 @@ def test_check_vs_refuses_a_monoid_that_is_no_group(tmp_path, table, congs, elem
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: element {element} has no inverse for the addition\n"
+
+
+def test_static_method_names_are_the_decider_table_and_load_no_decider(fix):
+    assert METHODS == tuple(DECIDERS)
+    # the parser and conlat run without postlattice's body, check needs it
+    script = (
+        "import contextlib, io, sys, types\n"
+        "from crtkit.cli import build_parser, main\n"
+        "def ran():\n"
+        "    return type(sys.modules['crtkit.postlattice']) is types.ModuleType\n"
+        "build_parser()\n"
+        "print(ran())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    main(['conlat', '--algebra', {fix['chain3.alg']!r}])\n"
+        "print(ran())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    main(['classify2', '--algebra', {fix['2lat.alg']!r}])\n"
+        "print(ran())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "False\nFalse\nTrue\n"
 
 
 def test_method_choices_follow_the_decider_table():

@@ -27,7 +27,12 @@ from crtkit.errors import InputError, PreconditionError, StructureError
 from crtkit.partitions import Partition
 from crtkit.systems import brute_force_is_cr_tuple
 
-from helpers import random_closed_subpower, random_distributive_lattice, relation_product
+from helpers import (
+    random_closed_subpower,
+    random_distributive_lattice,
+    reference_dualdisc,
+    relation_product,
+)
 
 
 def test_make_cross_normalizes():
@@ -266,3 +271,22 @@ def test_dualdisc_accepts_simple_factors_beyond_two_elements():
     for thetas in itertools.combinations(lattice, 3):
         assert is_cr_tuple_dualdisc(z30, list(thetas)).is_cr
     assert is_cr_tuple_dualdisc(z30, [Partition([x % 6 for x in range(30)])]).is_cr
+
+
+def test_quotient_first_decision_keeps_the_verdict_and_failing_pair():
+    # the decision on alg / delta against the decision on the whole algebra,
+    # on tuples of single-coordinate kernels of drawn subpowers of 2maj: the
+    # failing pair, lifted back, is the one the whole-algebra decision names,
+    # so the REASON line is the same
+    rng = random.Random(55)
+    verdicts = set()
+    for _ in range(30):
+        alg, coords = random_closed_subpower(rng, two_majority(), rng.randint(3, 5), rng.randint(3, 6))
+        m = len(coords[0])
+        kernels = [Partition([c[i] for c in coords]) for i in range(m)]
+        thetas = rng.sample(kernels, rng.randint(2, m))
+        got = is_cr_tuple_dualdisc(alg, thetas)
+        want = reference_dualdisc(alg, thetas)
+        assert (got.is_cr, got.failing_pair) == want, (alg.name, thetas)
+        verdicts.add(got.is_cr)
+    assert verdicts == {True, False}

@@ -17,6 +17,10 @@ import os
 import random
 import signal
 import tempfile
+import time
+import tracemalloc
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +30,7 @@ import crtkit.systems
 from crtkit.algebra import FiniteAlgebra, Operation, all_congruences
 from crtkit.catalog import (
     power_algebra,
+    two_implication,
     two_join_semilattice,
     two_lattice,
     two_majority,
@@ -34,7 +39,7 @@ from crtkit.catalog import (
     zmod_group,
 )
 from crtkit.cli import main
-from crtkit.errors import CrtkitError
+from crtkit.errors import CrtkitError, InputError
 from crtkit.formats import serialize_algebra, serialize_congruences
 from crtkit.partitions import Partition
 from crtkit.postlattice import DECIDERS, classify, route_decide
@@ -192,3 +197,52 @@ def test_rebinding_a_decider_in_its_module_reaches_every_route(monkeypatch, tmp_
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
             run()
         assert calls == [reached]
+
+
+def _coordinate_kernel(e, coords):
+    """The kernel of the projection of a power of a two-element algebra,
+    elements coded base 2 with the first coordinate most significant, onto
+    the given coordinates."""
+    return Partition([tuple(x >> (e - 1 - c) & 1 for c in coords) for x in range(2**e)])
+
+
+@pytest.mark.parametrize(
+    "base,route",
+    [(two_lattice, "nearlattice"), (two_implication, "nearlattice"), (two_majority, "dualdisc")],
+    ids=["2lat^7", "2imp^7", "2maj^7"],
+)
+def test_routes_on_128_element_powers_within_a_second(base, route):
+    # the HasN route builds its ternary reduct on arrays and dualdisc
+    # decides on the quotient by the tuple's meet, so a call stays within a
+    # second at 128 elements. Every meet here has at least two blocks: on
+    # the identity, dualdisc takes the principal congruences of all 128
+    # elements, which takes seconds.
+    alg, hint = power_algebra(base(), 7), classify(base())
+    rng = random.Random(alg.name)
+    for _ in range(4):
+        coords = rng.sample(range(7), rng.randint(2, 6))
+        cuts = sorted(rng.sample(range(1, len(coords)), rng.randint(1, min(2, len(coords) - 1))))
+        parts = [
+            _coordinate_kernel(7, coords[lo:hi])
+            for lo, hi in zip([0, *cuts], [*cuts, len(coords)])
+        ]
+        start = time.perf_counter()
+        result = route_decide(alg, parts, class_hint=hint)
+        elapsed = time.perf_counter() - start
+        assert result.route == route
+        assert result.is_cr == brute_force_is_cr_tuple(parts).is_cr
+        assert elapsed < 1.0, (alg.name, coords, elapsed)
+
+
+def test_an_oversized_reduct_is_refused_before_allocating():
+    # the HasN route on 2lat^10 would need a 1024^3-entry ternary table
+    alg, hint = power_algebra(two_lattice(), 10), classify(two_lattice())
+    parts = [_coordinate_kernel(10, [0]), _coordinate_kernel(10, [5])]
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=r"1024\^3 = 1073741824 entries"):
+            route_decide(alg, parts, class_hint=hint)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,3 +221,18 @@ def test_congruence_subspace_round_trip():
         congruence_to_subspace(
             chart, Partition([0, 0, 1, 0, 1, 1, 1, 1, 1])
         )
+
+
+def test_coordinatize_gf2_8_checks_its_laws_in_bounded_memory():
+    # the associativity check walks blocks of about 2^20 narrow entries;
+    # both sides as whole 256^3 intp arrays would take 285 MB
+    alg = power_algebra(zmod_group(2), 8)
+    alg.table_arrays()
+    tracemalloc.start()
+    try:
+        chart = coordinatize(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (chart.p, chart.dim) == (2, 8)
+    assert peak < 8 << 20
