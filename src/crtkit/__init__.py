@@ -19,11 +19,12 @@ _EXPORTS = {
     "PreconditionError StructureError",
     "config": "",
     "partitions": "Partition quotient_partition",
-    "algebra": "App Congruence FiniteAlgebra Operation SubdirectRep Var all_congruences "
-    "congruence congruence_lattice_is_distributive congruence_lattice_is_permutable "
-    "eval_term is_arithmetic is_congruence meet_irreducible_congruences "
-    "naive_meet_irreducibles principal_congruence quotient reduct subalgebra "
-    "subdirect_embedding term_str",
+    "algebra": "Congruence FiniteAlgebra Operation congruence is_congruence",
+    "conlat": "all_congruences congruence_lattice_is_distributive "
+    "congruence_lattice_is_permutable is_arithmetic meet_irreducible_congruences "
+    "naive_meet_irreducibles principal_congruence",
+    "terms": "App SubdirectRep Var eval_term quotient reduct subalgebra subdirect_embedding "
+    "term_str",
     "catalog": "",
     "systems": "CongruenceSystem CrVerdict brute_force_is_cr_tuple is_cr_pair lift_witness "
     "make_system quotient_reduce solve_system",
@@ -35,6 +36,7 @@ _EXPORTS = {
     "satgadget": "CnfFormula ReductionInstance as_left_zero_semigroup assignment_to_system "
     "parse_dimacs random_3sat_prime reduce_formula semilattice_bounded_lift "
     "serialize_dimacs system_to_assignment u_embed validate_3sat_prime",
+    "deciders": "",
     "postlattice": "Classification RouteResult affine_gf2_instance classify route_decide "
     "table_of_term ternary_clone",
     "formats": "parse_algebra parse_congruences serialize_algebra serialize_congruences",

@@ -22,12 +22,10 @@ import sys
 
 # the library modules load lazily (see crtkit/__init__.py), so a command
 # runs only those it reaches through these module attributes
-from . import algebra, config, formats, postlattice
+from . import algebra, config, conlat, deciders, formats, postlattice, terms
 from .errors import CrtkitError, InputError
 
-# the keys of postlattice.DECIDERS, in its order, listed here so that
-# building the parser does not load postlattice
-METHODS = ("brute", "vs", "nearlattice", "distlat", "dualdisc")
+METHODS = tuple(deciders.DECIDERS)
 
 EXIT_CR = 0
 EXIT_NOT_CR = 10
@@ -84,11 +82,11 @@ def cmd_check(args) -> int:
         print("RESULT: CR")
         return EXIT_CR
     if args.method != "auto":
-        return _print_verdict(postlattice.DECIDERS[args.method](alg, parts))
+        return _print_verdict(deciders.DECIDERS[args.method](alg, parts))
     if gen is None:
         # auto without a generator: the only safe method is brute
         print("ROUTE: brute")
-        return _print_verdict(postlattice.DECIDERS["brute"](alg, parts))
+        return _print_verdict(deciders.DECIDERS["brute"](alg, parts))
     # auto: classify the provided two-element generator and take the route
     # its class supports
     result = postlattice.route_decide(alg, parts, generator=gen)
@@ -118,7 +116,6 @@ def _provenance_lines(inst, doubled: bool) -> list[str]:
 
 
 def cmd_gen_hard(args) -> int:
-    from .catalog import left_zero_mul
     from .satgadget import (
         as_left_zero_semigroup,
         parse_dimacs,
@@ -137,6 +134,8 @@ def cmd_gen_hard(args) -> int:
     if args.u_embed:
         alg, parts = u_embed(inst.size, inst.thetas)
         if args.semigroup:
+            from .catalog import left_zero_mul
+
             alg = algebra.FiniteAlgebra(
                 alg.size,
                 list(alg.ops) + [left_zero_mul(alg.size)],
@@ -175,16 +174,16 @@ def cmd_classify2(args) -> int:
         print("CLASS: SemilatticeFamily  COMPLEXITY: open")
     else:
         print(f"CLASS: {result.tag}")
-        print(f"WITNESS: {algebra.term_str(result.witness)}")
+        print(f"WITNESS: {terms.term_str(result.witness)}")
     return EXIT_CR
 
 
 def cmd_conlat(args) -> int:
     alg = formats.parse_algebra(_read(args.algebra))
-    parts = [c.partition for c in algebra.all_congruences(alg)]
-    mi = {p.labels for p in algebra.naive_meet_irreducibles(alg.size, parts)}
-    distributive = algebra.congruence_lattice_is_distributive(parts)
-    permutable = algebra.congruence_lattice_is_permutable(parts)
+    parts = [c.partition for c in conlat.all_congruences(alg)]
+    mi = {p.labels for p in conlat.naive_meet_irreducibles(alg.size, parts)}
+    distributive = conlat.congruence_lattice_is_distributive(parts)
+    permutable = conlat.congruence_lattice_is_permutable(parts)
     print(f"ALGEBRA: {alg.name}")
     print(f"SIZE: {alg.size}")
     print(f"CONGRUENCES: {len(parts)}")

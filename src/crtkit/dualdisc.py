@@ -23,16 +23,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import (
-    FiniteAlgebra,
-    as_partition,
-    congruence,
-    congruence_violation,
-    meet_irreducible_congruences,
-    quotient,
-)
+from .algebra import FiniteAlgebra, as_partition, congruence, congruence_violation
+from .conlat import meet_irreducible_congruences
 from .errors import InputError, PreconditionError, StructureError
 from .partitions import Partition, quotient_partition
+from .terms import quotient
 
 
 @dataclass(frozen=True, order=True)

@@ -18,9 +18,9 @@ essentially unary basic operations, or only operations of the join form
 c or x_{i_1} or ... or x_{i_r} (dually, only meet forms). classify()
 picks the first matching case in a fixed priority order; route_decide()
 then hands a congruence tuple to the decision procedure that the case
-supports, through the same table of deciders that `crtkit check --method`
-uses, falling back to brute force with a complexity warning for the last
-two cases.
+supports, through the table of deciders that `crtkit check --method` uses
+(crtkit.deciders.DECIDERS), falling back to brute force with a complexity
+warning for the last two cases.
 
 The case is read from Post's lattice (E. Post, "The two-valued iterative
 systems of mathematical logic", 1941; Boehler, Creignou, Reith, Vollmer,
@@ -49,22 +49,17 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from . import deciders, vectorspace
 from .algebra import (
-    App,
     FiniteAlgebra,
     Operation,
-    Term,
-    Var,
     as_partition,
     congruence_violation,
-    eval_term,
-    eval_term_grid,
     failed_binary_law,
-    reduct,
     table_dtype,
 )
-from . import dualdisc, nearlattice, systems, vectorspace
 from .errors import ClassificationError, InputError, PreconditionError, StructureError
+from .terms import App, Term, Var, eval_term, eval_term_grid, reduct
 
 if TYPE_CHECKING:
     import numpy as np
@@ -474,27 +469,6 @@ def affine_gf2_instance(alg, s_term: Term, thetas, e: int):
 # routing
 
 
-def _decide_vs(alg, parts):
-    chart = vectorspace.coordinatize(alg, "add")
-    bases = [vectorspace.congruence_to_subspace(chart, part) for part in parts]
-    return vectorspace.is_cr_tuple_vs(vectorspace.vs_instance(chart.p, chart.dim, bases))
-
-
-# route name -> its decision on (algebra, partitions), shared by route_decide
-# and `crtkit check --method`. Entries look each decider up as an attribute
-# of its module at call time: only the module of the route taken is loaded,
-# and rebinding a decider in its own module reaches every route.
-DECIDERS = {
-    "brute": lambda alg, parts: systems.brute_force_is_cr_tuple(parts),
-    "vs": _decide_vs,
-    "nearlattice": lambda alg, parts: nearlattice.is_cr_tuple_nearlattice(
-        nearlattice.make_view(alg), parts
-    ),
-    "distlat": lambda alg, parts: nearlattice.is_cr_tuple_distlattice(alg, parts),
-    "dualdisc": lambda alg, parts: dualdisc.is_cr_tuple_dualdisc(alg, parts),
-}
-
-
 @dataclass(frozen=True)
 class RouteResult:
     route: str  # "vs" | "nearlattice" | "dualdisc" | "brute"
@@ -549,5 +523,5 @@ def route_decide(
         warning = "brute-force decision; the complexity of this class is open"
     else:
         raise InputError(f"unknown classification tag {cls.tag!r}")
-    verdict = DECIDERS[route](alg, parts)
+    verdict = deciders.DECIDERS[route](alg, parts)
     return RouteResult(route, verdict.is_cr, verdict, warning)

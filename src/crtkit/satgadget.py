@@ -18,11 +18,9 @@ semigroup on S, and a doubled universe with an involution plus two
 constants.  A bounded-semilattice lift covers join-semilattice inputs.
 """
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import Congruence, FiniteAlgebra, Operation, congruence, failed_binary_law
-from .catalog import left_zero_semigroup
 from .errors import InputError, PreconditionError, StructureError
 from .partitions import Partition
 from .systems import CongruenceSystem, make_system, solve_system
@@ -30,24 +28,28 @@ from .systems import CongruenceSystem, make_system, solve_system
 MAX_EXHAUSTIVE_VARS = 24
 
 
-@dataclass(frozen=True)
-class CnfFormula:
-    """Clauses as tuples of nonzero signed 1-based variable indices."""
-
+class _CnfFields(NamedTuple):
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if self.num_vars < 0:
+
+class CnfFormula(_CnfFields):
+    """Clauses as tuples of nonzero signed 1-based variable indices."""
+
+    __slots__ = ()
+
+    def __new__(cls, num_vars: int, clauses: tuple[tuple[int, ...], ...]):
+        if num_vars < 0:
             raise InputError("negative variable count")
-        for clause in self.clauses:
+        for clause in clauses:
             for lit in clause:
                 if lit == 0:
                     raise InputError("literal 0 is reserved as the clause terminator")
-                if abs(lit) > self.num_vars:
+                if abs(lit) > num_vars:
                     raise InputError(
-                        f"literal {lit} exceeds the declared {self.num_vars} variables"
+                        f"literal {lit} exceeds the declared {num_vars} variables"
                     )
+        return super().__new__(cls, num_vars, clauses)
 
     def variables(self) -> list[int]:
         """The variables that actually occur, sorted."""
@@ -164,8 +166,7 @@ def find_satisfying(phi: CnfFormula) -> Optional[dict[int, int]]:
     return None
 
 
-@dataclass(frozen=True, order=True)
-class PartialAssignment:
+class PartialAssignment(NamedTuple):
     """Values for one variable set, aligned with its sorted variables."""
 
     domain: int
@@ -331,6 +332,8 @@ def system_to_assignment(inst: ReductionInstance, system: CongruenceSystem) -> d
 
 def as_left_zero_semigroup(inst: ReductionInstance):
     """Wrap S in the product x*y = x; certifies every theta_i."""
+    from .catalog import left_zero_semigroup
+
     alg = left_zero_semigroup(inst.size)
     congs = tuple(congruence(alg, theta) for theta in inst.thetas)
     return alg, congs

@@ -9,8 +9,7 @@ everything here works on Partition values; Congruence inputs are unwrapped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import config
 from .algebra import as_partition
@@ -28,8 +27,7 @@ def _tuple_of_partitions(thetas) -> tuple[Partition, ...]:
     return parts
 
 
-@dataclass(frozen=True)
-class CongruenceSystem:
+class CongruenceSystem(NamedTuple):
     """A compatible system: targets a_i with (a_i,a_j) in theta_i v theta_j."""
 
     thetas: tuple[Partition, ...]
@@ -71,8 +69,7 @@ def solve_system(system: CongruenceSystem) -> Optional[int]:
     return (mask & -mask).bit_length() - 1
 
 
-@dataclass(frozen=True)
-class CrVerdict:
+class CrVerdict(NamedTuple):
     is_cr: bool
     witness: Optional[tuple[int, ...]]  # targets of the least unsolvable system
     checked: int  # search nodes: labels tried at a coordinate before the last

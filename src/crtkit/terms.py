@@ -1,0 +1,282 @@
+"""Terms over an algebra's operation symbols, and the algebras derived
+from an algebra by them or by its congruences.
+
+A term is a tree of Var leaves (x1, x2, ...) and App nodes naming an
+operation. eval_term evaluates one at a point; eval_term_grid and
+term_table evaluate one on index arrays, in blocks of first arguments.
+reduct interprets a new signature by terms, quotient divides by a
+congruence, subdirect_embedding represents an algebra in the product of
+its quotients, and subalgebra restricts it to a closed subset
+(generated_subuniverse finds one).
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional, Union
+
+from .algebra import (
+    _BLOCK,
+    Congruence,
+    FiniteAlgebra,
+    Operation,
+    check_table_size,
+    congruence,
+    table_dtype,
+)
+from .errors import InputError, PreconditionError
+from .partitions import Partition
+
+if TYPE_CHECKING:
+    import numpy as np
+
+
+@dataclass(frozen=True)
+class Var:
+    index: int  # 0-based; printed as x1, x2, ...
+
+
+@dataclass(frozen=True)
+class App:
+    op: str
+    args: tuple = ()
+
+
+Term = Union[Var, App]
+
+
+def eval_term(alg: FiniteAlgebra, term: Term, args) -> int:
+    """Evaluate a term tree at a tuple of universe elements."""
+    args = tuple(args)
+    for a in args:
+        if not 0 <= a < alg.size:
+            raise InputError(f"argument {a} outside the universe")
+    return _eval(alg, term, args)
+
+
+def _eval(alg, term, args):
+    if isinstance(term, Var):
+        if not 0 <= term.index < len(args):
+            raise InputError(f"term uses x{term.index + 1} but got {len(args)} arguments")
+        return args[term.index]
+    if not isinstance(term, App):
+        raise InputError(f"not a term node: {term!r}")
+    op = alg.op(term.op)
+    if len(term.args) != op.arity:
+        raise InputError(
+            f"term applies {term.op!r} to {len(term.args)} subterms, arity is {op.arity}"
+        )
+    return alg.apply(term.op, *(_eval(alg, t, args) for t in term.args))
+
+
+def eval_term_grid(alg: FiniteAlgebra, term: Term, grids) -> np.ndarray:
+    """Evaluate a term at every point of a grid: grids[i] is an integer
+    array (or scalar) of elements for x(i+1), all broadcastable together. A
+    Var reads its grid and an App gathers its operation's table_array at
+    its subterms' arrays, so the result has the broadcast shape of the
+    grids the term uses. Raises InputError where eval_term would."""
+    if isinstance(term, Var):
+        if not 0 <= term.index < len(grids):
+            raise InputError(f"term uses x{term.index + 1} but got {len(grids)} arguments")
+        return grids[term.index]
+    if not isinstance(term, App):
+        raise InputError(f"not a term node: {term!r}")
+    op = alg.op(term.op)
+    if len(term.args) != op.arity:
+        raise InputError(
+            f"term applies {term.op!r} to {len(term.args)} subterms, arity is {op.arity}"
+        )
+    table = alg.table_array(term.op)
+    return table[tuple(eval_term_grid(alg, t, grids) for t in term.args)]
+
+
+def term_table(alg: FiniteAlgebra, term: Term, arity: int) -> np.ndarray:
+    """The table of a term read as an operation of the given arity (at
+    least 1), as an array of shape (alg.size,) * arity in table_dtype.
+
+    It is evaluated by eval_term_grid over blocks of first arguments of
+    about _BLOCK entries each, so what it holds beyond the result is
+    bounded. A table over MAX_TABLE_ENTRIES raises InputError before
+    anything is allocated."""
+    n = alg.size
+    check_table_size(n, arity, f"the term {term_str(term)} on {alg.name}")
+    import numpy as np
+
+    dtype = table_dtype(n)
+    axes = [
+        np.arange(n, dtype=dtype).reshape([n if j == i else 1 for j in range(arity)])
+        for i in range(arity)
+    ]
+    out = np.empty((n,) * arity, dtype=dtype)
+    rows = max(1, _BLOCK // n ** (arity - 1))
+    for lo in range(0, n, rows):
+        out[lo : lo + rows] = eval_term_grid(alg, term, [axes[0][lo : lo + rows], *axes[1:]])
+    return out
+
+
+def term_str(term: Term) -> str:
+    """Prefix notation: (op sub1 sub2 ...); variables print as x1, x2, ..."""
+    if isinstance(term, Var):
+        return f"x{term.index + 1}"
+    if not term.args:
+        return term.op
+    return "(" + " ".join([term.op] + [term_str(t) for t in term.args]) + ")"
+
+
+def term_variables(term: Term) -> set[int]:
+    if isinstance(term, Var):
+        return {term.index}
+    out: set[int] = set()
+    for t in term.args:
+        out |= term_variables(t)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# quotients, subdirect representations, reducts
+
+
+def quotient(alg: FiniteAlgebra, delta) -> tuple[FiniteAlgebra, tuple[int, ...]]:
+    """The quotient algebra and the projection map element -> class label.
+
+    Classes are numbered by least member (the canonical label order).
+    """
+    part = _certified(alg, delta)
+    import numpy as np
+
+    reps = np.array(part.representatives(), dtype=np.intp)
+    labels = np.array(part.labels, dtype=table_dtype(part.num_blocks))
+    ops = [
+        Operation(op.name, op.arity, labels[table[np.ix_(*[reps] * op.arity)]])
+        for op, table in zip(alg.ops, alg.table_arrays())
+    ]
+    return FiniteAlgebra(part.num_blocks, ops, name=f"{alg.name}/q"), part.labels
+
+
+def _certified(alg: FiniteAlgebra, theta) -> Partition:
+    """Unwrap a congruence input; verify raw partitions before trusting them."""
+    if isinstance(theta, Congruence):
+        if theta.algebra is not alg:
+            raise InputError("congruence certified by a different algebra")
+        return theta.partition
+    return congruence(alg, theta).partition
+
+
+@dataclass(frozen=True)
+class SubdirectRep:
+    """An embedding a -> (a/k1, ..., a/km) into a product of quotients."""
+
+    algebra: FiniteAlgebra
+    kernels: tuple[Partition, ...]
+    factors: tuple[FiniteAlgebra, ...]
+    factor_sizes: tuple[int, ...]
+    coords: tuple[tuple[int, ...], ...]
+    irredundant: bool
+
+
+def subdirect_embedding(alg: FiniteAlgebra, kernels) -> SubdirectRep:
+    """Represent alg inside the product of its quotients by the kernels.
+
+    The kernels must intersect to the identity. Irredundance (no kernel
+    contained in another) is checked and reported, not required.
+    """
+    parts = [_certified(alg, k) for k in kernels]
+    if not parts:
+        raise PreconditionError("need at least one kernel")
+    meet = parts[0]
+    for p in parts[1:]:
+        meet = meet.meet(p)
+    if meet.num_blocks != alg.size:
+        raise PreconditionError("kernels do not intersect to the identity")
+    factors = tuple(quotient(alg, p)[0] for p in parts)
+    coords = tuple(
+        tuple(p.labels[e] for p in parts) for e in range(alg.size)
+    )
+    irredundant = True
+    for i, p in enumerate(parts):
+        for j, q in enumerate(parts):
+            if i != j and p.refines(q):
+                irredundant = False
+    return SubdirectRep(
+        algebra=alg,
+        kernels=tuple(parts),
+        factors=factors,
+        factor_sizes=tuple(f.size for f in factors),
+        coords=coords,
+        irredundant=irredundant,
+    )
+
+
+def reduct(alg: FiniteAlgebra, interp, name: Optional[str] = None) -> FiniteAlgebra:
+    """Interpret a new language inside alg: each new symbol is given by a term.
+
+    `interp` maps new symbol -> (arity, term). Arity-0 symbols take a unary
+    term that must be constant on alg; its single value becomes the table.
+    """
+    if hasattr(interp, "items"):
+        items = list(interp.items())
+    else:
+        items = [(name_, (ar, t)) for name_, ar, t in interp]
+    ops = []
+    for sym, (arity, term) in items:
+        if arity == 0:
+            values = term_table(alg, term, 1)
+            if (values != values[0]).any():
+                raise PreconditionError(
+                    f"constant symbol {sym!r} interprets as a non-constant term"
+                )
+            ops.append(Operation(sym, 0, (int(values[0]),)))
+            continue
+        used = term_variables(term)
+        if used and max(used) >= arity:
+            raise InputError(
+                f"symbol {sym!r} of arity {arity} interprets via x{max(used) + 1}"
+            )
+        ops.append(Operation(sym, arity, term_table(alg, term, arity)))
+    return FiniteAlgebra(alg.size, ops, name=name or f"{alg.name}^T")
+
+
+# ---------------------------------------------------------------------------
+# subuniverses and subalgebras
+
+
+def generated_subuniverse(alg: FiniteAlgebra, seeds) -> list[int]:
+    """Least subset containing the seeds and closed under every operation."""
+    current = set(seeds)
+    for op in alg.ops:
+        if op.arity == 0:
+            current.add(op.table[0])
+    if not current:
+        raise PreconditionError("no seeds and no constants: the closure is empty")
+    grew = True
+    while grew:
+        grew = False
+        snapshot = sorted(current)
+        for op in alg.ops:
+            if op.arity == 0:
+                continue
+            for args in itertools.product(snapshot, repeat=op.arity):
+                value = alg.apply(op.name, *args)
+                if value not in current:
+                    current.add(value)
+                    grew = True
+    return sorted(current)
+
+
+def subalgebra(alg: FiniteAlgebra, universe) -> tuple[FiniteAlgebra, dict[int, int]]:
+    """Restrict alg to a closed subset, relabelling elements 0..k-1 in order."""
+    universe = sorted(set(universe))
+    index = {e: i for i, e in enumerate(universe)}
+    ops = []
+    for op in alg.ops:
+        table = []
+        for args in itertools.product(universe, repeat=op.arity):
+            value = alg.apply(op.name, *args)
+            if value not in index:
+                raise PreconditionError(
+                    f"subset not closed: {op.name}{args} = {value} falls outside"
+                )
+            table.append(index[value])
+        ops.append(Operation(op.name, op.arity, tuple(table)))
+    return FiniteAlgebra(len(universe), ops, name=f"{alg.name}|sub"), index

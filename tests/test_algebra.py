@@ -40,6 +40,7 @@ from crtkit.algebra import (
     term_variables,
 )
 import crtkit.algebra
+from crtkit.conlat import _sorted_unique
 from crtkit.catalog import (
     boolean_lattice,
     chain_lattice,
@@ -118,6 +119,11 @@ def test_terms():
         eval_term(alg, Var(3), (0, 1))
     with pytest.raises(InputError):
         eval_term(alg, App("meet", (Var(0),)), (0, 1))
+    # terms are no tuples: postlattice's witness search tells a recipe from a
+    # term by isinstance(recipe, tuple)
+    assert Var(0) != (0,) and not isinstance(Var(0), tuple) and not isinstance(t, tuple)
+    with pytest.raises(AttributeError):
+        t.op = "join"
 
 
 def test_is_congruence_matches_naive():
@@ -150,6 +156,9 @@ def test_congruence_wrapper():
         congruence(alg, Partition([0, 1, 0]))
     with pytest.raises(InputError):
         as_partition("0 0 1")
+    assert repr(c) == f"Congruence({alg.name!r}, [0, 0, 1])"
+    with pytest.raises(AttributeError):
+        c.partition = Partition([0, 1, 2])
 
 
 def test_principal_congruence_is_least():
@@ -369,6 +378,20 @@ def test_principal_partition_set_without_operations():
     assert len(principal) == 6
     assert all(p.num_blocks == 3 for p in principal)
     assert principal_partition_set(FiniteAlgebra(1, [])) == []
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+def test_distinct_rows_come_in_the_order_of_numpy_unique(dtype):
+    # principal_partition_set dedups its translations by a lexsort, since
+    # np.unique(axis=0) imports numpy.ma; the order must stay the same
+    rng = np.random.default_rng(7)
+    for rows, cols, high in ((0, 3, 2), (1, 4, 3), (60, 3, 2), (300, 5, 4), (400, 2, 200)):
+        table = rng.integers(0, high, size=(rows, cols)).astype(dtype)
+        got = _sorted_unique(table)
+        assert got.dtype == table.dtype
+        assert np.array_equal(got, np.unique(table, axis=0))
+    keys = rng.integers(0, 50, size=500)
+    assert np.array_equal(_sorted_unique(keys), np.unique(keys))
 
 
 def test_failed_binary_law_reports_the_first_broken_law():

@@ -28,7 +28,7 @@ from crtkit.catalog import (
 )
 from crtkit.cli import METHODS, build_parser, main
 from crtkit.formats import parse_algebra, parse_congruences, serialize_algebra
-from crtkit.postlattice import DECIDERS
+from crtkit.deciders import DECIDERS
 
 PENTAGON_CNF = (
     "c one clause per variable set\n"
@@ -635,10 +635,20 @@ def test_module_entry_point(fix):
     assert proc.stdout == "RESULT: NOT-CR\nWITNESS: 0 2\n"
 
 
+# start-up weight a command may load, and the library modules whose bodies
+# may run; the rest (errors, config, partitions, algebra, formats, deciders,
+# satgadget) are small and run on most paths
+HEAVY = ("dataclasses", "inspect", "numpy", "numpy.ma", "scipy")
+WATCHED = ("catalog", "conlat", "dualdisc", "nearlattice", "postlattice", "systems", "terms", "vectorspace")
+ARRAYS = ["inspect", "numpy"]  # numpy imports inspect itself
+
+
 @pytest.mark.parametrize(
-    "argv,shows,loaded,deciders",
+    "argv,shows,loaded,ran",
     [
         (None, None, [], []),
+        # brute check and gen-hard without --semigroup run no array code; a
+        # @dataclass alone costs such a child 14 ms in dataclasses and inspect
         (
             ["check", "--algebra", "bare4.alg", "--congs", "bare4.congs", "--method", "brute"],
             "RESULT: CR",
@@ -663,22 +673,23 @@ def test_module_entry_point(fix):
             ["gen-hard", "--cnf", "pentagon.cnf", "--out", "OUT", "--u-embed", "--semigroup"],
             "SIZE: 450",
             [],
-            ["systems"],
+            ["catalog", "systems"],
         ),
         # certifying each theta on the left-zero product builds arrays
         (
             ["gen-hard", "--cnf", "pentagon.cnf", "--out", "OUT", "--semigroup"],
             "SIZE: 225",
-            ["numpy"],
-            ["systems"],
+            ARRAYS,
+            ["catalog", "systems"],
         ),
         # the congruence-lattice layer is numpy and pure Python; importing
-        # scipy.sparse.csgraph cost each such command about half a second
-        (["conlat", "--algebra", "z60.alg"], "CONGRUENCES: 12", ["numpy"], []),
+        # scipy.sparse.csgraph cost each such command about half a second, and
+        # numpy.ma (through np.unique on rows) about 20 ms
+        (["conlat", "--algebra", "z60.alg"], "CONGRUENCES: 12", ARRAYS, ["conlat"]),
         (
             ["check", "--algebra", "klein.alg", "--congs", "klein2.congs", "--method", "vs"],
             "RESULT: CR",
-            ["numpy"],
+            ["dataclasses", *ARRAYS],
             ["vectorspace"],
         ),
         # the distlat decision projects onto the meet's F mask: no quotient,
@@ -686,8 +697,16 @@ def test_module_entry_point(fix):
         (
             ["check", "--algebra", "latsq.alg", "--congs", "bare4.congs", "--method", "distlat"],
             "RESULT: CR",
-            ["numpy"],
+            ["dataclasses", *ARRAYS],
             ["nearlattice"],
+        ),
+        # the kernels meet in the identity, so dualdisc takes the principal
+        # congruences of the whole algebra
+        (
+            ["check", "--algebra", "majsq.alg", "--congs", "bare4.congs", "--method", "dualdisc"],
+            "RESULT: CR",
+            ["dataclasses", *ARRAYS],
+            ["conlat", "dualdisc", "terms"],
         ),
     ],
     ids=[
@@ -701,30 +720,29 @@ def test_module_entry_point(fix):
         "conlat-z60",
         "check-vs",
         "check-distlat",
+        "check-dualdisc",
     ],
 )
-def test_command_loads_numpy_and_scipy_only_where_used(
-    fix, tmp_path, argv, shows, loaded, deciders
-):
+def test_command_loads_numpy_and_scipy_only_where_used(fix, tmp_path, argv, shows, loaded, ran):
     # numpy costs each command about 0.18 s of start-up, so it is imported
     # where arrays are built; a fresh interpreter shows what one command
     # loads. crtkit's own modules load lazily, so it also shows which of the
-    # decider modules' bodies ran: a module not yet run is still lazy.
+    # watched modules' bodies ran: a module not yet run is still lazy.
     script = "import sys, types\nimport crtkit\ncode = 0\n"
     if argv is not None:
         paths = {**fix, "OUT": str(tmp_path / "out")}
         argv = [paths.get(a, a) for a in argv]
         script += f"from crtkit.cli import main\ncode = main({argv!r})\n"
     script += (
-        "ran = [m for m in ('dualdisc', 'nearlattice', 'systems', 'vectorspace')\n"
+        f"ran = [m for m in {WATCHED!r}\n"
         "       if type(sys.modules['crtkit.' + m]) is types.ModuleType]\n"
-        "print('EXIT', code, sorted({'numpy', 'scipy'} & set(sys.modules)), ran)\n"
+        f"print('EXIT', code, sorted(set({HEAVY!r}) & set(sys.modules)), ran)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     assert proc.returncode == 0, proc.stderr
     assert shows is None or shows in lines
-    assert lines[-1] == f"EXIT 0 {loaded} {deciders}"
+    assert lines[-1] == f"EXIT 0 {loaded} {ran}"
 
 
 @pytest.mark.parametrize(
@@ -782,7 +800,7 @@ def test_check_vs_refuses_a_monoid_that_is_no_group(tmp_path, table, congs, elem
 
 def test_static_method_names_are_the_decider_table_and_load_no_decider(fix):
     assert METHODS == tuple(DECIDERS)
-    # the parser and conlat run without postlattice's body, check needs it
+    # the parser and conlat run without postlattice's body, classify2 needs it
     script = (
         "import contextlib, io, sys, types\n"
         "from crtkit.cli import build_parser, main\n"

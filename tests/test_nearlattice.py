@@ -20,6 +20,7 @@ from crtkit.catalog import (
     two_majority,
     two_nearlattice,
 )
+from crtkit.deciders import DECIDERS
 from crtkit.errors import InputError, StructureError
 from crtkit.nearlattice import (
     canonical_down_set,
@@ -39,7 +40,6 @@ from crtkit.nearlattice import (
     theta_of_f,
 )
 from crtkit.partitions import Partition, canonical_labels
-from crtkit.postlattice import DECIDERS
 from crtkit.systems import brute_force_is_cr_tuple, make_system, solve_system
 
 from helpers import (

@@ -73,6 +73,27 @@ def test_unknown_names_raise_attribute_error():
     )
 
 
+def test_algebra_resolves_the_names_moved_to_conlat_and_terms():
+    # perfbench/tracing.py looks reduct and the lattice functions up on
+    # crtkit.algebra; reading the core must not run either module
+    out = fresh(
+        "import sys, types\nfrom crtkit import algebra\n"
+        "algebra.FiniteAlgebra, algebra.congruence_violation, algebra.MAX_PRINCIPAL_EDGES\n"
+        "print([type(sys.modules['crtkit.' + m]) is types.ModuleType for m in ('conlat', 'terms')])\n"
+        "for module, names in sorted(algebra._MOVED.items()):\n"
+        "    home = sys.modules['crtkit.' + module]\n"
+        "    defined = {n for n, v in vars(home).items()\n"
+        "               if getattr(v, '__module__', None) == home.__name__ and n[0] != '_'}\n"
+        "    print(module, all(getattr(algebra, n) is getattr(home, n) for n in names.split()),\n"
+        "          defined <= set(names.split()))\n"
+        "try:\n    algebra.no_such_name\nexcept AttributeError as exc:\n    print(exc)\n"
+    )
+    assert out == (
+        "[False, False]\nconlat True True\nterms True True\n"
+        "module 'crtkit.algebra' has no attribute 'no_such_name'\n"
+    )
+
+
 def test_module_entry_point_runs_without_a_runtime_warning():
     # runpy warns when the module it runs is already in sys.modules, so the
     # package must not register crtkit.cli

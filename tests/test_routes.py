@@ -39,10 +39,11 @@ from crtkit.catalog import (
     zmod_group,
 )
 from crtkit.cli import main
+from crtkit.deciders import DECIDERS
 from crtkit.errors import CrtkitError, InputError
 from crtkit.formats import serialize_algebra, serialize_congruences
 from crtkit.partitions import Partition
-from crtkit.postlattice import DECIDERS, classify, route_decide
+from crtkit.postlattice import classify, route_decide
 from crtkit.systems import brute_force_is_cr_tuple
 
 from helpers import random_closed_subpower

@@ -34,6 +34,24 @@ PENTAGON = CnfFormula(
 )
 
 
+def test_formula_records_validate_and_stay_immutable():
+    with pytest.raises(InputError, match="literal 0 is reserved as the clause terminator"):
+        CnfFormula(5, ((1, 0, 2),))
+    with pytest.raises(InputError, match="literal -6 exceeds the declared 5 variables"):
+        CnfFormula(5, ((1, 2, -6),))
+    with pytest.raises(InputError, match="negative variable count"):
+        CnfFormula(-1, ())
+    assert CnfFormula(num_vars=5, clauses=PENTAGON.clauses) == PENTAGON
+    assert repr(CnfFormula(3, ((1, -2, 3),))) == "CnfFormula(num_vars=3, clauses=((1, -2, 3),))"
+    with pytest.raises(AttributeError):
+        PENTAGON.num_vars = 6
+    models = local_models(PENTAGON, {1, 2, 3})
+    # ordered as (domain, values), as the provenance file lists them
+    assert sorted(models) == sorted(models, key=lambda m: (m.domain, m.values))
+    with pytest.raises(AttributeError):
+        models[0].values = (0, 0, 0)
+
+
 def test_validator_accepts_pentagon():
     assert validate_3sat_prime(PENTAGON) == []
     assert len(varsets(PENTAGON)) == 5

@@ -21,6 +21,19 @@ from crtkit.systems import (
 from helpers import reference_brute_force_is_cr_tuple, relation_product, set_partitions
 
 
+def test_system_and_verdict_records_are_immutable():
+    # chain3's two nontrivial congruences: the system (0, 2) is unsolvable
+    parts = [Partition([0, 1, 1]), Partition([0, 0, 1])]
+    system = make_system(parts, [0, 2])
+    verdict = brute_force_is_cr_tuple(parts)
+    assert (system.k, solve_system(system)) == (2, None)
+    assert (bool(verdict), verdict.witness, verdict.line) == (False, (0, 2), "WITNESS: 0 2")
+    assert bool(brute_force_is_cr_tuple(parts[:1])) is True
+    for record, field in ((system, "targets"), (verdict, "is_cr")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
 def naive_is_cr(parts):
     """Direct definition: every compatible target tuple has a solution."""
     n = parts[0].n
