@@ -7,7 +7,7 @@ wrapped in a Congruence record that remembers the certifying algebra.
 
 This module is the core every command loads: operations and algebras, the
 table helpers and size limits, the laws of binary operations, and
-certification (congruence_violation, congruence). The congruence lattice
+certification (congruence_violation, certify). The congruence lattice
 (principal congruences, all_congruences, meet-irreducibles, the lattice
 predicates) lives in crtkit.conlat, and terms with the algebras derived by
 them (reduct, quotient, subalgebra, subdirect embeddings) in crtkit.terms.
@@ -306,17 +306,59 @@ def is_congruence(alg: FiniteAlgebra, part) -> bool:
     return congruence_violation(alg, as_partition(part)) is None
 
 
-def congruence(alg: FiniteAlgebra, part, check: bool = True) -> Congruence:
-    part = as_partition(part)
-    if check:
-        witness = congruence_violation(alg, part)
-        if witness is not None:
-            name, pos, args, y = witness
-            raise StructureError(
-                f"not a congruence of {alg.name}: {name} at arguments {args} "
-                f"breaks relatedness when x{pos + 1} is replaced by {y}"
+def as_partitions(thetas, size: Optional[int] = None, names=None) -> tuple[Partition, ...]:
+    """The members of a congruence tuple as partitions, for callers with no
+    algebra to certify them on: each is unwrapped by as_partition, there
+    must be at least one (thetas may be an iterator), and each must be on
+    `size` elements (as many as the first member when size is None). Raises
+    InputError otherwise, naming member i names[i] ("tuple member i + 1"
+    by default)."""
+    parts = tuple(as_partition(t) for t in thetas)
+    if not parts:
+        raise InputError("need at least one congruence")
+    size = parts[0].n if size is None else size
+    for i, part in enumerate(parts):
+        if part.n != size:
+            raise InputError(
+                f"{_member(names, i)} is a partition of {part.n} elements, expected {size}"
             )
-    return Congruence(alg, part)
+    return parts
+
+
+def _member(names, i: int) -> str:
+    return f"tuple member {i + 1}" if names is None else names[i]
+
+
+def certify(alg: FiniteAlgebra, thetas, names=None) -> tuple[Congruence, ...]:
+    """The members of a congruence tuple of alg as Congruence records of alg.
+
+    The intake is as_partitions on alg.size elements. Then each member is
+    certified by congruence_violation, unless it already is a Congruence of
+    this very algebra object; the first that is not a congruence raises
+    StructureError naming it, the operation, its arguments and the related
+    pair they separate. Deciders and routes call this on every tuple they
+    get, so a tuple certified once (by `crtkit check`, say) passes through
+    them unchecked.
+    """
+    thetas = tuple(thetas)
+    out = []
+    for i, (theta, part) in enumerate(zip(thetas, as_partitions(thetas, alg.size, names))):
+        if not (isinstance(theta, Congruence) and theta.algebra is alg):
+            hit = congruence_violation(alg, part)
+            if hit is not None:
+                op_name, pos, args, repl = hit
+                raise StructureError(
+                    f"{_member(names, i)} is not a congruence of {alg.name}: {op_name} at "
+                    f"arguments {' '.join(str(a) for a in args)} separates the "
+                    f"related pair {args[pos]} {repl} (position {pos + 1})"
+                )
+        out.append(Congruence(alg, part))
+    return tuple(out)
+
+
+def congruence(alg: FiniteAlgebra, part) -> Congruence:
+    """part as a certified Congruence of alg (see certify)."""
+    return certify(alg, [part], names=["the partition"])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -45,16 +45,7 @@ def _load_instance(args):
     named = formats.parse_congruences(_read(args.congs), size=alg.size)
     if not named:
         raise InputError(f"{args.congs} holds no congruences")
-    for name, part in named:
-        hit = algebra.congruence_violation(alg, part)
-        if hit is not None:
-            op_name, pos, argv, repl = hit
-            raise InputError(
-                f"{name} is not a congruence of {alg.name}: {op_name} at "
-                f"arguments {' '.join(str(a) for a in argv)} separates the "
-                f"related pair {argv[pos]} {repl} (position {pos + 1})"
-            )
-    return alg, named
+    return alg, algebra.certify(alg, [part for _, part in named], [name for name, _ in named])
 
 
 def _print_verdict(verdict) -> int:
@@ -71,8 +62,7 @@ def _print_verdict(verdict) -> int:
 def cmd_check(args) -> int:
     if args.generator is not None and args.method != "auto":
         raise InputError(f"--generator applies only to --method auto, not {args.method}")
-    alg, named = _load_instance(args)
-    parts = [part for _, part in named]
+    alg, parts = _load_instance(args)
     gen = None if args.generator is None else formats.parse_algebra(_read(args.generator))
     if len(parts) == 1:
         # a single congruence admits every target: the block of the target

@@ -23,9 +23,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import FiniteAlgebra, as_partition, congruence, congruence_violation
+from .algebra import Congruence, FiniteAlgebra, certify
 from .conlat import meet_irreducible_congruences
-from .errors import InputError, PreconditionError, StructureError
+from .errors import InputError, PreconditionError
 from .partitions import Partition, quotient_partition
 from .terms import quotient
 
@@ -232,25 +232,15 @@ def is_cr_tuple_dualdisc(alg: FiniteAlgebra, thetas) -> DdVerdict:
     """Decide CR for congruences of an algebra with a dual discriminator term
     (caller-asserted; the congruence lattice must at least be distributive).
 
-    Each tuple member is certified against the tables (StructureError for
-    one that is not a congruence). The decision then runs on alg / delta,
-    delta the meet of the tuple (see sigma_above), and the failing pair is
-    lifted back to alg. Members must be intersections of meet-irreducible
+    The tuple is certified on alg (algebra.certify). The decision then
+    runs on alg / delta, delta the meet of the tuple (see sigma_above), and
+    the failing pair is lifted back to alg. Members must be intersections of meet-irreducible
     congruences there; a member that is not shows that the congruence
     lattice is not distributive (PreconditionError).
     """
-    parts = [as_partition(t) for t in thetas]
-    if not parts:
-        raise InputError("need at least one congruence")
-    if any(p.n != alg.size for p in parts):
-        raise InputError("partition size does not match the algebra")
-    for pos, part in enumerate(parts):
-        if congruence_violation(alg, part) is not None:
-            raise StructureError(
-                f"tuple member {pos + 1} is not a congruence of {alg.name}"
-            )
+    parts = [c.partition for c in certify(alg, thetas)]
     delta = functools.reduce(Partition.meet, parts)
-    quo, lift = _lift_all(alg, congruence(alg, delta, check=False))
+    quo, lift = _lift_all(alg, Congruence(alg, delta))
     down = [quotient_partition(p, delta) for p in parts]
     for pos, part in enumerate(down):
         above = [m for m in lift if part.refines(m)]

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .algebra import FiniteAlgebra, as_partition
+from .algebra import FiniteAlgebra, as_partitions, certify
 from .errors import InputError, StructureError
 from .partitions import Partition, _bits, canonical_labels
 
@@ -217,9 +217,7 @@ def theta_at(view: NearlatticeView, p: int) -> Partition:
 
 def f_of_theta(view: NearlatticeView, theta) -> int:
     """Bitmask over P indices of {p : theta refines the two-block split at p}."""
-    part = as_partition(theta)
-    if part.n != view.alg.size:
-        raise InputError("partition size does not match the view")
+    (part,) = as_partitions([theta], view.alg.size)
     masks = part.block_masks()
     out = 0
     for i, p in enumerate(view.mi_elements):
@@ -235,20 +233,9 @@ def theta_of_f(view: NearlatticeView, fmask: int) -> Partition:
 
 
 def certify_tuple(view: NearlatticeView, thetas) -> list[tuple[Partition, int]]:
-    """Pair each member with its F mask; reject partitions that are not
-    intersections of two-block congruences (i.e. not congruences here)."""
-    if not thetas:
-        raise InputError("need at least one congruence")
-    out = []
-    for pos, theta in enumerate(thetas):
-        part = as_partition(theta)
-        fmask = f_of_theta(view, part)
-        if theta_of_f(view, fmask) != part:
-            raise StructureError(
-                f"tuple member {pos + 1} is not a congruence of {view.alg.name}"
-            )
-        out.append((part, fmask))
-    return out
+    """Pair each member, certified on the view's algebra (algebra.certify),
+    with its F mask."""
+    return [(c.partition, f_of_theta(view, c)) for c in certify(view.alg, thetas)]
 
 
 def canonical_down_set(view: NearlatticeView, certified, targets) -> int:

@@ -50,14 +50,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from . import deciders, vectorspace
-from .algebra import (
-    FiniteAlgebra,
-    Operation,
-    as_partition,
-    congruence_violation,
-    failed_binary_law,
-    table_dtype,
-)
+from .algebra import Congruence, FiniteAlgebra, Operation, certify, table_dtype
 from .errors import ClassificationError, InputError, PreconditionError, StructureError
 from .terms import App, Term, Var, eval_term, eval_term_grid, reduct
 
@@ -419,49 +412,45 @@ def classify(alg2: FiniteAlgebra, with_witness: bool = True) -> Classification:
 # the affine route
 
 
-def _certify_on(derived: FiniteAlgebra, parts, what: str):
-    for pos, part in enumerate(parts):
-        if congruence_violation(derived, part) is not None:
-            raise PreconditionError(f"tuple member {pos + 1} is not {what}")
-
-
-def _derived_addition(alg, s_term: Term, parts, e: int) -> FiniteAlgebra:
+def _derived_addition(alg, s_term: Term, e: int) -> FiniteAlgebra:
     """The algebra with the one operation x + y := s(x, y, e), named add.
 
-    Verifies that the derived addition is commutative, associative, has e
-    as neutral element and satisfies x + x = e (so the universe becomes a
-    GF(2)-vector space with origin e), and that every tuple member is
-    compatible with it.
+    Verifies that e is an element and that x + x = e; coordinatize checks
+    the group laws with e as neutral element, which make the universe a
+    GF(2)-vector space with origin e.
     """
     import numpy as np
 
     n = alg.size
-    if not parts:
-        raise InputError("need at least one congruence")
     if not 0 <= e < n:
         raise InputError(f"element {e} is out of range for {alg.name}")
     idx = np.arange(n)
     T = np.empty((n, n), dtype=table_dtype(n))
     T[...] = eval_term_grid(alg, s_term, (idx[:, None], idx[None, :], e))
-    law = failed_binary_law(T, ("commutative", "associative"))
-    if law is not None:
-        raise PreconditionError(f"derived addition is not {law}")
-    if not np.array_equal(T[:, e], idx):
-        raise PreconditionError(f"element {e} is not neutral for the derived addition")
     if not np.array_equal(T[idx, idx], np.full(n, e)):
         raise PreconditionError("derived addition does not square to the neutral element")
-    derived = FiniteAlgebra(n, [Operation("add", 2, T)], name=f"{alg.name}+")
-    _certify_on(derived, parts, "compatible with the derived addition")
-    return derived
+    return FiniteAlgebra(n, [Operation("add", 2, T)], name=f"{alg.name}+")
+
+
+def _carried(alg, derived: FiniteAlgebra, thetas):
+    """thetas as members for derived, whose operations are polynomial
+    operations of alg: those preserve every congruence of alg, so a
+    Congruence of alg passes to derived without a second check."""
+    return [
+        Congruence(derived, t.partition) if isinstance(t, Congruence) and t.algebra is alg else t
+        for t in thetas
+    ]
 
 
 def affine_gf2_instance(alg, s_term: Term, thetas, e: int):
     """Congruence tuple -> subspace tuple via the addition x + y := s(x, y, e),
-    after the checks of _derived_addition: the universe is charted with
-    origin e and each theta maps to the subspace carried by the e-class."""
-    parts = [as_partition(t) for t in thetas]
-    chart = vectorspace.coordinatize(_derived_addition(alg, s_term, parts, e), zero_elem=e)
-    bases = [vectorspace.congruence_to_subspace(chart, p) for p in parts]
+    after the checks of _derived_addition: each theta is certified on the
+    addition, the universe is charted with origin e, and each theta maps to
+    the subspace carried by the e-class."""
+    derived = _derived_addition(alg, s_term, e)
+    members = certify(derived, _carried(alg, derived, thetas))
+    chart = vectorspace.coordinatize(derived, zero_elem=e)
+    bases = [vectorspace.congruence_to_subspace(chart, c) for c in members]
     return vectorspace.vs_instance(2, chart.dim, bases)
 
 
@@ -491,12 +480,14 @@ def route_decide(
     The caller asserts that alg lies in the variety generated by the
     classified two-element algebra. The class picks a route and the algebra
     it runs on: the derived addition s(x, y, 0) for s, the reduct to the
-    single ternary operation n for n, and alg itself otherwise. Each route
-    re-verifies what it can (the addition identities, congruence
-    compatibility with the derived algebra, the view and meet-irreducible
-    certificates) and raises instead of returning a wrong verdict. Classes
-    without a polynomial procedure fall back to brute force and carry a
-    complexity warning.
+    single ternary operation n for n, and alg itself otherwise. Once that
+    algebra is built, its decider certifies the tuple on it (algebra.certify):
+    a Congruence of alg passes unchecked, as the derived operations are
+    polynomial operations of alg, and any other member is checked there.
+    The decider then verifies its own preconditions (the group laws, the
+    view, the meet-irreducible certificates) and raises instead of
+    returning a wrong verdict. Classes without a polynomial procedure fall
+    back to brute force and carry a complexity warning.
     """
     cls = class_hint
     if cls is None:
@@ -505,14 +496,11 @@ def route_decide(
         cls = classify(generator)
     if cls.tag in (HAS_S, HAS_N) and cls.witness is None:
         raise InputError(f"classification {cls.tag} carries no witness term")
-    parts = [as_partition(t) for t in thetas]
-    warning = None
+    warning, on = None, alg
     if cls.tag == HAS_S:
-        route, alg = "vs", _derived_addition(alg, cls.witness, parts, 0)
+        route, on = "vs", _derived_addition(alg, cls.witness, 0)
     elif cls.tag == HAS_N:
-        route = "nearlattice"
-        alg = reduct(alg, {"n": (3, cls.witness)}, name=f"{alg.name}|n")
-        _certify_on(alg, parts, "a congruence of the derived ternary reduct")
+        route, on = "nearlattice", reduct(alg, {"n": (3, cls.witness)}, name=f"{alg.name}|n")
     elif cls.tag == HAS_M:
         route = "dualdisc"
     elif cls.tag == ESSENTIALLY_UNARY:
@@ -523,5 +511,5 @@ def route_decide(
         warning = "brute-force decision; the complexity of this class is open"
     else:
         raise InputError(f"unknown classification tag {cls.tag!r}")
-    verdict = deciders.DECIDERS[route](alg, parts)
+    verdict = deciders.DECIDERS[route](on, _carried(alg, on, thetas))
     return RouteResult(route, verdict.is_cr, verdict, warning)

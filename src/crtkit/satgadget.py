@@ -20,7 +20,7 @@ constants.  A bounded-semilattice lift covers join-semilattice inputs.
 
 from typing import NamedTuple, Optional
 
-from .algebra import Congruence, FiniteAlgebra, Operation, congruence, failed_binary_law
+from .algebra import FiniteAlgebra, Operation, as_partitions, certify, failed_binary_law
 from .errors import InputError, PreconditionError, StructureError
 from .partitions import Partition
 from .systems import CongruenceSystem, make_system, solve_system
@@ -335,8 +335,7 @@ def as_left_zero_semigroup(inst: ReductionInstance):
     from .catalog import left_zero_semigroup
 
     alg = left_zero_semigroup(inst.size)
-    congs = tuple(congruence(alg, theta) for theta in inst.thetas)
-    return alg, congs
+    return alg, certify(alg, inst.thetas)
 
 
 def u_embed(size: int, thetas, c: int = 0):
@@ -350,12 +349,7 @@ def u_embed(size: int, thetas, c: int = 0):
     """
     if not 0 <= c < size:
         raise InputError(f"constant {c} outside 0..{size - 1}")
-    parts = []
-    for theta in thetas:
-        part = theta.partition if isinstance(theta, Congruence) else theta
-        if part.n != size:
-            raise InputError(f"partition over {part.n} elements, expected {size}")
-        parts.append(part)
+    parts = as_partitions(thetas, size)
     neg = tuple(range(size, 2 * size)) + tuple(range(size))
     alg = FiniteAlgebra(
         2 * size,
@@ -407,12 +401,7 @@ def semilattice_bounded_lift(alg: FiniteAlgebra, thetas, join: Optional[str] = N
         top = int(T[top, x])
     if not (T[:, top] == top).all():
         raise PreconditionError("the semilattice has no top element")
-    parts = []
-    for theta in thetas:
-        part = theta.partition if isinstance(theta, Congruence) else theta
-        if part.n != n:
-            raise InputError(f"partition over {part.n} elements, expected {n}")
-        parts.append(part)
+    parts = as_partitions(thetas, n)
     lifted_table = []
     for x in range(n + 1):
         for y in range(n + 1):

@@ -12,19 +12,9 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from . import config
-from .algebra import as_partition
+from .algebra import as_partitions
 from .errors import BudgetExceededError, InputError
 from .partitions import Partition, _bits, quotient_partition
-
-
-def _tuple_of_partitions(thetas) -> tuple[Partition, ...]:
-    parts = tuple(as_partition(t) for t in thetas)
-    if not parts:
-        raise InputError("need at least one congruence")
-    n = parts[0].n
-    if any(p.n != n for p in parts):
-        raise InputError("congruences live on ground sets of different sizes")
-    return parts
 
 
 class CongruenceSystem(NamedTuple):
@@ -39,7 +29,7 @@ class CongruenceSystem(NamedTuple):
 
 
 def make_system(thetas, targets) -> CongruenceSystem:
-    parts = _tuple_of_partitions(thetas)
+    parts = as_partitions(thetas)
     targets = tuple(targets)
     if len(targets) != len(parts):
         raise InputError(
@@ -108,7 +98,7 @@ def brute_force_is_cr_tuple(thetas, budget: Optional[int] = None) -> CrVerdict:
     last. Raises BudgetExceededError after `budget` nodes (default 10^7,
     CRTKIT_BUDGET override).
     """
-    parts = _tuple_of_partitions(thetas)
+    parts = as_partitions(thetas)
     limit = budget if budget is not None else config.budget(config.DEFAULT_TUPLE_BUDGET)
     k = len(parts)
     if k == 1:
@@ -173,7 +163,7 @@ def brute_force_is_cr_tuple(thetas, budget: Optional[int] = None) -> CrVerdict:
 
 def is_cr_pair(theta1, theta2) -> bool:
     """For two congruences, CR is exactly permutability of the pair."""
-    parts = _tuple_of_partitions([theta1, theta2])
+    parts = as_partitions([theta1, theta2])
     return parts[0].permutes(parts[1])
 
 
@@ -184,7 +174,7 @@ def quotient_reduce(thetas) -> tuple[Partition, list[Partition]]:
     original is, and its members intersect to the identity. When delta is
     already the identity the original partitions are returned unchanged.
     """
-    parts = _tuple_of_partitions(thetas)
+    parts = as_partitions(thetas)
     delta = parts[0]
     for p in parts[1:]:
         delta = delta.meet(p)

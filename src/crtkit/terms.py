@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from .algebra import (
     _BLOCK,
-    Congruence,
     FiniteAlgebra,
     Operation,
     check_table_size,
@@ -141,8 +140,9 @@ def quotient(alg: FiniteAlgebra, delta) -> tuple[FiniteAlgebra, tuple[int, ...]]
     """The quotient algebra and the projection map element -> class label.
 
     Classes are numbered by least member (the canonical label order).
+    delta is certified (algebra.certify) unless it is a Congruence of alg.
     """
-    part = _certified(alg, delta)
+    part = congruence(alg, delta).partition
     import numpy as np
 
     reps = np.array(part.representatives(), dtype=np.intp)
@@ -152,15 +152,6 @@ def quotient(alg: FiniteAlgebra, delta) -> tuple[FiniteAlgebra, tuple[int, ...]]
         for op, table in zip(alg.ops, alg.table_arrays())
     ]
     return FiniteAlgebra(part.num_blocks, ops, name=f"{alg.name}/q"), part.labels
-
-
-def _certified(alg: FiniteAlgebra, theta) -> Partition:
-    """Unwrap a congruence input; verify raw partitions before trusting them."""
-    if isinstance(theta, Congruence):
-        if theta.algebra is not alg:
-            raise InputError("congruence certified by a different algebra")
-        return theta.partition
-    return congruence(alg, theta).partition
 
 
 @dataclass(frozen=True)
@@ -181,7 +172,7 @@ def subdirect_embedding(alg: FiniteAlgebra, kernels) -> SubdirectRep:
     The kernels must intersect to the identity. Irredundance (no kernel
     contained in another) is checked and reported, not required.
     """
-    parts = [_certified(alg, k) for k in kernels]
+    parts = [congruence(alg, k).partition for k in kernels]
     if not parts:
         raise PreconditionError("need at least one kernel")
     meet = parts[0]

@@ -341,11 +341,9 @@ def congruence_to_subspace(chart: Coordinatization, theta) -> np.ndarray:
     subspace; the size check below catches partitions that are not."""
     import numpy as np
 
-    from .algebra import as_partition
+    from .algebra import as_partitions
 
-    part = as_partition(theta)
-    if part.n != len(chart.to_vector):
-        raise InputError("partition size does not match the chart")
+    (part,) = as_partitions([theta], len(chart.to_vector))
     zero = chart.from_vector[(0,) * chart.dim]
     block = [e for e in range(part.n) if part.labels[e] == part.labels[zero]]
     vecs = np.array([chart.to_vector[e] for e in block], dtype=np.int64).reshape(

@@ -13,6 +13,7 @@ from crtkit.algebra import (
     Operation,
     Term,
     Var,
+    as_partitions,
     failed_binary_law,
     generated_subuniverse,
     quotient,
@@ -22,7 +23,7 @@ from crtkit.errors import BudgetExceededError, InputError, StructureError
 from crtkit.nearlattice import NearlatticeView, NlVerdict, certify_tuple
 from crtkit.partitions import Partition
 from crtkit.postlattice import PROJ_X, PROJ_Y, PROJ_Z
-from crtkit.systems import CrVerdict, _tuple_of_partitions, quotient_reduce
+from crtkit.systems import CrVerdict, quotient_reduce
 
 if TYPE_CHECKING:
     import numpy as np
@@ -173,7 +174,7 @@ def reference_brute_force_is_cr_tuple(thetas, budget=None):
     met is the lex-least witness that systems.brute_force_is_cr_tuple
     reports. `checked` counts candidate targets tried, not search nodes.
     """
-    parts = _tuple_of_partitions(thetas)
+    parts = as_partitions(thetas)
     limit = budget if budget is not None else config.budget(config.DEFAULT_TUPLE_BUDGET)
     k = len(parts)
     if k == 1:

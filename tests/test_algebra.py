@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from crtkit.algebra import (
     App,
+    Congruence,
     FiniteAlgebra,
     Operation,
     Var,
     MAX_TABLE_ENTRIES,
     all_congruences,
     as_partition,
+    certify,
     congruence,
     congruence_lattice_is_distributive,
     congruence_lattice_is_permutable,
@@ -44,6 +46,7 @@ from crtkit.conlat import _sorted_unique
 from crtkit.catalog import (
     boolean_lattice,
     chain_lattice,
+    diamond_m3,
     left_zero_semigroup,
     power_algebra,
     two_lattice,
@@ -159,6 +162,32 @@ def test_congruence_wrapper():
     assert repr(c) == f"Congruence({alg.name!r}, [0, 0, 1])"
     with pytest.raises(AttributeError):
         c.partition = Partition([0, 1, 2])
+
+
+def test_certify_names_the_member_and_trusts_only_its_own_algebra(monkeypatch):
+    alg, other = chain_lattice(3), chain_lattice(3)
+    good, bad = Partition([0, 0, 1]), Partition([0, 1, 0])
+    with pytest.raises(
+        StructureError,
+        match=r"^broken is not a congruence of chain3: meet at arguments 0 1 "
+        r"separates the related pair 0 2 \(position 1\)$",
+    ):
+        certify(alg, iter([good, bad]), names=["fine", "broken"])
+    with pytest.raises(StructureError, match="^the partition is not a congruence of chain3: "):
+        congruence(alg, bad)
+    congs = certify(alg, (c for c in [good, Partition([0, 1, 1])]))
+    assert [(c.algebra, c.labels) for c in congs] == [(alg, (0, 0, 1)), (alg, (0, 1, 1))]
+    # a Congruence of another algebra is certified again, and refused
+    # where it is no congruence
+    assert certify(other, [Congruence(alg, good)])[0].algebra is other
+    with pytest.raises(StructureError, match="^tuple member 1 is not a congruence of M3: "):
+        certify(diamond_m3(), [Congruence(chain_lattice(5), Partition([0, 0, 1, 2, 2]))])
+    # a Congruence of the same algebra object is taken as it is
+    calls = []
+    monkeypatch.setattr(crtkit.algebra, "congruence_violation", lambda *a: calls.append(a))
+    assert certify(alg, congs) == congs and calls == []
+    certify(other, congs)
+    assert len(calls) == 2
 
 
 def test_principal_congruence_is_least():

@@ -23,6 +23,7 @@ from crtkit.catalog import (
     two_lattice,
     two_majority,
     two_minority,
+    two_nearlattice,
     zmod_group,
     zmod_ring,
 )
@@ -318,6 +319,62 @@ def test_check_rejects_noncongruence(fix, capsys):
         "error: broken is not a congruence of chain3: meet at arguments 0 1 "
         "separates the related pair 0 2 (position 1)\n"
     )
+
+
+@pytest.fixture
+def certifications(monkeypatch):
+    """The partitions algebra.congruence_violation is called on, spied on
+    under every name bound to it in a crtkit module."""
+    import crtkit.algebra
+
+    original, calls = crtkit.algebra.congruence_violation, []
+
+    def spy(alg, part):
+        calls.append(part)
+        return original(alg, part)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("crtkit."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, spy)
+    return calls
+
+
+NEG = FiniteAlgebra(2, [Operation("neg", 1, (1, 0))], name="neg")
+
+
+@pytest.mark.parametrize(
+    "base,method,generator",
+    [
+        (two_lattice(), "brute", None),
+        (zmod_group(2), "vs", None),
+        (two_nearlattice(), "nearlattice", None),
+        (two_lattice(), "distlat", None),
+        (two_majority(), "dualdisc", None),
+        (two_lattice(), "auto", None),
+        (two_majority(), "auto", two_majority()),
+        (two_lattice(), "auto", two_lattice()),
+        (two_minority(), "auto", two_minority()),
+        (NEG, "auto", NEG),
+    ],
+    ids=["brute", "vs", "nearlattice", "distlat", "dualdisc", "auto", "auto-2maj",
+         "auto-2lat", "auto-2min", "auto-neg"],
+)
+def test_check_certifies_each_member_once(capsys, tmp_path, certifications, base, method, generator):
+    # check certifies the tuple and hands the certificate to the decider or
+    # route, which must not certify it again
+    alg, congs = tmp_path / "sq.alg", tmp_path / "sq.congs"
+    alg.write_text(serialize_algebra(power_algebra(base, 2)))
+    congs.write_text("cong h 0 0 1 1\ncong v 0 1 0 1\ncong id 0 1 2 3\n")
+    argv = ["check", "--algebra", str(alg), "--congs", str(congs), "--method", method]
+    if generator is not None:
+        gen = tmp_path / "gen.alg"
+        gen.write_text(serialize_algebra(generator))
+        argv += ["--generator", str(gen)]
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 10), err
+    assert len(certifications) <= 3, out
 
 
 def test_check_method_preconditions(fix, capsys):

@@ -24,7 +24,7 @@ from crtkit.catalog import (
     two_majority,
     two_minority,
 )
-from crtkit.errors import InputError, PreconditionError
+from crtkit.errors import InputError, PreconditionError, StructureError
 from crtkit.partitions import Partition
 from crtkit.postlattice import (
     M_TABLE,
@@ -324,7 +324,7 @@ def test_route_requires_hint_or_generator():
 def test_route_rejects_foreign_partitions():
     cls = classify(two_lattice())
     alg = chain_lattice(3)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(StructureError):
         route_decide(alg, [Partition([0, 1, 0])], class_hint=cls)
 
 

@@ -40,7 +40,7 @@ from crtkit.catalog import (
 )
 from crtkit.cli import main
 from crtkit.deciders import DECIDERS
-from crtkit.errors import CrtkitError, InputError
+from crtkit.errors import CrtkitError, InputError, StructureError
 from crtkit.formats import serialize_algebra, serialize_congruences
 from crtkit.partitions import Partition
 from crtkit.postlattice import classify, route_decide
@@ -247,3 +247,62 @@ def test_an_oversized_reduct_is_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# a four-element square of a two-element algebra in the domain of each
+# decider, and of a generator of each class route_decide routes by
+DECIDER_DOMAINS = {
+    "brute": two_lattice(),
+    "vs": zmod_group(2),
+    "nearlattice": two_nearlattice(),
+    "distlat": two_lattice(),
+    "dualdisc": two_majority(),
+}
+ROUTE_GENERATORS = {
+    "HasS": GENERATORS["2min"],
+    "HasN": GENERATORS["2N"],
+    "HasM": GENERATORS["2maj"],
+    "EssentiallyUnary": FiniteAlgebra(2, [Operation("neg", 1, (1, 0))], name="neg"),
+    "SemilatticeFamily": two_join_semilattice(),
+}
+GOOD = Partition([0, 0, 1, 1])  # the kernel of the first coordinate
+# (bad tuple, error class, message); [0, 0, 0, 1] is a congruence of none
+# of the squares, nor of the reduct or derived addition a route builds
+BAD_TUPLES = {
+    "non-partition": ([GOOD, [0, 1, 0, 1]], InputError, "expected a Partition or Congruence, got list"),
+    "empty": ((), InputError, "need at least one congruence"),
+    "wrong size": ([GOOD, Partition([0, 1, 0])], InputError, "tuple member 2 is a partition of 3 elements, expected 4"),
+    "non-congruence": ([GOOD, Partition([0, 0, 0, 1])], StructureError, "tuple member 2 is not a congruence of "),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_TUPLES)
+@pytest.mark.parametrize("decider", [*DECIDERS, *ROUTE_GENERATORS])
+def test_every_decider_and_route_refuses_a_bad_tuple(decider, bad):
+    thetas, error, message = BAD_TUPLES[bad]
+    if decider in DECIDERS:
+        alg = power_algebra(DECIDER_DOMAINS[decider], 2)
+        decide = DECIDERS[decider]
+    else:
+        gen = ROUTE_GENERATORS[decider]
+        alg, hint = power_algebra(gen, 2), classify(gen)
+        assert hint.tag == decider
+
+        def decide(alg, thetas):
+            return route_decide(alg, thetas, class_hint=hint)
+
+    assert decide(alg, [GOOD, Partition([0, 1, 0, 1])]).is_cr
+    with pytest.raises(error, match="^" + message):
+        decide(alg, iter(thetas))
+
+
+def test_vs_refuses_a_noncongruence_whose_zero_block_is_a_subgroup():
+    # the zero block {0, 1} of the first member is a subgroup of Z2^2, and
+    # that alone once let the vs decider answer CR; brute force on the same
+    # partitions finds an unsolvable system
+    alg = power_algebra(zmod_group(2), 2)
+    parts = [Partition([0, 0, 1, 2]), Partition([0, 1, 0, 1])]
+    brute = brute_force_is_cr_tuple(parts)
+    assert (brute.is_cr, brute.witness) == (False, (2, 1))
+    with pytest.raises(StructureError, match=r"^tuple member 1 is not a congruence of Z2\+\^2: add "):
+        DECIDERS["vs"](alg, parts)

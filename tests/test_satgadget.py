@@ -244,6 +244,16 @@ def test_bounded_lift_example():
     assert lifted.labels == (0, 1, 2)
 
 
+def test_embeddings_refuse_members_that_are_no_partitions():
+    two_chain = FiniteAlgebra(2, [Operation("join", 2, (0, 1, 1, 1))], name="2sl")
+    with pytest.raises(InputError, match="expected a Partition or Congruence, got list"):
+        u_embed(3, [[0, 0, 1]])
+    with pytest.raises(InputError, match="expected a Partition or Congruence, got list"):
+        semilattice_bounded_lift(two_chain, [[0, 1]])
+    with pytest.raises(InputError, match="tuple member 1 is a partition of 2 elements, expected 3"):
+        u_embed(3, [Partition([0, 1])])
+
+
 def test_bounded_lift_preserves_verdicts():
     def join_reduct(lat):
         return FiniteAlgebra(lat.size, [lat.op("join")], name=lat.name + "j")
