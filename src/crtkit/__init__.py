@@ -23,8 +23,7 @@ _EXPORTS = {
     "conlat": "all_congruences congruence_lattice_is_distributive "
     "congruence_lattice_is_permutable is_arithmetic meet_irreducible_congruences "
     "naive_meet_irreducibles principal_congruence",
-    "terms": "App SubdirectRep Var eval_term quotient reduct subalgebra subdirect_embedding "
-    "term_str",
+    "terms": "App Var eval_term quotient reduct subalgebra term_str",
     "catalog": "",
     "systems": "CongruenceSystem CrVerdict brute_force_is_cr_tuple is_cr_pair lift_witness "
     "make_system quotient_reduce solve_system",

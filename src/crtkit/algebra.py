@@ -10,7 +10,7 @@ table helpers and size limits, the laws of binary operations, and
 certification (congruence_violation, certify). The congruence lattice
 (principal congruences, all_congruences, meet-irreducibles, the lattice
 predicates) lives in crtkit.conlat, and terms with the algebras derived by
-them (reduct, quotient, subalgebra, subdirect embeddings) in crtkit.terms.
+them (reduct, quotient, subalgebra) in crtkit.terms.
 Their names still resolve here, through a module __getattr__ (PEP 562) that
 loads the defining module on first use.
 """
@@ -368,8 +368,8 @@ _MOVED = {
     "conlat": "all_congruences congruence_lattice_is_distributive "
     "congruence_lattice_is_permutable is_arithmetic meet_irreducible_congruences "
     "naive_meet_irreducibles principal_congruence principal_partition_set",
-    "terms": "App SubdirectRep Term Var eval_term eval_term_grid generated_subuniverse "
-    "quotient reduct subalgebra subdirect_embedding term_str term_table term_variables",
+    "terms": "App Term Var eval_term eval_term_grid generated_subuniverse quotient reduct "
+    "subalgebra term_str term_table term_variables",
 }
 _HOME = {name: module for module, names in _MOVED.items() for name in names.split()}
 

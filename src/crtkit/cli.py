@@ -64,15 +64,14 @@ def cmd_check(args) -> int:
         raise InputError(f"--generator applies only to --method auto, not {args.method}")
     alg, parts = _load_instance(args)
     gen = None if args.generator is None else formats.parse_algebra(_read(args.generator))
+    if args.method != "auto":
+        return _print_verdict(deciders.DECIDERS[args.method](alg, parts))
     if len(parts) == 1:
         # a single congruence admits every target: the block of the target
         # itself solves the system
-        if args.method == "auto":
-            print("ROUTE: trivial")
+        print("ROUTE: trivial")
         print("RESULT: CR")
         return EXIT_CR
-    if args.method != "auto":
-        return _print_verdict(deciders.DECIDERS[args.method](alg, parts))
     if gen is None:
         # auto without a generator: the only safe method is brute
         print("ROUTE: brute")

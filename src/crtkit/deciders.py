@@ -1,7 +1,8 @@
 """The table of CR deciders, one per route name.
 
-`crtkit check --method` and postlattice.route_decide both call through it,
-so `check` loads the classifier only when it is given --generator. Every
+`crtkit check --method` and postlattice.route_decide (on every route but
+the nearlattice one, whose view it certifies through the generator) call
+through it, so `check` loads the classifier only with --generator. Every
 entry certifies the tuple on the algebra it is given (algebra.certify), so
 each refuses a non-congruence with the same StructureError and passes a
 tuple already certified on that algebra unchecked. Each entry looks its

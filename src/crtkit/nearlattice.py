@@ -3,13 +3,15 @@ algebra with the single ternary operation n(x,y,z) = (x and y) or z.
 
 Everything runs through a view of the input algebra: its order, the set P
 of meet-irreducible elements, and the embedding sigma(a) = {p in P : a is
-not below p}, which maps the algebra onto a set of down-sets of P. Each
-view constructor reads the order off its own operations and certifies
-sigma on them (Birkhoff's embedding): sigma is injective and carries every
-operation to its two-element counterpart bit by bit. A nearlattice's n
-acts as (x and y) or z, a distributive lattice's meet and join as and and
-or, an implication algebra's imp as (not x) or y. So downstream procedures
-may rely on the representation.
+not below p}, which maps the algebra onto a set of down-sets of P. One
+engine builds every view (Birkhoff's embedding): it reads an order matrix
+and certifies that sigma is injective and carries each named operation to
+a two-element table, folded bitwise over the packed sigmas. make_view
+takes a nearlattice's n as (x and y) or z, lattice_view a distributive
+lattice's meet and join as and and or, tarski_view an implication
+algebra's imp as (not x) or y, and the route of a generator whose clone
+holds n (postlattice.route_decide) the generator's own tables. So
+downstream procedures may rely on the representation.
 
 For a tuple whose congruences meet to the identity, CR holds exactly when
 (a) every covering pair of P lies inside some F_i = {p : theta_i is below
@@ -54,6 +56,25 @@ class NearlatticeView:
 
 # bytes of packed sigma that _certify_op compares per block of first arguments
 _CHUNK_BYTES = 1 << 22
+
+
+def _evaluate(table, args: list, ones):
+    """A boolean function, flat table with its first argument most
+    significant, applied bitwise to args (ints, or packed bit arrays that
+    broadcast together); `ones` stands for 1. The fold curries the last
+    argument first: f(..., x) = a ^ ((a ^ b) & x) with a = f(..., 0) and
+    b = f(..., 1). On the first level a and b are constants, so the result
+    is one of 0, not x, x and 1, looked up."""
+    if not args:
+        return ones if table[0] else 0
+    x = args[-1]
+    leaf = (0, ones ^ x, x, ones)
+    pairs = iter(table)
+    vals = [leaf[a + 2 * b] for a, b in zip(pairs, pairs)]
+    for x in reversed(args[:-1]):
+        pairs = iter(vals)
+        vals = [a ^ ((a ^ b) & x) for a, b in zip(pairs, pairs)]
+    return vals[0]
 
 
 def _row_masks(rows: np.ndarray) -> list[int]:
@@ -108,58 +129,87 @@ def _order_view(
     return view, S
 
 
-def _certify_op(alg: FiniteAlgebra, name: str, S: np.ndarray, rule, text: str):
+def _certify_op(alg: FiniteAlgebra, rule, S: np.ndarray, full: np.ndarray):
     """Raise StructureError at the first argument tuple (lex order) where
-    sigma of the named operation's value differs from `rule` applied to the
-    packed sigmas of the arguments."""
+    sigma of the rule's operation's value differs from the rule's table
+    folded over the packed sigmas of the arguments (_evaluate, with `full`
+    the packed all-ones row)."""
     import numpy as np
 
+    name, table, text = rule
     T = alg.table_array(name)
     n, k, width = alg.size, T.ndim, S.shape[1]
 
     def spread(a, axis):  # the rows of a along one argument axis of k
         return a.reshape([len(a) if j == axis else 1 for j in range(k)] + [width])
 
+    def refuse(at):
+        raise StructureError(
+            f"{alg.name}: {name} is not coordinatewise {text} at arguments {at}"
+        )
+
+    if k == 0:
+        if (S[T] != _evaluate(table, [], full)).any():
+            refuse(())
+        return
     step = max(1, _CHUNK_BYTES // max(1, n ** (k - 1) * width))
     for start in range(0, n, step):
         rows = S[start : start + step]
-        want = rule(spread(rows, 0), *(spread(S, axis) for axis in range(1, k)))
+        want = _evaluate(table, [spread(rows, 0), *(spread(S, axis) for axis in range(1, k))], full)
         bad = np.argwhere((S[T[start : start + step]] != want).any(axis=-1))
         if len(bad):
-            at = (start + int(bad[0][0]),) + tuple(int(v) for v in bad[0][1:])
-            raise StructureError(
-                f"{alg.name}: {name} is not coordinatewise {text} at arguments {at}"
+            refuse((start + int(bad[0][0]),) + tuple(int(v) for v in bad[0][1:]))
+
+
+def _view(alg: FiniteAlgebra, leq_bool: np.ndarray, rules, what: str) -> NearlatticeView:
+    """The engine behind every view: the view read off leq_bool, with sigma
+    certified on each rule: an operation name, its two-element table (flat,
+    first argument most significant) and the table in words. The arities
+    are checked before leq_bool is read."""
+    import numpy as np
+
+    for name, table, _ in rules:
+        op = alg.op(name)
+        if len(table) != 1 << op.arity:
+            raise InputError(
+                f"{name!r} has arity {op.arity}, expected {len(table).bit_length() - 1}"
             )
+    view, S = _order_view(alg, leq_bool, what)
+    full = np.packbits(np.ones(view.p_count, dtype=bool), bitorder="little")
+    for rule in rules:
+        _certify_op(alg, rule, S, full)
+    return view
 
 
-def make_view(alg: FiniteAlgebra, op_name: Optional[str] = None) -> NearlatticeView:
+def make_view(
+    alg: FiniteAlgebra,
+    op_name: Optional[str] = None,
+    *,
+    join_table: Optional[np.ndarray] = None,
+    rules=None,
+) -> NearlatticeView:
     """Validate the ternary table and assemble the decision view.
 
-    The order is x <= y iff n(x,x,y) = y. Raises StructureError unless it
-    has a top and a -> {p : a not below p} embeds the algebra into a power
-    of the two-element ternary algebra, with n acting coordinatewise.
+    The ternary operation (op_name, or the only one) is n, and the order is
+    x <= y iff n(x,x,y) = y. Raises StructureError unless it has a top and
+    a -> {p : a not below p} embeds the algebra into a power of the
+    two-element ternary algebra, with n acting coordinatewise. Given rules
+    (see _view) and the table of a binary term j that is x or y on two
+    elements, the order is x <= y iff j(x, y) = y and sigma must carry each
+    rule's operation to its table instead.
     """
     import numpy as np
 
-    if op_name is None:
-        ternary = [op.name for op in alg.ops if op.arity == 3]
-        if len(ternary) != 1:
-            raise InputError(
-                f"{alg.name} has {len(ternary)} ternary operations; name one"
-            )
-        op_name = ternary[0]
-    op = alg.op(op_name)
-    if op.arity != 3:
-        raise InputError(f"{op_name!r} has arity {op.arity}, expected 3")
-    T = alg.table_array(op_name)
     idx = np.arange(alg.size)
-    view, S = _order_view(
-        alg,
-        T[idx[:, None], idx[:, None], idx[None, :]] == idx[None, :],
-        "not a subalgebra of a power of the two-element ternary algebra",
-    )
-    _certify_op(alg, op_name, S, lambda x, y, z: (x & y) | z, "(x and y) or z")
-    return view
+    if rules is None:
+        ternary = [op.name for op in alg.ops if op.arity == 3] if op_name is None else [op_name]
+        if len(ternary) != 1:
+            raise InputError(f"{alg.name} has {len(ternary)} ternary operations; name one")
+        rules = [(ternary[0], (0, 1, 0, 1, 0, 1, 1, 1), "(x and y) or z")]
+        T = alg.table_array(ternary[0])  # of another arity, _view refuses it
+        join_table = T[idx[:, None], idx[:, None], idx[None, :]] if T.ndim == 3 else T
+    what = "not a subalgebra of a power of the two-element ternary algebra"
+    return _view(alg, join_table == idx[None, :], rules, what)
 
 
 def lattice_view(
@@ -169,32 +219,19 @@ def lattice_view(
     be an injective lattice homomorphism into the subsets of P."""
     import numpy as np
 
-    for op in (alg.op(meet), alg.op(join)):
-        if op.arity != 2:
-            raise InputError(f"{op.name!r} has arity {op.arity}, expected 2")
-    view, S = _order_view(
-        alg,
-        alg.table_array(join) == np.arange(alg.size)[None, :],
-        "not a distributive lattice",
-    )
-    _certify_op(alg, meet, S, lambda x, y: x & y, "x and y")
-    _certify_op(alg, join, S, lambda x, y: x | y, "x or y")
-    return view
+    alg.op(meet)  # a missing meet is named first
+    leq = alg.table_array(join) == np.arange(alg.size)[None, :]
+    rules = [(meet, (0, 0, 0, 1), "x and y"), (join, (0, 1, 1, 1), "x or y")]
+    return _view(alg, leq, rules, "not a distributive lattice")
 
 
 def tarski_view(alg: FiniteAlgebra, imp: str = "imp") -> NearlatticeView:
     """View of an implication algebra: x <= y iff x -> y is the top
     (x -> x), sigma must carry imp to (not x) or y, and P must be an
     antichain."""
-    import numpy as np
-
-    op = alg.op(imp)
-    if op.arity != 2:
-        raise InputError(f"{imp!r} has arity {op.arity}, expected 2")
     I = alg.table_array(imp)
-    view, S = _order_view(alg, I == I[0, 0], "not an implication algebra")
-    full = np.packbits(np.ones(view.p_count, dtype=bool), bitorder="little")
-    _certify_op(alg, imp, S, lambda x, y: (~x & full) | y, "(not x) or y")
+    rules = [(imp, (1, 1, 0, 1), "(not x) or y")]
+    view = _view(alg, I == I.flat[0], rules, "not an implication algebra")
     if any(view.p_strict_down):
         raise StructureError(
             f"{alg.name}: meet-irreducibles are not an antichain; "

@@ -18,9 +18,10 @@ essentially unary basic operations, or only operations of the join form
 c or x_{i_1} or ... or x_{i_r} (dually, only meet forms). classify()
 picks the first matching case in a fixed priority order; route_decide()
 then hands a congruence tuple to the decision procedure that the case
-supports, through the table of deciders that `crtkit check --method` uses
-(crtkit.deciders.DECIDERS), falling back to brute force with a complexity
-warning for the last two cases.
+supports: the n case to the nearlattice decision on a view certified
+through the generator's tables, the others through the table of deciders
+that `crtkit check --method` uses (crtkit.deciders.DECIDERS), falling
+back to brute force with a complexity warning for the last two cases.
 
 The case is read from Post's lattice (E. Post, "The two-valued iterative
 systems of mathematical logic", 1941; Boehler, Creignou, Reith, Vollmer,
@@ -49,10 +50,11 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from . import deciders, vectorspace
+from . import deciders, nearlattice, vectorspace
 from .algebra import Congruence, FiniteAlgebra, Operation, certify, table_dtype
 from .errors import ClassificationError, InputError, PreconditionError, StructureError
-from .terms import App, Term, Var, eval_term, eval_term_grid, reduct
+from .nearlattice import _evaluate
+from .terms import App, Term, Var, eval_term, eval_term_grid
 
 if TYPE_CHECKING:
     import numpy as np
@@ -266,24 +268,6 @@ _TARGETS = (
 )
 
 
-def _evaluate(table, args: list[int], ones: int) -> int:
-    """A boolean function, flat table with its first argument most
-    significant, applied bitwise to the ints in args; `ones` stands for 1.
-    The fold curries the last argument first: f(..., x) = a ^ ((a ^ b) & x)
-    with a = f(..., 0) and b = f(..., 1). On the first level a and b are
-    constants, so the result is one of 0, not x, x and 1, looked up."""
-    if not args:
-        return ones if table[0] else 0
-    x = args[-1]
-    leaf = (0, ones ^ x, x, ones)
-    pairs = iter(table)
-    vals = [leaf[a + 2 * b] for a, b in zip(pairs, pairs)]
-    for x in reversed(args[:-1]):
-        pairs = iter(vals)
-        vals = [a ^ ((a ^ b) & x) for a, b in zip(pairs, pairs)]
-    return vals[0]
-
-
 @functools.cache
 def _choice_masks(rel: frozenset[tuple[int, ...]], arity: int):
     """Bit-sliced choices of `arity` rows of rel, one bit per choice.
@@ -469,38 +453,65 @@ class RouteResult:
         return self.is_cr
 
 
+def _operations(term: Term) -> set[str]:
+    if isinstance(term, Var):
+        return set()
+    return {term.op}.union(*map(_operations, term.args))
+
+
+def _generator_view(alg, generator: FiniteAlgebra, cls: Classification):
+    """The view of alg certified through the generator's own tables
+    (nearlattice.make_view), with no reduct. The order is read off
+    j(x, y) = witness(x, x, y), which is x or y on the generator, or x and y
+    for the relabeled n, whose tables are then relabeled 0-1. Sigma is
+    certified on the operations the witness uses, so it carries the witness
+    to n coordinatewise: this is the view of the reduct of alg to n."""
+    import numpy as np
+
+    idx = np.arange(alg.size)
+    tables = {op.name: op.table for op in generator.ops}
+    swap = cls.table == N_DUAL_TABLE
+    rules = []
+    for name in sorted(_operations(cls.witness)):
+        if name not in tables:
+            raise InputError(
+                f"{generator.name} has no operation named {name!r}, which its witness term uses"
+            )
+        table = tuple(1 - v for v in reversed(tables[name])) if swap else tables[name]
+        rules.append((name, table, f"{name} of {generator.name}" + " relabeled 0-1" * swap))
+    join = eval_term_grid(alg, cls.witness, (idx[:, None], idx[:, None], idx[None, :]))
+    return nearlattice.make_view(alg, join_table=join, rules=rules)
+
+
 def route_decide(
     alg,
     thetas,
+    generator: FiniteAlgebra,
     class_hint: Optional[Classification] = None,
-    generator: Optional[FiniteAlgebra] = None,
 ) -> RouteResult:
     """Decide whether a tuple is CR by the procedure its class supports.
 
     The caller asserts that alg lies in the variety generated by the
-    classified two-element algebra. The class picks a route and the algebra
-    it runs on: the derived addition s(x, y, 0) for s, the reduct to the
-    single ternary operation n for n, and alg itself otherwise. Once that
-    algebra is built, its decider certifies the tuple on it (algebra.certify):
-    a Congruence of alg passes unchecked, as the derived operations are
-    polynomial operations of alg, and any other member is checked there.
-    The decider then verifies its own preconditions (the group laws, the
-    view, the meet-irreducible certificates) and raises instead of
-    returning a wrong verdict. Classes without a polynomial procedure fall
-    back to brute force and carry a complexity warning.
+    two-element generator; class_hint stands for classify(generator). The
+    class picks a route and the algebra it runs on: the derived addition
+    s(x, y, 0) for s, and alg itself otherwise, whose view for n is
+    certified through the generator's tables (_generator_view). The route
+    certifies the tuple on that algebra (algebra.certify): a Congruence of
+    alg passes unchecked, as the derived operations are polynomial
+    operations of alg. The decider verifies its own preconditions and
+    raises instead of returning a wrong verdict. Classes without a
+    polynomial procedure fall back to brute force and carry a complexity
+    warning.
     """
-    cls = class_hint
-    if cls is None:
-        if generator is None:
-            raise InputError("need a classification or a two-element generator")
-        cls = classify(generator)
+    _check_two(generator)
+    cls = classify(generator) if class_hint is None else class_hint
     if cls.tag in (HAS_S, HAS_N) and cls.witness is None:
         raise InputError(f"classification {cls.tag} carries no witness term")
     warning, on = None, alg
     if cls.tag == HAS_S:
         route, on = "vs", _derived_addition(alg, cls.witness, 0)
     elif cls.tag == HAS_N:
-        route, on = "nearlattice", reduct(alg, {"n": (3, cls.witness)}, name=f"{alg.name}|n")
+        route = "nearlattice"
     elif cls.tag == HAS_M:
         route = "dualdisc"
     elif cls.tag == ESSENTIALLY_UNARY:
@@ -511,5 +522,8 @@ def route_decide(
         warning = "brute-force decision; the complexity of this class is open"
     else:
         raise InputError(f"unknown classification tag {cls.tag!r}")
-    verdict = deciders.DECIDERS[route](on, _carried(alg, on, thetas))
+    if route == "nearlattice":
+        verdict = nearlattice.is_cr_tuple_nearlattice(_generator_view(alg, generator, cls), thetas)
+    else:
+        verdict = deciders.DECIDERS[route](on, _carried(alg, on, thetas))
     return RouteResult(route, verdict.is_cr, verdict, warning)

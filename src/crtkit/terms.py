@@ -5,8 +5,7 @@ A term is a tree of Var leaves (x1, x2, ...) and App nodes naming an
 operation. eval_term evaluates one at a point; eval_term_grid and
 term_table evaluate one on index arrays, in blocks of first arguments.
 reduct interprets a new signature by terms, quotient divides by a
-congruence, subdirect_embedding represents an algebra in the product of
-its quotients, and subalgebra restricts it to a closed subset
+congruence, and subalgebra restricts an algebra to a closed subset
 (generated_subuniverse finds one).
 """
 
@@ -25,7 +24,6 @@ from .algebra import (
     table_dtype,
 )
 from .errors import InputError, PreconditionError
-from .partitions import Partition
 
 if TYPE_CHECKING:
     import numpy as np
@@ -133,7 +131,7 @@ def term_variables(term: Term) -> set[int]:
 
 
 # ---------------------------------------------------------------------------
-# quotients, subdirect representations, reducts
+# quotients and reducts
 
 
 def quotient(alg: FiniteAlgebra, delta) -> tuple[FiniteAlgebra, tuple[int, ...]]:
@@ -154,63 +152,14 @@ def quotient(alg: FiniteAlgebra, delta) -> tuple[FiniteAlgebra, tuple[int, ...]]
     return FiniteAlgebra(part.num_blocks, ops, name=f"{alg.name}/q"), part.labels
 
 
-@dataclass(frozen=True)
-class SubdirectRep:
-    """An embedding a -> (a/k1, ..., a/km) into a product of quotients."""
-
-    algebra: FiniteAlgebra
-    kernels: tuple[Partition, ...]
-    factors: tuple[FiniteAlgebra, ...]
-    factor_sizes: tuple[int, ...]
-    coords: tuple[tuple[int, ...], ...]
-    irredundant: bool
-
-
-def subdirect_embedding(alg: FiniteAlgebra, kernels) -> SubdirectRep:
-    """Represent alg inside the product of its quotients by the kernels.
-
-    The kernels must intersect to the identity. Irredundance (no kernel
-    contained in another) is checked and reported, not required.
-    """
-    parts = [congruence(alg, k).partition for k in kernels]
-    if not parts:
-        raise PreconditionError("need at least one kernel")
-    meet = parts[0]
-    for p in parts[1:]:
-        meet = meet.meet(p)
-    if meet.num_blocks != alg.size:
-        raise PreconditionError("kernels do not intersect to the identity")
-    factors = tuple(quotient(alg, p)[0] for p in parts)
-    coords = tuple(
-        tuple(p.labels[e] for p in parts) for e in range(alg.size)
-    )
-    irredundant = True
-    for i, p in enumerate(parts):
-        for j, q in enumerate(parts):
-            if i != j and p.refines(q):
-                irredundant = False
-    return SubdirectRep(
-        algebra=alg,
-        kernels=tuple(parts),
-        factors=factors,
-        factor_sizes=tuple(f.size for f in factors),
-        coords=coords,
-        irredundant=irredundant,
-    )
-
-
 def reduct(alg: FiniteAlgebra, interp, name: Optional[str] = None) -> FiniteAlgebra:
     """Interpret a new language inside alg: each new symbol is given by a term.
 
     `interp` maps new symbol -> (arity, term). Arity-0 symbols take a unary
     term that must be constant on alg; its single value becomes the table.
     """
-    if hasattr(interp, "items"):
-        items = list(interp.items())
-    else:
-        items = [(name_, (ar, t)) for name_, ar, t in interp]
     ops = []
-    for sym, (arity, term) in items:
+    for sym, (arity, term) in interp.items():
         if arity == 0:
             values = term_table(alg, term, 1)
             if (values != values[0]).any():

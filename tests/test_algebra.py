@@ -35,7 +35,6 @@ from crtkit.algebra import (
     quotient,
     reduct,
     subalgebra,
-    subdirect_embedding,
     table_dtype,
     term_str,
     term_table,
@@ -264,20 +263,6 @@ def test_quotient_of_z12_mod3():
             assert q.apply("mul", x, y) == (x * y) % 3
     with pytest.raises(StructureError):
         quotient(alg, Partition([x % 5 for x in range(12)]))
-
-
-def test_subdirect_embedding_z12():
-    alg = zmod_ring(12)
-    k1 = Partition([x % 3 for x in range(12)])
-    k2 = Partition([x % 4 for x in range(12)])
-    rep = subdirect_embedding(alg, [k1, k2])
-    assert rep.factor_sizes == (3, 4)
-    assert rep.irredundant
-    assert len(set(rep.coords)) == 12
-    for e in range(12):
-        assert rep.coords[e] == (e % 3, e % 4)
-    with pytest.raises(PreconditionError):
-        subdirect_embedding(alg, [k1, Partition([x % 6 for x in range(12)])])
 
 
 def test_reduct():

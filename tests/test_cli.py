@@ -139,6 +139,17 @@ def test_check_single_congruence_is_trivially_cr(fix, capsys):
     assert (code, out) == (0, "ROUTE: trivial\nRESULT: CR\n")
 
 
+def test_check_runs_the_named_method_on_a_single_congruence(fix, capsys):
+    # only auto answers one member without a decider; a named method checks
+    # its precondition on one member as on many
+    single = ["check", "--algebra", fix["chain3.alg"], "--congs", fix["single.congs"]]
+    code, out, err = run(capsys, *single, "--method", "vs")
+    assert (code, out, err) == (2, "", "error: no operation named 'add'\n")
+    for method in ("distlat", "dualdisc"):
+        code, out, err = run(capsys, *single, "--method", method)
+        assert (code, out, err) == (0, "RESULT: CR\n", "")
+
+
 def test_check_distlat_reports_cover(fix, capsys):
     code, out, _ = run(
         capsys,

@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+import crtkit.nearlattice
 from crtkit.algebra import FiniteAlgebra, Operation, all_congruences
 from crtkit.catalog import (
     boolean_lattice,
@@ -442,6 +443,57 @@ def test_view_refusals_name_the_failed_certificate():
         r"separates the related pair 0 2 \(position 1\)$",
     ):
         certify_tuple(lattice_view(chain_lattice(3)), [Partition([0, 1, 0])])
+
+
+def _bent_n():
+    # n of the 3-chain with n(2, 1, 0) moved from 1 to 2: the fault is in the
+    # last first argument
+    table = [max(min(x, y), z) for x in range(3) for y in range(3) for z in range(3)]
+    table[2 * 9 + 1 * 3 + 0] = 2
+    return FiniteAlgebra(3, [Operation("n", 3, tuple(table))], name="bent")
+
+
+def test_certificates_do_not_depend_on_the_block_size(monkeypatch):
+    # _certify_op compares sigma in blocks of first arguments; with one
+    # first argument a block, every view and the first refusal are the same
+    cases = [
+        (make_view, fork_nearlattice()[0]),
+        (make_view, _bent_n()),
+        (lattice_view, power_algebra(two_lattice(), 3)),
+        (lattice_view, diamond_m3()),
+        (tarski_view, power_algebra(two_implication(), 3)),
+    ]
+
+    def outcome(build, alg):
+        try:
+            view = build(alg)
+        except StructureError as exc:
+            return str(exc)
+        return view.top, view.leq, view.mi_elements, view.p_strict_down, view.sigma
+
+    want = [outcome(*case) for case in cases]
+    assert want[1] == "bent: n is not coordinatewise (x and y) or z at arguments (2, 1, 0)"
+    monkeypatch.setattr(crtkit.nearlattice, "_CHUNK_BYTES", 1)
+    assert [outcome(*case) for case in cases] == want
+
+
+def test_make_view_certifies_the_rules_it_is_given_constants_included():
+    # the engine behind the generator route: the order is read off the join
+    # table, and sigma must carry a constant to its one-entry table
+    chain = chain_lattice(3)
+    rules = [
+        ("meet", (0, 0, 0, 1), "x and y"),
+        ("join", (0, 1, 1, 1), "x or y"),
+        ("top", (1,), "1"),
+    ]
+    bounded = FiniteAlgebra(3, [*chain.ops, Operation("top", 0, (2,))], name="bounded")
+    view = make_view(bounded, join_table=bounded.table_array("join"), rules=rules)
+    assert view.sigma == lattice_view(chain).sigma
+    bent = FiniteAlgebra(3, [*chain.ops, Operation("top", 0, (1,))], name="bent")
+    with pytest.raises(StructureError, match=r"^bent: top is not coordinatewise 1 at arguments \(\)$"):
+        make_view(bent, join_table=bent.table_array("join"), rules=rules)
+    with pytest.raises(InputError, match="^'top' has arity 0, expected 2$"):
+        make_view(bent, join_table=bent.table_array("join"), rules=[("top", (0, 0, 0, 1), "x and y")])
 
 
 def coordinate_kernel(alg, base, exponent, coords):

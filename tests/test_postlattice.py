@@ -16,15 +16,19 @@ from crtkit.algebra import (
     term_str,
 )
 from crtkit.catalog import (
+    _lattice_from_order,
     bare_set,
     chain_lattice,
+    diamond_m3,
     two_implication,
     two_join_semilattice,
     two_lattice,
     two_majority,
     two_minority,
+    two_nearlattice,
 )
 from crtkit.errors import InputError, PreconditionError, StructureError
+from crtkit.nearlattice import make_view
 from crtkit.partitions import Partition
 from crtkit.postlattice import (
     M_TABLE,
@@ -37,6 +41,7 @@ from crtkit.postlattice import (
     _RELATIONS,
     _TARGETS,
     _choice_masks,
+    _generator_view,
     _preserves,
     _witness_bfs,
     affine_gf2_instance,
@@ -46,6 +51,7 @@ from crtkit.postlattice import (
     ternary_clone,
 )
 from crtkit.systems import brute_force_is_cr_tuple
+from crtkit.terms import reduct
 from crtkit.vectorspace import (
     coordinatize,
     is_cr_tuple_vs,
@@ -73,6 +79,8 @@ def two_elem(name, **tables):
 S10 = two_elem("s10", f=(3, lambda x, y, z: x & (y | z)))
 S00 = two_elem("s00", f=(3, lambda x, y, z: x | (y & z)))
 NEG = two_elem("neg01", neg=(1, lambda x: 1 - x))
+# its witness of n is k(x, y, z, one): the route certifies a constant too
+K1 = two_elem("k1", one=(0, lambda: 1), k=(4, lambda x, y, z, u: ((x & y) | z) & u))
 
 
 def test_constants_are_the_intended_tables():
@@ -229,14 +237,15 @@ def test_affine_instance_precondition_checks():
 
 def test_route_vs_matches_brute():
     rng = random.Random(60)
-    cls = classify(two_minority())
+    gen = two_minority()
+    cls = classify(gen)
     checked = 0
     for _ in range(10):
         alg, _ = random_closed_subpower(rng, two_minority(), rng.randint(2, 3), 3)
         lattice = [c.partition for c in all_congruences(alg)]
         for _ in range(15):
             thetas = [rng.choice(lattice) for _ in range(rng.randint(2, 3))]
-            res = route_decide(alg, thetas, class_hint=cls)
+            res = route_decide(alg, thetas, gen, class_hint=cls)
             assert res.route == "vs"
             assert res.warning is None
             assert res.is_cr == brute_force_is_cr_tuple(thetas).is_cr
@@ -245,12 +254,13 @@ def test_route_vs_matches_brute():
 
 
 def test_route_nearlattice_matches_brute():
-    cls = classify(two_lattice())
+    gen = two_lattice()
+    cls = classify(gen)
     alg = chain_lattice(4)
     lattice = [c.partition for c in all_congruences(alg)]
     for k in (2, 3):
         for thetas in itertools.combinations(lattice, k):
-            res = route_decide(alg, list(thetas), class_hint=cls)
+            res = route_decide(alg, list(thetas), gen, class_hint=cls)
             assert res.route == "nearlattice"
             assert res.is_cr == brute_force_is_cr_tuple(list(thetas)).is_cr
 
@@ -268,7 +278,7 @@ def test_route_nearlattice_dual_orientation():
         lattice = [c.partition for c in all_congruences(alg)]
         for _ in range(15):
             thetas = [rng.choice(lattice) for _ in range(rng.randint(2, 3))]
-            res = route_decide(alg, thetas, class_hint=cls)
+            res = route_decide(alg, thetas, S10, class_hint=cls)
             assert res.route == "nearlattice"
             assert res.is_cr == brute_force_is_cr_tuple(thetas).is_cr
             checked += 1
@@ -277,7 +287,8 @@ def test_route_nearlattice_dual_orientation():
 
 def test_route_dualdisc_matches_brute():
     rng = random.Random(62)
-    cls = classify(two_majority())
+    gen = two_majority()
+    cls = classify(gen)
     checked = 0
     for _ in range(10):
         alg, _ = random_closed_subpower(rng, two_majority(), rng.randint(2, 3), 3)
@@ -286,7 +297,7 @@ def test_route_dualdisc_matches_brute():
         lattice = [c.partition for c in all_congruences(alg)]
         for _ in range(15):
             thetas = [rng.choice(lattice) for _ in range(rng.randint(2, 3))]
-            res = route_decide(alg, thetas, class_hint=cls)
+            res = route_decide(alg, thetas, gen, class_hint=cls)
             assert res.route == "dualdisc"
             assert res.is_cr == brute_force_is_cr_tuple(thetas).is_cr
             checked += 1
@@ -297,6 +308,7 @@ def test_route_brute_fallbacks_carry_warnings():
     res = route_decide(
         bare_set(3),
         [Partition([0, 1, 1]), Partition([0, 0, 1])],
+        NEG,
         class_hint=classify(NEG),
     )
     assert res.route == "brute"
@@ -306,26 +318,111 @@ def test_route_brute_fallbacks_carry_warnings():
     res2 = route_decide(
         two_join_semilattice(),
         [Partition([0, 1])],
+        two_join_semilattice(),
         class_hint=classify(two_join_semilattice()),
     )
     assert res2.route == "brute"
     assert "open" in res2.warning
 
 
-def test_route_requires_hint_or_generator():
+def test_route_requires_the_generator():
+    # the HasN route certifies the input through the generator's tables, so
+    # a classification alone no longer names a route
     alg = chain_lattice(3)
     thetas = [c.partition for c in all_congruences(alg)]
-    with pytest.raises(InputError):
+    with pytest.raises(TypeError, match="generator"):
         route_decide(alg, thetas)
+    with pytest.raises(TypeError, match="generator"):
+        route_decide(alg, thetas, class_hint=classify(two_lattice()))
+    with pytest.raises(InputError, match="chain3 has 3 elements, need exactly 2"):
+        route_decide(alg, thetas, alg)
     res = route_decide(alg, thetas, generator=two_lattice())
     assert res.route == "nearlattice"
+    assert res.is_cr == brute_force_is_cr_tuple(thetas).is_cr
+
+
+def _view_fields(view):
+    return view.top, view.leq, view.mi_elements, view.p_strict_down, view.sigma
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [two_nearlattice(), two_lattice(), two_implication(), S10, S00, K1],
+    ids=lambda gen: gen.name,
+)
+def test_generator_view_is_the_view_of_the_ternary_reduct(gen):
+    # the route certifies sigma through the generator's own tables; the
+    # reduct to the witness of n, certified by make_view, is the reference
+    cls = classify(gen)
+    rng = random.Random(gen.name)
+    sizes = set()
+    for _ in range(25):
+        alg, _ = random_closed_subpower(rng, gen, rng.randint(1, 5), rng.randint(1, 6))
+        got = _generator_view(alg, gen, cls)
+        want = make_view(reduct(alg, {"n": (3, cls.witness)}))
+        assert got.alg is alg
+        assert _view_fields(got) == _view_fields(want), (gen.name, alg.name)
+        sizes.add(alg.size)
+    assert max(sizes) >= 8
+
+
+def _pentagon():
+    # 0 < 1 < 2 < 4 and 0 < 3 < 4
+    up = {0: {0, 1, 2, 3, 4}, 1: {1, 2, 4}, 2: {2, 4}, 3: {3, 4}, 4: {4}}
+    return _lattice_from_order([[y in up[x] for y in range(5)] for x in range(5)], "N5")
+
+
+@pytest.mark.parametrize("alg", [_pentagon(), diamond_m3()], ids=["N5", "M3"])
+def test_generator_view_refuses_a_lattice_outside_the_variety(alg):
+    # sigma separates the elements of N5 and M3; only the certificates of
+    # their operations find that neither is distributive
+    thetas = [Partition(range(5)), Partition([0] * 5)]
+    with pytest.raises(
+        StructureError,
+        match=rf"^{alg.name}: (meet|join) is not coordinatewise (meet|join) of chain2 at arguments",
+    ):
+        route_decide(alg, thetas, two_lattice())
+
+
+@pytest.mark.parametrize("op,at,value", [("meet", (2, 1), 0), ("join", (1, 0), 2)])
+def test_generator_view_certifies_each_operation_the_witness_uses(op, at, value):
+    # the 3-chain with one entry of one table moved: the order, read off
+    # meet(join(x, y), join(x, y)) = y, stays the chain and sigma separates
+    # it, so only the certificate of that operation finds the fault
+    tables = {o.name: list(o.table) for o in chain_lattice(3).ops}
+    tables[op][3 * at[0] + at[1]] = value
+    alg = FiniteAlgebra(3, [Operation(name, 2, tuple(t)) for name, t in tables.items()], name="bent")
+    with pytest.raises(
+        StructureError,
+        match=rf"^bent: {op} is not coordinatewise {op} of chain2 at arguments \({at[0]}, {at[1]}\)$",
+    ):
+        route_decide(alg, [Partition([0, 1, 2]), Partition([0, 0, 0])], two_lattice())
+
+
+def test_generator_view_needs_the_operations_the_witness_uses():
+    alg = chain_lattice(3)
+    thetas = [Partition([0, 1, 2]), Partition([0, 0, 0])]
+    meets = FiniteAlgebra(2, [two_lattice().op("meet")], name="meets")
+    with pytest.raises(
+        InputError, match="^meets has no operation named 'join', which its witness term uses$"
+    ):
+        route_decide(alg, thetas, meets, class_hint=classify(two_lattice()))
+    ternary_join = FiniteAlgebra(
+        2,
+        [two_lattice().op("meet"), Operation("join", 3, S00.op("f").table)],
+        name="tj",
+    )
+    with pytest.raises(InputError, match="^'join' has arity 2, expected 3$"):
+        route_decide(alg, thetas, ternary_join, class_hint=classify(two_lattice()))
+    with pytest.raises(InputError, match="^no operation named 'meet'$"):
+        route_decide(two_nearlattice(), [Partition([0, 1])], two_lattice())
 
 
 def test_route_rejects_foreign_partitions():
     cls = classify(two_lattice())
     alg = chain_lattice(3)
     with pytest.raises(StructureError):
-        route_decide(alg, [Partition([0, 1, 0])], class_hint=cls)
+        route_decide(alg, [Partition([0, 1, 0])], two_lattice(), class_hint=cls)
 
 
 def test_classification_stability_under_derived_terms():

@@ -45,6 +45,7 @@ from crtkit.formats import serialize_algebra, serialize_congruences
 from crtkit.partitions import Partition
 from crtkit.postlattice import classify, route_decide
 from crtkit.systems import brute_force_is_cr_tuple
+from crtkit.terms import reduct
 
 from helpers import random_closed_subpower
 
@@ -54,9 +55,13 @@ GENERATORS = {
     "2N": two_nearlattice(),
     "2lat": two_lattice(),
 }
-HINTS = {name: classify(gen) for name, gen in GENERATORS.items()}
-HINTS["neg"] = classify(FiniteAlgebra(2, [Operation("neg", 1, (1, 0))], name="neg"))
-HINTS["2sl"] = classify(two_join_semilattice())
+# every generator route_decide is tried with, and its classification
+ROUTE_BY = {
+    **GENERATORS,
+    "neg": FiniteAlgebra(2, [Operation("neg", 1, (1, 0))], name="neg"),
+    "2sl": two_join_semilattice(),
+}
+HINTS = {name: classify(gen) for name, gen in ROUTE_BY.items()}
 # the route a subalgebra of a power of each generator takes by its own class,
 # and the method each kind of input must pass
 OWN_ROUTE = {"2maj": "dualdisc", "2min": "vs", "2N": "nearlattice", "2lat": "nearlattice"}
@@ -150,7 +155,7 @@ def test_every_route_returns_brute_force_verdict_or_refuses(instance):
     for name, hint in HINTS.items():
         try:
             with time_limit(hint.tag):
-                result = route_decide(alg, parts, class_hint=hint)
+                result = route_decide(alg, parts, ROUTE_BY[name], class_hint=hint)
         except CrtkitError:
             # a subalgebra of a power of the generator is in its variety
             assert name != kind, (hint.tag, alg.name)
@@ -207,46 +212,86 @@ def _coordinate_kernel(e, coords):
     return Partition([tuple(x >> (e - 1 - c) & 1 for c in coords) for x in range(2**e)])
 
 
+def _identity_meet_kernels(rng, e):
+    """Two or three coordinate kernels of a power of exponent e, on
+    coordinate sets that may overlap but cover every coordinate, so that
+    the kernels meet in the identity."""
+    coords = list(range(e))
+    sets = [set(rng.sample(coords, rng.randint(1, e - 1))) for _ in range(rng.randint(1, 2))]
+    sets.append(set(coords) - set.union(*sets) | set(rng.sample(coords, rng.randint(1, 2))))
+    return [_coordinate_kernel(e, sorted(c)) for c in sets]
+
+
 @pytest.mark.parametrize(
     "base,route",
     [(two_lattice, "nearlattice"), (two_implication, "nearlattice"), (two_majority, "dualdisc")],
     ids=["2lat^7", "2imp^7", "2maj^7"],
 )
 def test_routes_on_128_element_powers_within_a_second(base, route):
-    # the HasN route builds its ternary reduct on arrays and dualdisc
-    # decides on the quotient by the tuple's meet, so a call stays within a
-    # second at 128 elements. Every meet here has at least two blocks: on
-    # the identity, dualdisc takes the principal congruences of all 128
-    # elements, which takes seconds.
-    alg, hint = power_algebra(base(), 7), classify(base())
+    # the HasN route certifies the input through the generator's tables and
+    # dualdisc decides on the quotient by the tuple's meet, so a call stays
+    # within a second at 128 elements. The HasN cases also take tuples
+    # whose meet is the identity; the 2maj tuples all have a meet of at
+    # least two blocks, since on the identity dualdisc takes the principal
+    # congruences of all 128 elements, which takes seconds.
+    gen = base()
+    alg, hint = power_algebra(gen, 7), classify(gen)
     rng = random.Random(alg.name)
+    tuples = []
     for _ in range(4):
         coords = rng.sample(range(7), rng.randint(2, 6))
         cuts = sorted(rng.sample(range(1, len(coords)), rng.randint(1, min(2, len(coords) - 1))))
-        parts = [
+        tuples.append([
             _coordinate_kernel(7, coords[lo:hi])
             for lo, hi in zip([0, *cuts], [*cuts, len(coords)])
-        ]
+        ])
+    if route == "nearlattice":
+        tuples += [_identity_meet_kernels(rng, 7) for _ in range(4)]
+    for parts in tuples:
         start = time.perf_counter()
-        result = route_decide(alg, parts, class_hint=hint)
+        result = route_decide(alg, parts, gen, class_hint=hint)
         elapsed = time.perf_counter() - start
         assert result.route == route
         assert result.is_cr == brute_force_is_cr_tuple(parts).is_cr
-        assert elapsed < 1.0, (alg.name, coords, elapsed)
+        assert elapsed < 1.0, (alg.name, parts, elapsed)
 
 
 def test_an_oversized_reduct_is_refused_before_allocating():
-    # the HasN route on 2lat^10 would need a 1024^3-entry ternary table
+    # the ternary reduct of 2lat^10 to the witness of n would need a
+    # 1024^3-entry table
     alg, hint = power_algebra(two_lattice(), 10), classify(two_lattice())
-    parts = [_coordinate_kernel(10, [0]), _coordinate_kernel(10, [5])]
     tracemalloc.start()
     try:
         with pytest.raises(InputError, match=r"1024\^3 = 1073741824 entries"):
-            route_decide(alg, parts, class_hint=hint)
+            reduct(alg, {"n": (3, hint.witness)})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("base", [two_lattice, two_implication], ids=["2lat^10", "2imp^10"])
+def test_hasn_route_decides_1024_element_powers_with_an_identity_meet(base):
+    # the route reads the order off a 1024^2-entry binary term and certifies
+    # sigma on the input's own binary tables, so it builds no 1024^3-entry
+    # reduct
+    gen = base()
+    alg, hint = power_algebra(gen, 10), classify(gen)
+    rng = random.Random(alg.name)
+    for _ in range(3):
+        parts = _identity_meet_kernels(rng, 10)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            result = route_decide(alg, parts, gen, class_hint=hint)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.route == "nearlattice"
+        assert result.is_cr == brute_force_is_cr_tuple(parts).is_cr
+        assert elapsed < 1.0, (alg.name, parts, elapsed)
+        assert peak < 32 << 20, (alg.name, parts, peak)
 
 
 # a four-element square of a two-element algebra in the domain of each
@@ -267,7 +312,7 @@ ROUTE_GENERATORS = {
 }
 GOOD = Partition([0, 0, 1, 1])  # the kernel of the first coordinate
 # (bad tuple, error class, message); [0, 0, 0, 1] is a congruence of none
-# of the squares, nor of the reduct or derived addition a route builds
+# of the squares, nor of the derived addition the affine route builds
 BAD_TUPLES = {
     "non-partition": ([GOOD, [0, 1, 0, 1]], InputError, "expected a Partition or Congruence, got list"),
     "empty": ((), InputError, "need at least one congruence"),
@@ -289,7 +334,7 @@ def test_every_decider_and_route_refuses_a_bad_tuple(decider, bad):
         assert hint.tag == decider
 
         def decide(alg, thetas):
-            return route_decide(alg, thetas, class_hint=hint)
+            return route_decide(alg, thetas, gen, class_hint=hint)
 
     assert decide(alg, [GOOD, Partition([0, 1, 0, 1])]).is_cr
     with pytest.raises(error, match="^" + message):
