@@ -7,10 +7,13 @@ wrapped in a Congruence record that remembers the certifying algebra.
 
 This module is the core every command loads: operations and algebras, the
 table helpers and size limits, the laws of binary operations, and
-certification (congruence_violation, certify). The congruence lattice
-(principal congruences, all_congruences, meet-irreducibles, the lattice
-predicates) lives in crtkit.conlat, and terms with the algebras derived by
-them (reduct, quotient, subalgebra) in crtkit.terms.
+certification (congruence_violation, certify). Certification tests only
+the operations that are neither constants nor projections, found once per
+algebra by an exact table test, and imports numpy only when one is left.
+The congruence lattice (principal congruences, all_congruences,
+meet-irreducibles, the lattice predicates) lives in crtkit.conlat, and
+terms with the algebras derived by them (reduct, quotient, subalgebra) in
+crtkit.terms.
 Their names still resolve here, through a module __getattr__ (PEP 562) that
 loads the defining module on first use.
 """
@@ -87,6 +90,7 @@ class FiniteAlgebra:
             for op in self.ops
         }
         self._translations = None
+        self._nontrivial = None
 
     def op(self, name: str) -> Operation:
         try:
@@ -135,22 +139,88 @@ class FiniteAlgebra:
             self._translations = out
         return self._translations
 
+    def nontrivial_ops(self) -> tuple[Operation, ...]:
+        """The operations that are neither a constant nor a projection, in
+        signature order. The others respect every partition, so they are
+        all that congruence certification tests. Found once per algebra by
+        an exact table test (_is_constant_or_projection)."""
+        if self._nontrivial is None:
+            self._nontrivial = tuple(
+                op
+                for op in self.ops
+                if not _is_constant_or_projection(op.table, self.size, self._strides[op.name])
+            )
+        return self._nontrivial
+
     def table_arrays(self) -> list[np.ndarray]:
         """Each operation's table as a read-only array of shape (size,) *
         arity, in the dtype table_dtype(size); tables given as tuples are
         converted on the first call."""
-        for i, op in enumerate(self.ops):
-            if self._arrays[i] is None:
-                self._arrays[i] = _frozen_table(op.table, self.size, op.arity)
-        return self._arrays
+        return [self.table_array(op.name) for op in self.ops]
 
     def table_array(self, name: str) -> np.ndarray:
-        """The table_arrays() entry of the named operation."""
-        return self.table_arrays()[self.ops.index(self.op(name))]
+        """The table_arrays() entry of the named operation; only this table
+        is converted."""
+        i = self.ops.index(self.op(name))
+        if self._arrays[i] is None:
+            op = self.ops[i]
+            self._arrays[i] = _frozen_table(op.table, self.size, op.arity)
+        return self._arrays[i]
 
     def __repr__(self):
         sig = ", ".join(f"{op.name}/{op.arity}" for op in self.ops)
         return f"FiniteAlgebra({self.name!r}, size={self.size}, ops=[{sig}])"
+
+
+# entries per slab of whole rows that _is_constant_or_projection compares
+_SLAB = 1 << 12
+
+
+def _is_constant_or_projection(table, n: int, strides) -> bool:
+    """Whether the flat table of an operation on n elements with the given
+    argument strides is a constant or a projection; an exact test.
+
+    The entries at flat index 0, at each argument's stride and at the last
+    index leave at most one candidate (no candidate for most operations, so
+    only those entries are read). The table is then compared with the
+    candidate slab by slab of whole rows (runs of first arguments), up to
+    the first slab that differs, so no copy longer than a slab is made."""
+    if not strides or n == 1:
+        return True
+    first, last = table[0], table[-1]
+    probe = [table[s] for s in strides]
+    row = strides[0]  # entries per value of the first argument
+    if first == last and probe.count(first) == len(probe):
+
+        def slab(lo, hi):
+            return (first,) * ((hi - lo) * row)
+
+    elif (first, last) == (0, n - 1) and probe.count(0) == len(probe) - 1 and 1 in probe:
+        run = strides[probe.index(1)]
+        if run == row:  # the first argument: row x is x throughout
+
+            def slab(lo, hi):
+                return _runs(range(lo, hi), row)
+
+        else:  # every row is the same
+            pattern = _runs(range(n), run) * (row // (n * run))
+
+            def slab(lo, hi):
+                return pattern * (hi - lo)
+
+    else:
+        return False
+    rows = max(1, _SLAB // row)
+    for lo in range(0, n, rows):
+        hi = min(n, lo + rows)
+        if table[lo * row : hi * row] != slab(lo, hi):
+            return False
+    return True
+
+
+def _runs(values, run: int) -> tuple[int, ...]:
+    """Each of values repeated run times in a row."""
+    return tuple(itertools.chain.from_iterable(itertools.repeat(v, run) for v in values))
 
 
 def _frozen_table(table, size: int, arity: int) -> np.ndarray:
@@ -264,18 +334,25 @@ def congruence_violation(alg: FiniteAlgebra, part: Partition):
     position exactly when moving that argument to its block's least member
     never changes the image's block, and the least violating args tuple
     is such a moved tuple.
+
+    Constants and projections respect every partition, so only
+    alg.nontrivial_ops() are tested, each on its own table array. When
+    there are none (a set with constants, a left-zero semigroup), no
+    array is built and numpy is not imported.
     """
     if part.n != alg.size:
         raise InputError("partition size does not match the algebra")
     if part.num_blocks in (1, part.n):
         return None
-    if all(op.arity == 0 for op in alg.ops):
-        return None  # constants respect every partition
+    tested = alg.nontrivial_ops()
+    if not tested:
+        return None
     import numpy as np
 
     labels = np.array(part.labels, dtype=table_dtype(part.num_blocks))
     rep = np.array(part.representatives(), dtype=np.intp)[labels]
-    for op, table in zip(alg.ops, alg.table_arrays()):
+    for op in tested:
+        table = alg.table_array(op.name)
         image = labels[table]
         starts = []
         for pos, stride in enumerate(alg._strides[op.name]):

@@ -105,10 +105,11 @@ def serialize_algebra(alg: FiniteAlgebra) -> str:
     """Canonical text form; parse_algebra inverts it."""
     _check_name("algebra", alg.name)
     lines = [f"algebra {alg.name}", f"size {alg.size}"]
+    numerals = [str(v) for v in range(alg.size)]
     for op in alg.ops:
         _check_name("operation", op.name)
         lines.append(f"op {op.name} {op.arity}")
-        lines.append(" ".join(map(str, op.table)))
+        lines.append(" ".join(map(numerals.__getitem__, op.table)))
     return "\n".join(lines) + "\n"
 
 

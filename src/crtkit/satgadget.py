@@ -331,7 +331,10 @@ def system_to_assignment(inst: ReductionInstance, system: CongruenceSystem) -> d
 
 
 def as_left_zero_semigroup(inst: ReductionInstance):
-    """Wrap S in the product x*y = x; certifies every theta_i."""
+    """Wrap S in the product x*y = x; certifies every theta_i.
+
+    The product is a projection, so certification reads its table once
+    and builds no arrays (see algebra.congruence_violation)."""
     from .catalog import left_zero_semigroup
 
     alg = left_zero_semigroup(inst.size)

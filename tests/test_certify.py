@@ -1,14 +1,24 @@
 """Congruence certification against the per-tuple reference scan."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crtkit.algebra import FiniteAlgebra, Operation, congruence_violation
+from crtkit.algebra import (
+    _SLAB,
+    FiniteAlgebra,
+    Operation,
+    _is_constant_or_projection,
+    congruence_violation,
+)
 from crtkit.catalog import (
     chain_lattice,
     left_zero_semigroup,
     power_algebra,
+    two_lattice,
     two_majority,
     two_minority,
     zmod_ring,
@@ -81,3 +91,127 @@ def test_certification_matches_reference_on_random_tables(case):
     got = congruence_violation(alg, part)
     assert (got is None) == naive_is_congruence(alg, part)
     assert got == reference_congruence_violation(alg, part)
+
+
+def projection(n, arity, pos):
+    return [idx // n ** (arity - 1 - pos) % n for idx in range(n**arity)]
+
+
+def is_constant_or_projection(op, n):
+    """By definition, over every argument tuple."""
+    args = list(itertools.product(range(n), repeat=op.arity))
+    return len(set(op.table)) == 1 or any(
+        all(v == a[pos] for v, a in zip(op.table, args)) for pos in range(op.arity)
+    )
+
+
+@st.composite
+def planted_algebra_and_partition(draw):
+    """Random tables mixed with projections, constants and projections with
+    one entry changed, which agree with a projection on all but one
+    argument tuple."""
+    n = draw(st.integers(1, 5))
+    ops = []
+    for k in range(draw(st.integers(1, 3))):
+        arity = draw(st.integers(1, 4 if n < 5 else 3))
+        kind = draw(st.sampled_from(["random", "constant", "projection", "near"]))
+        if kind == "random":
+            rng = random.Random(draw(st.integers(0, 2**32)))
+            table = [rng.randrange(n) for _ in range(n**arity)]
+        elif kind == "constant":
+            table = [draw(st.integers(0, n - 1))] * n**arity
+        else:
+            table = projection(n, arity, draw(st.integers(0, arity - 1)))
+            if kind == "near" and n > 1:
+                idx = draw(st.integers(0, n**arity - 1))
+                table[idx] = (table[idx] + draw(st.integers(1, n - 1))) % n
+        ops.append(Operation(f"f{k}", arity, tuple(table)))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return FiniteAlgebra(n, ops), Partition(labels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_algebra_and_partition())
+def test_certification_matches_reference_with_planted_projections(case):
+    alg, part = case
+    assert alg.nontrivial_ops() == tuple(
+        op for op in alg.ops if not is_constant_or_projection(op, alg.size)
+    )
+    got = congruence_violation(alg, part)
+    assert (got is None) == naive_is_congruence(alg, part)
+    assert got == reference_congruence_violation(alg, part)
+
+
+def test_a_near_projection_is_certified():
+    # x * y = x on four elements, but 2 * 3 = 0: the related arguments
+    # (2, 2) and (2, 3) go to 2 and 0, in different blocks of 01|23
+    table = projection(4, 2, 0)
+    table[2 * 4 + 3] = 0
+    alg = FiniteAlgebra(4, [Operation("mul", 2, tuple(table))])
+    part = Partition([0, 0, 1, 1])
+    assert alg.nontrivial_ops() == alg.ops
+    assert congruence_violation(alg, part) == ("mul", 1, (2, 2), 3)
+    assert congruence_violation(alg, part) == reference_congruence_violation(alg, part)
+
+
+def test_only_the_tested_tables_become_arrays():
+    n = 6
+    neg = Operation("neg", 1, tuple((-x) % n for x in range(n)))
+    mul = Operation("mul", 2, tuple(projection(n, 2, 0)))
+    alg = FiniteAlgebra(n, [mul, Operation("zero", 0, (0,)), neg])
+    assert alg.nontrivial_ops() == (neg,)
+    assert congruence_violation(alg, Partition([0, 1, 2, 0, 1, 2])) is None
+    assert congruence_violation(alg, Partition([0, 0, 1, 1, 2, 2])) == ("neg", 0, (0,), 1)
+    assert [arr is not None for arr in alg._arrays] == [False, False, True]
+
+
+class ReadCounter(tuple):
+    """A table that counts the entries read from it."""
+
+    def __getitem__(self, key):
+        got = super().__getitem__(key)
+        self.reads += len(got) if isinstance(key, slice) else 1
+        return got
+
+
+def entries_read(op, n):
+    """The test's answer on op, and the number of entries it read."""
+    table = ReadCounter(op.table)
+    table.reads = 0
+    strides = tuple(n**k for k in range(op.arity - 1, -1, -1))
+    return _is_constant_or_projection(table, n, strides), table.reads
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [power_algebra(two_lattice(), 10), power_algebra(two_majority(), 7), zmod_ring(1000)],
+    ids=["2lat^10", "2maj^7", "Z1000"],
+)
+def test_big_tables_that_fail_the_probe_are_read_only_there(alg):
+    for op in alg.ops:
+        if op.arity:
+            assert entries_read(op, alg.size) == (False, op.arity + 2), op.name
+
+
+def test_a_table_wrong_in_its_first_row_is_read_one_slab_past_the_probe():
+    n = 1024
+    table = projection(n, 2, 0)
+    table[5] = 1  # x * 5 = x except 0 * 5 = 1
+    is_trivial, reads = entries_read(Operation("mul", 2, tuple(table)), n)
+    assert not is_trivial
+    assert reads <= 2 + 2 + max(_SLAB, n)
+
+
+@pytest.mark.parametrize(
+    "planted",
+    [projection(60, 3, 0), projection(60, 3, 1), projection(60, 3, 2), [7] * 60**3],
+    ids=["projection-0", "projection-1", "projection-2", "constant"],
+)
+def test_a_change_in_any_slab_of_a_big_table_is_found(planted):
+    # 60^3 entries, 3600 to a row: one row per slab
+    n, arity = 60, 3
+    assert entries_read(Operation("f", arity, tuple(planted)), n) == (True, n**arity + arity + 2)
+    for idx in (n**arity // 2, n**arity - 2):
+        table = list(planted)
+        table[idx] = (table[idx] + 1) % n
+        assert not entries_read(Operation("f", arity, tuple(table)), n)[0], idx

@@ -1,5 +1,7 @@
 """Command line behavior: frozen outputs, exit codes, and emitted files."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -107,6 +109,12 @@ def fix(tmp_path_factory):
         "short.cnf",
         "p cnf 4 4\n1 2 3 0\n2 3 4 0\n3 4 1 0\n4 1 2 0\n",
     )
+    # gen-hard's own outputs on the pentagon, for checks that read them back
+    for out, flags in (("lz", ["--semigroup"]), ("ulz", ["--u-embed", "--semigroup"])):
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["gen-hard", "--cnf", paths["pentagon.cnf"], "--out", str(root / out), *flags])
+        paths[f"{out}.alg"] = str(root / out / "instance.alg")
+        paths[f"{out}.congs"] = str(root / out / "instance.congs")
     return paths
 
 
@@ -743,12 +751,28 @@ ARRAYS = ["inspect", "numpy"]  # numpy imports inspect itself
             [],
             ["catalog", "systems"],
         ),
-        # certifying each theta on the left-zero product builds arrays
+        # the left-zero product is a projection, so certifying each theta on
+        # it reads its table once and builds no arrays; so does the check of
+        # the written instance
         (
             ["gen-hard", "--cnf", "pentagon.cnf", "--out", "OUT", "--semigroup"],
             "SIZE: 225",
-            ARRAYS,
+            [],
             ["catalog", "systems"],
+        ),
+        (
+            ["check", "--algebra", "lz.alg", "--congs", "lz.congs"],
+            "RESULT: NOT-CR",
+            [],
+            ["systems"],
+        ),
+        # neg is neither a constant nor a projection: its table is certified
+        # as an array
+        (
+            ["check", "--algebra", "ulz.alg", "--congs", "ulz.congs"],
+            "RESULT: NOT-CR",
+            ARRAYS,
+            ["systems"],
         ),
         # the congruence-lattice layer is numpy and pure Python; importing
         # scipy.sparse.csgraph cost each such command about half a second, and
@@ -785,6 +809,8 @@ ARRAYS = ["inspect", "numpy"]  # numpy imports inspect itself
         "gen-hard-u-embed",
         "gen-hard-u-embed-semigroup",
         "gen-hard-semigroup",
+        "check-brute-semigroup",
+        "check-brute-u-embed-semigroup",
         "conlat-z60",
         "check-vs",
         "check-distlat",
@@ -810,7 +836,8 @@ def test_command_loads_numpy_and_scipy_only_where_used(fix, tmp_path, argv, show
     lines = proc.stdout.splitlines()
     assert proc.returncode == 0, proc.stderr
     assert shows is None or shows in lines
-    assert lines[-1] == f"EXIT 0 {loaded} {ran}"
+    code = 10 if shows == "RESULT: NOT-CR" else 0
+    assert lines[-1] == f"EXIT {code} {loaded} {ran}"
 
 
 @pytest.mark.parametrize(
