@@ -36,7 +36,7 @@ _EXPORTS = {
     "parse_dimacs random_3sat_prime reduce_formula semilattice_bounded_lift "
     "serialize_dimacs system_to_assignment u_embed validate_3sat_prime",
     "deciders": "",
-    "postlattice": "Classification RouteResult affine_gf2_instance classify route_decide "
+    "postlattice": "Classification RouteResult classify route_decide "
     "table_of_term ternary_clone",
     "formats": "parse_algebra parse_congruences serialize_algebra serialize_congruences",
 }

@@ -20,6 +20,7 @@ loads the defining module on first use.
 
 from __future__ import annotations
 
+import array
 import importlib
 import itertools
 from typing import TYPE_CHECKING, NamedTuple, Optional
@@ -32,18 +33,25 @@ if TYPE_CHECKING:
 
 
 class Operation(NamedTuple):
+    """A named operation of the given arity; in a FiniteAlgebra its flat
+    table is an array.array, read-only by convention: numpy views of it
+    (FiniteAlgebra.table_array) share its memory."""
+
     name: str
     arity: int
-    table: tuple[int, ...]
+    table: array.array
 
 
 class FiniteAlgebra:
     """An algebra on {0..size-1}; equality is object identity.
 
-    A table may be given as a numpy integer array (any shape with size **
-    arity entries, flat order as for tuples): it is range-checked with one
-    array min and max, and seeds table_arrays(), so an algebra built by
-    array arithmetic makes no round trip through Python ints and back."""
+    Each table is stored once, as an array.array of the unsigned typecode
+    whose itemsize is that of table_dtype(size) (1 byte an entry up to 256
+    elements, 2 up to 65536, then 4 and 8), so pure-Python readers index
+    it and table_array views it without copying. A table is given as a
+    sequence of ints, or as a numpy integer array (any shape with size **
+    arity entries, flat order as for sequences), which is range-checked
+    with one array min and max and copied once through its narrow buffer."""
 
     def __init__(self, size: int, ops, name: str = "A"):
         if size < 1:
@@ -51,7 +59,7 @@ class FiniteAlgebra:
         self.size = size
         self.name = name
         self._by_name = {}
-        self._arrays = []
+        code = _typecode(size)
         checked = []
         for name_, arity, table in ops:
             if name_ in self._by_name:
@@ -60,7 +68,12 @@ class FiniteAlgebra:
                 raise InputError(f"operation {name_!r} has negative arity")
             is_array = hasattr(table, "dtype")
             if not is_array:
-                table = tuple(table)
+                try:
+                    table = array.array(code, table)
+                except TypeError:
+                    raise InputError(f"operation {name_!r} table is not integer") from None
+                except OverflowError:
+                    raise InputError(f"operation {name_!r} table value out of range") from None
             entries = table.size if is_array else len(table)
             if entries != size**arity:
                 raise InputError(
@@ -71,17 +84,16 @@ class FiniteAlgebra:
                 if table.dtype.kind not in "iu":
                     raise InputError(f"operation {name_!r} table is not integer")
                 low, high = table.min(), table.max()
-            else:
-                low, high = min(table), max(table)
+            else:  # an unsigned array.array refused negative values above
+                low, high = 0, max(table)
             if low < 0 or high >= size:
                 raise InputError(f"operation {name_!r} table value out of range")
-            arr = None
             if is_array:
-                arr = _frozen_table(table, size, arity)
-                table = tuple(arr.ravel().tolist())
+                narrow = table.astype(code, order="C", copy=False)
+                table = array.array(code)
+                table.frombytes(memoryview(narrow).cast("B"))
             op = Operation(name_, arity, table)
             self._by_name[name_] = op
-            self._arrays.append(arr)
             checked.append(op)
         self.ops: tuple[Operation, ...] = tuple(checked)
         # strides[name][i] = weight of argument i in the flat table index
@@ -152,20 +164,16 @@ class FiniteAlgebra:
             )
         return self._nontrivial
 
-    def table_arrays(self) -> list[np.ndarray]:
-        """Each operation's table as a read-only array of shape (size,) *
-        arity, in the dtype table_dtype(size); tables given as tuples are
-        converted on the first call."""
-        return [self.table_array(op.name) for op in self.ops]
-
     def table_array(self, name: str) -> np.ndarray:
-        """The table_arrays() entry of the named operation; only this table
-        is converted."""
-        i = self.ops.index(self.op(name))
-        if self._arrays[i] is None:
-            op = self.ops[i]
-            self._arrays[i] = _frozen_table(op.table, self.size, op.arity)
-        return self._arrays[i]
+        """The named operation's table as a read-only numpy view of shape
+        (size,) * arity and dtype table_dtype(size); it shares memory with
+        op.table, so nothing is copied."""
+        import numpy as np
+
+        op = self.op(name)
+        arr = np.frombuffer(op.table, table_dtype(self.size)).reshape((self.size,) * op.arity)
+        arr.flags.writeable = False
+        return arr
 
     def __repr__(self):
         sig = ", ".join(f"{op.name}/{op.arity}" for op in self.ops)
@@ -213,7 +221,7 @@ def _is_constant_or_projection(table, n: int, strides) -> bool:
     rows = max(1, _SLAB // row)
     for lo in range(0, n, rows):
         hi = min(n, lo + rows)
-        if table[lo * row : hi * row] != slab(lo, hi):
+        if tuple(table[lo * row : hi * row]) != slab(lo, hi):
             return False
     return True
 
@@ -223,29 +231,27 @@ def _runs(values, run: int) -> tuple[int, ...]:
     return tuple(itertools.chain.from_iterable(itertools.repeat(v, run) for v in values))
 
 
-def _frozen_table(table, size: int, arity: int) -> np.ndarray:
-    """A read-only copy of a flat or shaped table, of shape (size,) * arity
-    and dtype table_dtype(size)."""
-    import numpy as np
-
-    arr = np.array(table, dtype=table_dtype(size)).reshape((size,) * arity)
-    arr.flags.writeable = False
-    return arr
+def _typecode(size: int) -> str:
+    """The unsigned array typecode of the narrowest itemsize holding
+    0..size-1: 'B', 'H', 'I' or 'Q'."""
+    return next(code for code in "BHIQ" if size - 1 < 1 << (8 * array.array(code).itemsize))
 
 
 def table_dtype(size: int):
     """The narrowest unsigned integer dtype holding 0..size-1, in which
-    tables, gathers and index grids over a universe of that size are kept."""
+    tables, gathers and index grids over a universe of that size are kept;
+    that of the table storage (_typecode)."""
     import numpy as np
 
-    return np.min_scalar_type(max(size - 1, 0))
+    return np.dtype(_typecode(size))
 
 
 # entries per block of an array kernel over blocks of first arguments
 _BLOCK = 1 << 20
 
-# operation tables a constructor may tabulate; one of size ** arity entries
-# costs 8 bytes per entry in Operation.table alone
+# entries of an operation table a constructor may tabulate; the table is
+# stored in 1 to 4 bytes an entry (table_dtype), and this bound counts
+# entries, not bytes
 MAX_TABLE_ENTRIES = 1 << 24
 
 # edges (pairs times distinct translations) principal_partition_set may

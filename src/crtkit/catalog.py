@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import itertools
+import array
 
-from .algebra import FiniteAlgebra, Operation, check_table_size, table_dtype
+from .algebra import FiniteAlgebra, Operation, _typecode, check_table_size, table_dtype
 from .errors import InputError
 
 
@@ -141,9 +141,13 @@ def two_implication() -> FiniteAlgebra:
 
 
 def left_zero_mul(n: int) -> Operation:
-    """The left-zero product x * y = x on n elements."""
-    mul = itertools.chain.from_iterable(itertools.repeat(x, n) for x in range(n))
-    return Operation("mul", 2, tuple(mul))
+    """The left-zero product x * y = x on n elements, built row by row in
+    its storage type, so that FiniteAlgebra copies it as one block."""
+    code = _typecode(n)
+    mul = array.array(code)
+    for x in range(n):
+        mul += array.array(code, [x]) * n
+    return Operation("mul", 2, mul)
 
 
 def left_zero_semigroup(n: int) -> FiniteAlgebra:
@@ -191,7 +195,8 @@ def _pointwise_codes(alg: FiniteAlgebra, columns, dtype):
     import numpy as np
 
     weights = [alg.size ** (len(columns) - 1 - i) for i in range(len(columns))]
-    for op, table in zip(alg.ops, alg.table_arrays()):
+    for op in alg.ops:
+        table = alg.table_array(op.name)
         codes = np.zeros((), dtype=dtype)
         for weight, digits in zip(weights, columns):
             codes = codes + np.multiply(table[np.ix_(*[digits] * op.arity)], weight, dtype=dtype)

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Optional
 
 from . import algebra, config
 from .algebra import Congruence, FiniteAlgebra, table_dtype
-from .errors import BudgetExceededError, InputError, StructureError
+from .errors import BudgetExceededError, InputError
 from .partitions import Partition, _bits, _UnionFind
 
 if TYPE_CHECKING:
@@ -72,7 +72,8 @@ def principal_partition_set(alg: FiniteAlgebra) -> list[Partition]:
 
     # one row per translation, each once (commutative operations repeat them)
     rows = [np.empty((0, n), dtype=table_dtype(n))]
-    for op, tbl in zip(alg.ops, alg.table_arrays()):
+    for op in alg.ops:
+        tbl = alg.table_array(op.name)
         rows += [np.moveaxis(tbl, pos, 0).reshape(n, -1).T for pos in range(op.arity)]
     translations = _sorted_unique(np.concatenate(rows))
     edges = num_pairs * len(translations)
@@ -285,17 +286,14 @@ def all_congruences(alg: FiniteAlgebra, budget: Optional[int] = None) -> list[Co
     return [Congruence(alg, p) for p in sorted(known.values(), key=lambda q: q.labels)]
 
 
-def meet_irreducible_congruences(
-    alg: FiniteAlgebra, verify: bool = False
-) -> list[Congruence]:
+def meet_irreducible_congruences(alg: FiniteAlgebra) -> list[Congruence]:
     """Meet-irreducible congruences, computed from principal congruences only.
 
     Requires the congruence lattice to be distributive (caller-asserted).
     Join-irreducible principals survive the filter "strictly above the join
     of the strictly smaller principals"; each join-irreducible theta then
     maps to the join of the join-irreducibles theta does not sit below,
-    the largest member of the lattice avoiding theta. With verify=True the
-    result is checked against a full enumeration of the lattice.
+    the largest member of the lattice avoiding theta.
     """
     n = alg.size
     ident = Partition.identity(n)
@@ -312,16 +310,7 @@ def meet_irreducible_congruences(
         avoiding = [d for d in join_irr if not theta.refines(d)]
         m = functools.reduce(Partition.join, avoiding, ident)
         out[m.labels] = m
-    result = sorted(out.values(), key=lambda q: q.labels)
-    if verify:
-        lattice = [c.partition for c in all_congruences(alg)]
-        naive = naive_meet_irreducibles(n, lattice)
-        if [p.labels for p in result] != [p.labels for p in naive]:
-            raise StructureError(
-                f"meet-irreducible computation disagrees with enumeration on "
-                f"{alg.name}; the congruence lattice is likely not distributive"
-            )
-    return [Congruence(alg, p) for p in result]
+    return [Congruence(alg, p) for p in sorted(out.values(), key=lambda q: q.labels)]
 
 
 def naive_meet_irreducibles(n: int, lattice: list[Partition]) -> list[Partition]:

@@ -16,7 +16,7 @@ from . import algebra, dualdisc, nearlattice, systems, vectorspace
 
 def _decide_vs(alg, thetas):
     congs = algebra.certify(alg, thetas)
-    chart = vectorspace.coordinatize(alg, "add")
+    chart = vectorspace.coordinatize(alg)
     bases = [vectorspace.congruence_to_subspace(chart, c) for c in congs]
     return vectorspace.is_cr_tuple_vs(vectorspace.vs_instance(chart.p, chart.dim, bases))
 

@@ -212,25 +212,23 @@ def make_view(
     return _view(alg, join_table == idx[None, :], rules, what)
 
 
-def lattice_view(
-    alg: FiniteAlgebra, meet: str = "meet", join: str = "join"
-) -> NearlatticeView:
+def lattice_view(alg: FiniteAlgebra) -> NearlatticeView:
     """View of a distributive lattice: x <= y iff x v y = y, and sigma must
     be an injective lattice homomorphism into the subsets of P."""
     import numpy as np
 
-    alg.op(meet)  # a missing meet is named first
-    leq = alg.table_array(join) == np.arange(alg.size)[None, :]
-    rules = [(meet, (0, 0, 0, 1), "x and y"), (join, (0, 1, 1, 1), "x or y")]
+    alg.op("meet")  # a missing meet is named first
+    leq = alg.table_array("join") == np.arange(alg.size)[None, :]
+    rules = [("meet", (0, 0, 0, 1), "x and y"), ("join", (0, 1, 1, 1), "x or y")]
     return _view(alg, leq, rules, "not a distributive lattice")
 
 
-def tarski_view(alg: FiniteAlgebra, imp: str = "imp") -> NearlatticeView:
+def tarski_view(alg: FiniteAlgebra) -> NearlatticeView:
     """View of an implication algebra: x <= y iff x -> y is the top
     (x -> x), sigma must carry imp to (not x) or y, and P must be an
     antichain."""
-    I = alg.table_array(imp)
-    rules = [(imp, (1, 1, 0, 1), "(not x) or y")]
+    I = alg.table_array("imp")
+    rules = [("imp", (1, 1, 0, 1), "(not x) or y")]
     view = _view(alg, I == I.flat[0], rules, "not an implication algebra")
     if any(view.p_strict_down):
         raise StructureError(
@@ -416,16 +414,14 @@ def is_cr_tuple_nearlattice(view: NearlatticeView, thetas) -> NlVerdict:
     return NlVerdict(True)
 
 
-def is_cr_tuple_distlattice(
-    alg: FiniteAlgebra, thetas, meet: str = "meet", join: str = "join"
-) -> NlVerdict:
+def is_cr_tuple_distlattice(alg: FiniteAlgebra, thetas) -> NlVerdict:
     """The nearlattice decision on lattice_view. A distributive lattice has
     no fringes and F(delta) is the union of the F masks, so CR holds exactly
     when every cover of the subposet on that union lies inside one mask."""
-    return is_cr_tuple_nearlattice(lattice_view(alg, meet=meet, join=join), thetas)
+    return is_cr_tuple_nearlattice(lattice_view(alg), thetas)
 
 
-def is_cr_tuple_tarski(alg: FiniteAlgebra, thetas, imp: str = "imp") -> NlVerdict:
+def is_cr_tuple_tarski(alg: FiniteAlgebra, thetas) -> NlVerdict:
     """The nearlattice decision on tarski_view. P is an antichain, so only
     the fringe condition remains."""
-    return is_cr_tuple_nearlattice(tarski_view(alg, imp=imp), thetas)
+    return is_cr_tuple_nearlattice(tarski_view(alg), thetas)

@@ -50,8 +50,8 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from . import deciders, nearlattice, vectorspace
-from .algebra import Congruence, FiniteAlgebra, Operation, certify, table_dtype
+from . import deciders, nearlattice
+from .algebra import Congruence, FiniteAlgebra, Operation, table_dtype
 from .errors import ClassificationError, InputError, PreconditionError, StructureError
 from .nearlattice import _evaluate
 from .terms import App, Term, Var, eval_term, eval_term_grid
@@ -424,18 +424,6 @@ def _carried(alg, derived: FiniteAlgebra, thetas):
         Congruence(derived, t.partition) if isinstance(t, Congruence) and t.algebra is alg else t
         for t in thetas
     ]
-
-
-def affine_gf2_instance(alg, s_term: Term, thetas, e: int):
-    """Congruence tuple -> subspace tuple via the addition x + y := s(x, y, e),
-    after the checks of _derived_addition: each theta is certified on the
-    addition, the universe is charted with origin e, and each theta maps to
-    the subspace carried by the e-class."""
-    derived = _derived_addition(alg, s_term, e)
-    members = certify(derived, _carried(alg, derived, thetas))
-    chart = vectorspace.coordinatize(derived, zero_elem=e)
-    bases = [vectorspace.congruence_to_subspace(chart, c) for c in members]
-    return vectorspace.vs_instance(2, chart.dim, bases)
 
 
 # ---------------------------------------------------------------------------

@@ -146,8 +146,8 @@ def quotient(alg: FiniteAlgebra, delta) -> tuple[FiniteAlgebra, tuple[int, ...]]
     reps = np.array(part.representatives(), dtype=np.intp)
     labels = np.array(part.labels, dtype=table_dtype(part.num_blocks))
     ops = [
-        Operation(op.name, op.arity, labels[table[np.ix_(*[reps] * op.arity)]])
-        for op, table in zip(alg.ops, alg.table_arrays())
+        Operation(op.name, op.arity, labels[alg.table_array(op.name)[np.ix_(*[reps] * op.arity)]])
+        for op in alg.ops
     ]
     return FiniteAlgebra(part.num_blocks, ops, name=f"{alg.name}/q"), part.labels
 

@@ -9,7 +9,7 @@ tuple is CR exactly when the two dimensions agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .algebra import failed_binary_law
@@ -97,11 +97,6 @@ def kernel_basis(mat: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def annihilator(basis: np.ndarray, p: int) -> np.ndarray:
-    """Functionals (as row vectors under the dot product) killing the row space."""
-    return kernel_basis(basis, p)
-
-
 def subspace_sum(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     import numpy as np
 
@@ -109,8 +104,9 @@ def subspace_sum(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def subspace_intersection(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # ann(U cap W) = ann(U) + ann(W), and double annihilation is the identity
-    return annihilator(subspace_sum(annihilator(a, p), annihilator(b, p), p), p)
+    # ann(U cap W) = ann(U) + ann(W), and double annihilation is the identity;
+    # the annihilator of a row space is the kernel of its basis
+    return kernel_basis(subspace_sum(kernel_basis(a, p), kernel_basis(b, p), p), p)
 
 
 def in_rowspace(vec, basis: np.ndarray, p: int) -> bool:
@@ -156,7 +152,7 @@ def annihilator_matrix(inst: VSInstance) -> np.ndarray:
     blocks = []
     for i in range(k):
         for j in range(i + 1, k):
-            ann = annihilator(subspace_sum(inst.subspaces[i], inst.subspaces[j], p), p)
+            ann = kernel_basis(subspace_sum(inst.subspaces[i], inst.subspaces[j], p), p)
             if ann.shape[0] == 0:
                 continue
             wide = np.zeros((ann.shape[0], k * n), dtype=np.int64)
@@ -263,7 +259,7 @@ class Coordinatization:
     from_vector: dict  # coordinate tuple -> element
 
 
-def coordinatize(alg, add: str = "add", zero_elem: Optional[int] = None) -> Coordinatization:
+def coordinatize(alg) -> Coordinatization:
     """Chart an algebra whose `add` table is an elementary abelian group.
 
     Verifies commutativity, associativity, the neutral element, inverses and
@@ -271,26 +267,22 @@ def coordinatize(alg, add: str = "add", zero_elem: Optional[int] = None) -> Coor
     way. Raises PreconditionError when the table is not such a group.
     """
     size = alg.size
-    op = alg.op(add)
+    op = alg.op("add")
     if op.arity != 2:
-        raise InputError(f"{add!r} is not binary")
+        raise InputError("'add' is not binary")
     table = op.table
 
     def plus(x, y):
         return table[x * size + y]
 
-    law = failed_binary_law(alg.table_array(add), ("commutative", "associative"))
+    law = failed_binary_law(alg.table_array("add"), ("commutative", "associative"))
     if law is not None:
         raise PreconditionError(f"addition is not {law}")
+    zero_elem = next(
+        (e for e in range(size) if all(plus(e, x) == x for x in range(size))), None
+    )
     if zero_elem is None:
-        zero_elem = next(
-            (e for e in range(size) if all(plus(e, x) == x for x in range(size))), None
-        )
-        if zero_elem is None:
-            raise PreconditionError("no neutral element for the addition table")
-    for x in range(size):
-        if plus(zero_elem, x) != x:
-            raise PreconditionError(f"{zero_elem} is not neutral")
+        raise PreconditionError("no neutral element for the addition table")
 
     if size == 1:
         return Coordinatization(2, 0, (), ((),), {(): zero_elem})

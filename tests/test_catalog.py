@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -142,8 +143,21 @@ def test_subpower_tabulates_only_the_given_tuples_of_a_long_power():
     expected = tuple(
         ordered.index(_majority(*args)) for args in itertools.product(ordered, repeat=3)
     )
-    assert sub.op("m").table == expected
+    assert tuple(sub.op("m").table) == expected
 
 
 def _majority(*rows):
     return tuple(int(sum(column) >= 2) for column in zip(*rows))
+
+
+def test_power_tables_are_stored_once_in_their_narrow_type():
+    # 2maj^8 has one ternary table of 256^3 entries, 16 MiB as uint8; a
+    # second copy as a tuple of Python ints took the peak to 288 MiB
+    tracemalloc.start()
+    try:
+        alg = power_algebra(two_majority(), 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert alg.op("m").table.itemsize == 1 and len(alg.op("m").table) == 256**3
+    assert peak < 64 << 20

@@ -46,7 +46,7 @@ def test_every_exported_name_is_the_object_of_its_defining_module():
         "    print(name, home.__name__.startswith('crtkit.') and getattr(home, name) is obj)\n"
     )
     assert out == "".join(f"{name} True\n" for name in crtkit.__all__)
-    assert len(crtkit.__all__) == len(set(crtkit.__all__)) == 76
+    assert len(crtkit.__all__) == len(set(crtkit.__all__)) == 75
 
 
 def test_star_import_and_dir_list_every_name():

@@ -31,6 +31,7 @@ from crtkit.errors import InputError, PreconditionError, StructureError
 from crtkit.nearlattice import make_view
 from crtkit.partitions import Partition
 from crtkit.postlattice import (
+    HAS_S,
     M_TABLE,
     N_DUAL_TABLE,
     N_TABLE,
@@ -40,11 +41,11 @@ from crtkit.postlattice import (
     S_TABLE,
     _RELATIONS,
     _TARGETS,
+    Classification,
     _choice_masks,
     _generator_view,
     _preserves,
     _witness_bfs,
-    affine_gf2_instance,
     classify,
     route_decide,
     table_of_term,
@@ -53,8 +54,8 @@ from crtkit.postlattice import (
 from crtkit.systems import brute_force_is_cr_tuple
 from crtkit.terms import reduct
 from crtkit.vectorspace import (
+    congruence_to_subspace,
     coordinatize,
-    is_cr_tuple_vs,
     subspace_to_partition,
 )
 
@@ -204,35 +205,29 @@ def test_affine_instance_from_minority_square():
         two_minority(), 2, [(0, 0), (0, 1), (1, 0), (1, 1)]
     )
     assert alg.size == 4
-    s_term = App("s", (Var(0), Var(1), Var(2)))
     # the derived addition x + y := s(x, y, 0) charts the universe
     add_table = tuple(
         alg.apply("s", x, y, 0) for x in range(4) for y in range(4)
     )
     derived = FiniteAlgebra(4, [Operation("add", 2, add_table)], name="d")
-    chart = coordinatize(derived, zero_elem=0)
+    chart = coordinatize(derived)
+    assert chart.to_vector[0] == (0, 0)
     lattice = [c.partition for c in all_congruences(alg)]
+    for theta in lattice:
+        assert subspace_to_partition(chart, congruence_to_subspace(chart, theta)) == theta
     for k in (2, 3):
         for thetas in itertools.combinations(lattice, k):
-            inst = affine_gf2_instance(alg, s_term, list(thetas), 0)
-            got = is_cr_tuple_vs(inst)
-            want = brute_force_is_cr_tuple(list(thetas))
-            assert got.is_cr == want.is_cr
-            # each subspace pulls back to the congruence it came from
-            for w, theta in zip(inst.subspaces, thetas):
-                assert subspace_to_partition(chart, w) == theta
+            got = route_decide(alg, list(thetas), two_minority())
+            assert got.route == "vs"
+            assert got.is_cr == brute_force_is_cr_tuple(list(thetas)).is_cr
 
 
 def test_affine_instance_precondition_checks():
     # a non-group "addition" derived from lattice terms is refused
     alg = two_lattice()
+    hint = Classification(HAS_S, App("meet", (App("join", (Var(0), Var(1))), Var(2))), S_TABLE)
     with pytest.raises(PreconditionError):
-        affine_gf2_instance(
-            alg,
-            App("meet", (App("join", (Var(0), Var(1))), Var(2))),
-            [c.partition for c in all_congruences(alg)][:1],
-            0,
-        )
+        route_decide(alg, [c.partition for c in all_congruences(alg)][:1], alg, class_hint=hint)
 
 
 def test_route_vs_matches_brute():
@@ -675,7 +670,7 @@ def test_ternary_clone_memory_is_bounded():
     # not x or (not y and z) generates every table; composing the whole
     # 256^3 product at once peaked above 200 MB
     alg = two_elem("nxy", f=(3, lambda x, y, z: (1 - x) | ((1 - y) & z)))
-    assert alg.ops[0].table == (1, 1, 1, 1, 0, 1, 0, 0)
+    assert tuple(alg.ops[0].table) == (1, 1, 1, 1, 0, 1, 0, 0)
     tracemalloc.start()
     try:
         assert len(ternary_clone(alg)) == 256

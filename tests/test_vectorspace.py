@@ -13,7 +13,6 @@ from crtkit.partitions import Partition
 from crtkit.systems import brute_force_is_cr_tuple
 from crtkit.vectorspace import (
     Coordinatization,
-    annihilator,
     congruence_to_subspace,
     coordinatize,
     coset_partitions,
@@ -99,7 +98,7 @@ def test_annihilator_sum_intersection():
         b = random_subspace(rng, p, n)
         sa, sb = span(a, p), span(b, p)
         # annihilator kills exactly the span
-        ann = annihilator(a, p)
+        ann = kernel_basis(a, p)
         for u in itertools.product(range(p), repeat=n):
             kills = all(
                 sum(x * y for x, y in zip(u, v)) % p == 0 for v in sa
@@ -227,7 +226,7 @@ def test_coordinatize_gf2_8_checks_its_laws_in_bounded_memory():
     # the associativity check walks blocks of about 2^20 narrow entries;
     # both sides as whole 256^3 intp arrays would take 285 MB
     alg = power_algebra(zmod_group(2), 8)
-    alg.table_arrays()
+    alg.table_array("add")
     tracemalloc.start()
     try:
         chart = coordinatize(alg)
