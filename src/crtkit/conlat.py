@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from . import algebra, config
 from .algebra import Congruence, FiniteAlgebra, table_dtype
@@ -249,15 +249,15 @@ def _equivalence_closure(mask: int, n: int) -> Partition:
     return Partition(labels)
 
 
-def all_congruences(alg: FiniteAlgebra, budget: Optional[int] = None) -> list[Congruence]:
+def all_congruences(alg: FiniteAlgebra) -> list[Congruence]:
     """The whole congruence lattice: join closure of the principal congruences.
 
     Every congruence is a join of principal ones, so each new member is
     joined only with the principal congruences. Results come back sorted by
     label vector. Raises BudgetExceededError when the lattice outgrows the
-    budget (default 100000, CRTKIT_BUDGET override).
+    budget: 100000 members, or CRTKIT_BUDGET as read at the call.
     """
-    limit = budget if budget is not None else config.budget(config.DEFAULT_CONGRUENCE_BUDGET)
+    limit = config.budget(config.DEFAULT_CONGRUENCE_BUDGET)
     n = alg.size
     known: dict[tuple, Partition] = {}
     ident = Partition.identity(n)
@@ -332,9 +332,9 @@ def naive_meet_irreducibles(n: int, lattice: list[Partition]) -> list[Partition]
 # lattice properties
 
 
-def is_arithmetic(alg: FiniteAlgebra, budget: Optional[int] = None) -> bool:
+def is_arithmetic(alg: FiniteAlgebra) -> bool:
     """Congruence-distributive and congruence-permutable."""
-    lattice = [c.partition for c in all_congruences(alg, budget=budget)]
+    lattice = [c.partition for c in all_congruences(alg)]
     permutable = congruence_lattice_is_permutable(lattice)
     return permutable and congruence_lattice_is_distributive(lattice)
 

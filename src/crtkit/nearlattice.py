@@ -183,15 +183,15 @@ def _view(alg: FiniteAlgebra, leq_bool: np.ndarray, rules, what: str) -> Nearlat
 
 def make_view(
     alg: FiniteAlgebra,
-    op_name: Optional[str] = None,
     *,
     join_table: Optional[np.ndarray] = None,
     rules=None,
 ) -> NearlatticeView:
     """Validate the ternary table and assemble the decision view.
 
-    The ternary operation (op_name, or the only one) is n, and the order is
-    x <= y iff n(x,x,y) = y. Raises StructureError unless it has a top and
+    The only ternary operation is n, and the order is x <= y iff
+    n(x,x,y) = y. Raises InputError unless alg has exactly one ternary
+    operation, and StructureError unless the order has a top and
     a -> {p : a not below p} embeds the algebra into a power of the
     two-element ternary algebra, with n acting coordinatewise. Given rules
     (see _view) and the table of a binary term j that is x or y on two
@@ -202,12 +202,11 @@ def make_view(
 
     idx = np.arange(alg.size)
     if rules is None:
-        ternary = [op.name for op in alg.ops if op.arity == 3] if op_name is None else [op_name]
+        ternary = [op.name for op in alg.ops if op.arity == 3]
         if len(ternary) != 1:
-            raise InputError(f"{alg.name} has {len(ternary)} ternary operations; name one")
+            raise InputError(f"{alg.name} has {len(ternary)} ternary operations; need exactly one")
         rules = [(ternary[0], (0, 1, 0, 1, 0, 1, 1, 1), "(x and y) or z")]
-        T = alg.table_array(ternary[0])  # of another arity, _view refuses it
-        join_table = T[idx[:, None], idx[:, None], idx[None, :]] if T.ndim == 3 else T
+        join_table = alg.table_array(ternary[0])[idx[:, None], idx[:, None], idx[None, :]]
     what = "not a subalgebra of a power of the two-element ternary algebra"
     return _view(alg, join_table == idx[None, :], rules, what)
 

@@ -94,25 +94,23 @@ def table_of_term(alg2: FiniteAlgebra, term: Term) -> int:
 _BLOCK = 1 << 18
 
 
-def _curry(table: tuple[int, ...], R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _curry(table, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The compositions A of op(0, ...) and B of op(1, ...) with every tuple
-    over R, flat in C order, returned as A and A ^ B: then
-    op(g, ...) = A ^ ((A ^ B) & g) bitwise. `table` is op's flat table,
-    first argument most significant."""
-    half = len(table) // 2
-    A, B = _compositions(table[:half], R), _compositions(table[half:], R)
-    return A, A ^ B
-
-
-def _compositions(table: tuple[int, ...], R: np.ndarray) -> np.ndarray:
-    """The operation composed with every tuple over R, flat in C order (first
-    argument slowest); a nullary table is the constant 0x00 or 0xFF."""
+    over R, flat in C order (first argument slowest), returned as A and
+    A ^ B: then op(g, ...) = A ^ ((A ^ B) & g) bitwise. `table` is op's flat
+    table, first argument most significant. Each half is one bit-sliced
+    fold (nearlattice._evaluate) over per-axis grids of R."""
     import numpy as np
 
-    if len(table) == 1:
-        return np.full(1, 0xFF if table[0] else 0x00, dtype=np.uint8)
-    A, X = _curry(table, R)
-    return (A ^ (X & R[:, None])).ravel()
+    rest = len(table).bit_length() - 2  # arguments after the first
+    axes = [R.reshape([-1 if j == i else 1 for j in range(rest)]) for i in range(rest)]
+    half = len(table) // 2
+    out = np.empty((2,) + (R.size,) * rest, dtype=np.uint8)
+    out[0] = _evaluate(table[:half], axes, 0xFF)
+    out[1] = _evaluate(table[half:], axes, 0xFF)
+    out[1] ^= out[0]
+    A, X = out.reshape(2, -1)
+    return A, X
 
 
 # ---------------------------------------------------------------------------
@@ -396,22 +394,20 @@ def classify(alg2: FiniteAlgebra, with_witness: bool = True) -> Classification:
 # the affine route
 
 
-def _derived_addition(alg, s_term: Term, e: int) -> FiniteAlgebra:
-    """The algebra with the one operation x + y := s(x, y, e), named add.
+def _derived_addition(alg, s_term: Term) -> FiniteAlgebra:
+    """The algebra with the one operation x + y := s(x, y, 0), named add.
 
-    Verifies that e is an element and that x + x = e; coordinatize checks
-    the group laws with e as neutral element, which make the universe a
-    GF(2)-vector space with origin e.
+    Verifies that x + x = 0; coordinatize checks the group laws with 0 as
+    neutral element, which make the universe a GF(2)-vector space with
+    origin 0.
     """
     import numpy as np
 
     n = alg.size
-    if not 0 <= e < n:
-        raise InputError(f"element {e} is out of range for {alg.name}")
     idx = np.arange(n)
     T = np.empty((n, n), dtype=table_dtype(n))
-    T[...] = eval_term_grid(alg, s_term, (idx[:, None], idx[None, :], e))
-    if not np.array_equal(T[idx, idx], np.full(n, e)):
+    T[...] = eval_term_grid(alg, s_term, (idx[:, None], idx[None, :], 0))
+    if T.diagonal().any():
         raise PreconditionError("derived addition does not square to the neutral element")
     return FiniteAlgebra(n, [Operation("add", 2, T)], name=f"{alg.name}+")
 
@@ -457,61 +453,46 @@ def _generator_view(alg, generator: FiniteAlgebra, cls: Classification):
     import numpy as np
 
     idx = np.arange(alg.size)
-    tables = {op.name: op.table for op in generator.ops}
     swap = cls.table == N_DUAL_TABLE
     rules = []
     for name in sorted(_operations(cls.witness)):
-        if name not in tables:
-            raise InputError(
-                f"{generator.name} has no operation named {name!r}, which its witness term uses"
-            )
-        table = tuple(1 - v for v in reversed(tables[name])) if swap else tables[name]
+        table = generator.op(name).table
+        if swap:
+            table = tuple(1 - v for v in reversed(table))
         rules.append((name, table, f"{name} of {generator.name}" + " relabeled 0-1" * swap))
     join = eval_term_grid(alg, cls.witness, (idx[:, None], idx[:, None], idx[None, :]))
     return nearlattice.make_view(alg, join_table=join, rules=rules)
 
 
-def route_decide(
-    alg,
-    thetas,
-    generator: FiniteAlgebra,
-    class_hint: Optional[Classification] = None,
-) -> RouteResult:
+# each class's route and, for the brute-force fallbacks, its warning
+_ROUTES = {
+    HAS_S: ("vs", None),
+    HAS_N: ("nearlattice", None),
+    HAS_M: ("dualdisc", None),
+    ESSENTIALLY_UNARY: ("brute", "brute-force decision; this class is coNP-complete in general"),
+    SEMILATTICE_FAMILY: ("brute", "brute-force decision; the complexity of this class is open"),
+}
+
+
+def route_decide(alg, thetas, generator: FiniteAlgebra) -> RouteResult:
     """Decide whether a tuple is CR by the procedure its class supports.
 
     The caller asserts that alg lies in the variety generated by the
-    two-element generator; class_hint stands for classify(generator). The
-    class picks a route and the algebra it runs on: the derived addition
-    s(x, y, 0) for s, and alg itself otherwise, whose view for n is
-    certified through the generator's tables (_generator_view). The route
-    certifies the tuple on that algebra (algebra.certify): a Congruence of
-    alg passes unchecked, as the derived operations are polynomial
-    operations of alg. The decider verifies its own preconditions and
-    raises instead of returning a wrong verdict. Classes without a
-    polynomial procedure fall back to brute force and carry a complexity
-    warning.
+    two-element generator, whose class (classify) picks a route and the
+    algebra it runs on: the derived addition s(x, y, 0) for s, and alg
+    itself otherwise, whose view for n is certified through the
+    generator's tables (_generator_view). The route certifies the tuple on
+    that algebra (algebra.certify): a Congruence of alg passes unchecked,
+    as the derived operations are polynomial operations of alg. The decider
+    verifies its own preconditions and raises instead of returning a wrong
+    verdict. Classes without a polynomial procedure fall back to brute
+    force and carry a complexity warning.
     """
-    _check_two(generator)
-    cls = classify(generator) if class_hint is None else class_hint
-    if cls.tag in (HAS_S, HAS_N) and cls.witness is None:
-        raise InputError(f"classification {cls.tag} carries no witness term")
-    warning, on = None, alg
-    if cls.tag == HAS_S:
-        route, on = "vs", _derived_addition(alg, cls.witness, 0)
-    elif cls.tag == HAS_N:
-        route = "nearlattice"
-    elif cls.tag == HAS_M:
-        route = "dualdisc"
-    elif cls.tag == ESSENTIALLY_UNARY:
-        route = "brute"
-        warning = "brute-force decision; this class is coNP-complete in general"
-    elif cls.tag == SEMILATTICE_FAMILY:
-        route = "brute"
-        warning = "brute-force decision; the complexity of this class is open"
-    else:
-        raise InputError(f"unknown classification tag {cls.tag!r}")
-    if route == "nearlattice":
+    cls = classify(generator)
+    route, warning = _ROUTES[cls.tag]
+    if cls.tag == HAS_N:
         verdict = nearlattice.is_cr_tuple_nearlattice(_generator_view(alg, generator, cls), thetas)
     else:
+        on = _derived_addition(alg, cls.witness) if cls.tag == HAS_S else alg
         verdict = deciders.DECIDERS[route](on, _carried(alg, on, thetas))
     return RouteResult(route, verdict.is_cr, verdict, warning)

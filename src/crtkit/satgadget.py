@@ -370,30 +370,22 @@ def u_embed(size: int, thetas, c: int = 0):
     return alg, doubled
 
 
-def _unique_binary_op(alg: FiniteAlgebra, name: Optional[str]) -> Operation:
-    if name is not None:
-        op = alg.op(name)
-        if op.arity != 2:
-            raise InputError(f"operation {name!r} has arity {op.arity}, expected 2")
-        return op
+def _unique_binary_op(alg: FiniteAlgebra) -> Operation:
     binary = [op for op in alg.ops if op.arity == 2]
     if len(binary) != 1:
-        raise InputError(
-            f"expected exactly one binary operation, found {len(binary)}; "
-            "name one explicitly"
-        )
+        raise InputError(f"expected exactly one binary operation, found {len(binary)}")
     return binary[0]
 
 
-def semilattice_bounded_lift(alg: FiniteAlgebra, thetas, join: Optional[str] = None):
+def semilattice_bounded_lift(alg: FiniteAlgebra, thetas):
     """Adjoin a fresh bottom to a join-semilattice and bound it.
 
-    The new element sits at index n and is neutral for the join; the
-    constants zero/one name it and the existing top.  Each partition
-    gains the bottom as a singleton block.  The tuple verdict is
-    unchanged by this construction.
+    The join is the algebra's only binary operation. The new element sits
+    at index n and is neutral for the join; the constants zero/one name it
+    and the existing top.  Each partition gains the bottom as a singleton
+    block.  The tuple verdict is unchanged by this construction.
     """
-    op = _unique_binary_op(alg, join)
+    op = _unique_binary_op(alg)
     n = alg.size
     T = alg.table_array(op.name)
     law = failed_binary_law(T, ("commutative", "associative", "idempotent"))

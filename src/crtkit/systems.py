@@ -73,7 +73,7 @@ class CrVerdict(NamedTuple):
         return "WITNESS: " + " ".join(str(a) for a in self.witness)
 
 
-def brute_force_is_cr_tuple(thetas, budget: Optional[int] = None) -> CrVerdict:
+def brute_force_is_cr_tuple(thetas) -> CrVerdict:
     """Decide CR by a depth-first search for an unsolvable compatible system.
 
     Targets range over block minimums only: replacing each target by the
@@ -95,11 +95,11 @@ def brute_force_is_cr_tuple(thetas, budget: Optional[int] = None) -> CrVerdict:
     enumeration would find it.
 
     `checked` counts search nodes: labels tried at a coordinate before the
-    last. Raises BudgetExceededError after `budget` nodes (default 10^7,
-    CRTKIT_BUDGET override).
+    last. Raises BudgetExceededError past the budget: 10^7 nodes, or
+    CRTKIT_BUDGET as read at the call.
     """
     parts = as_partitions(thetas)
-    limit = budget if budget is not None else config.budget(config.DEFAULT_TUPLE_BUDGET)
+    limit = config.budget(config.DEFAULT_TUPLE_BUDGET)
     k = len(parts)
     if k == 1:
         return CrVerdict(True, None, 0)

@@ -69,10 +69,27 @@ def _eval(alg, term, args):
 
 def eval_term_grid(alg: FiniteAlgebra, term: Term, grids) -> np.ndarray:
     """Evaluate a term at every point of a grid: grids[i] is an integer
-    array (or scalar) of elements for x(i+1), all broadcastable together. A
-    Var reads its grid and an App gathers its operation's table_array at
-    its subterms' arrays, so the result has the broadcast shape of the
-    grids the term uses. Raises InputError where eval_term would."""
+    array (or scalar) of elements for x(i+1), all broadcastable together,
+    or None for a variable the term does not use. A Var reads its grid and
+    an App gathers its operation's table_array at its subterms' arrays, so
+    the result has the broadcast shape of the grids the term uses. Raises
+    InputError where eval_term would, and for a grid holding anything but
+    elements."""
+    import numpy as np
+
+    for grid in grids:
+        if grid is None:
+            continue
+        values = np.asarray(grid)
+        if values.dtype.kind not in "iu":
+            raise InputError(f"grid of {values.dtype} values, expected elements")
+        if values.size and not (0 <= values.min() and values.max() < alg.size):
+            bad = values[(values < 0) | (values >= alg.size)].flat[0]
+            raise InputError(f"argument {bad} outside the universe")
+    return _eval_grid(alg, term, grids)
+
+
+def _eval_grid(alg, term, grids):
     if isinstance(term, Var):
         if not 0 <= term.index < len(grids):
             raise InputError(f"term uses x{term.index + 1} but got {len(grids)} arguments")
@@ -85,7 +102,7 @@ def eval_term_grid(alg: FiniteAlgebra, term: Term, grids) -> np.ndarray:
             f"term applies {term.op!r} to {len(term.args)} subterms, arity is {op.arity}"
         )
     table = alg.table_array(term.op)
-    return table[tuple(eval_term_grid(alg, t, grids) for t in term.args)]
+    return table[tuple(_eval_grid(alg, t, grids) for t in term.args)]
 
 
 def term_table(alg: FiniteAlgebra, term: Term, arity: int) -> np.ndarray:
@@ -108,7 +125,7 @@ def term_table(alg: FiniteAlgebra, term: Term, arity: int) -> np.ndarray:
     out = np.empty((n,) * arity, dtype=dtype)
     rows = max(1, _BLOCK // n ** (arity - 1))
     for lo in range(0, n, rows):
-        out[lo : lo + rows] = eval_term_grid(alg, term, [axes[0][lo : lo + rows], *axes[1:]])
+        out[lo : lo + rows] = _eval_grid(alg, term, [axes[0][lo : lo + rows], *axes[1:]])
     return out
 
 

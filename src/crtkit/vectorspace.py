@@ -10,7 +10,7 @@ tuple is CR exactly when the two dimensions agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .algebra import failed_binary_law
 from .errors import InputError, PreconditionError, StructureError
@@ -213,41 +213,6 @@ def is_cr_tuple_vs(inst: VSInstance) -> VsVerdict:
 # bridges between vector-space instances and plain finite algebras
 
 
-def vector_to_index(vec, p: int) -> int:
-    idx = 0
-    for v in vec:
-        idx = idx * p + int(v) % p
-    return idx
-
-
-def index_to_vector(idx: int, p: int, n: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(n):
-        out.append(idx % p)
-        idx //= p
-    return tuple(reversed(out))
-
-
-def coset_partitions(inst: VSInstance) -> list[Partition]:
-    """Partitions of {0..p^n-1} (base-p coded vectors) into cosets of each W_i."""
-    return [_coset_partition_one(inst.p, inst.n, w) for w in inst.subspaces]
-
-
-def _coset_partition_one(p: int, n: int, basis: np.ndarray) -> Partition:
-    import numpy as np
-
-    R, pivots = rref(basis, p)
-    size = p**n
-    labels = []
-    for idx in range(size):
-        v = np.array(index_to_vector(idx, p, n), dtype=np.int64)
-        for row, pc in zip(R, pivots):
-            if v[pc]:
-                v = (v - v[pc] * row) % p
-        labels.append(vector_to_index(v, p))
-    return Partition(canonical_labels(labels))
-
-
 @dataclass(frozen=True)
 class Coordinatization:
     """A bijection between an elementary abelian group and GF(p)^dim."""
@@ -362,8 +327,22 @@ def subspace_to_partition(chart: Coordinatization, basis: np.ndarray) -> Partiti
     return Partition(canonical_labels(labels))
 
 
-def random_subspace(rng, p: int, n: int, max_dim: Optional[int] = None) -> np.ndarray:
-    """RREF basis of the row space of a random matrix (uniform entries)."""
-    d = rng.randrange(0, (max_dim if max_dim is not None else n) + 1)
+def coset_partitions(inst: VSInstance) -> list[Partition]:
+    """Partitions of {0..p^n-1} into the cosets of each W_i, where x codes
+    the vector index_to_tuple(x, p, n): subspace_to_partition on the
+    standard chart of GF(p)^n."""
+    from .catalog import index_to_tuple
+
+    p, n = inst.p, inst.n
+    to_vector = tuple(index_to_tuple(x, p, n) for x in range(p**n))
+    basis = tuple(p ** (n - 1 - i) for i in range(n))
+    chart = Coordinatization(p, n, basis, to_vector, {v: x for x, v in enumerate(to_vector)})
+    return [subspace_to_partition(chart, w) for w in inst.subspaces]
+
+
+def random_subspace(rng, p: int, n: int) -> np.ndarray:
+    """RREF basis of the row space of a random matrix (uniform entries)
+    with a uniform number of rows from 0 to n."""
+    d = rng.randrange(0, n + 1)
     rows = [[rng.randrange(p) for _ in range(n)] for _ in range(d)]
     return rref(_as_matrix(rows, n, p), p)[0]

@@ -166,7 +166,7 @@ def random_distributive_lattice(rng, num_atoms, max_extra):
     return lattice_from_universe(universe, f"dl{len(universe)}")
 
 
-def reference_brute_force_is_cr_tuple(thetas, budget=None):
+def reference_brute_force_is_cr_tuple(thetas):
     """Enumerate candidate systems one target tuple at a time.
 
     Targets range over block minimums in lex order, each checked for
@@ -175,7 +175,7 @@ def reference_brute_force_is_cr_tuple(thetas, budget=None):
     reports. `checked` counts candidate targets tried, not search nodes.
     """
     parts = as_partitions(thetas)
-    limit = budget if budget is not None else config.budget(config.DEFAULT_TUPLE_BUDGET)
+    limit = config.budget(config.DEFAULT_TUPLE_BUDGET)
     k = len(parts)
     if k == 1:
         return CrVerdict(True, None, 0)

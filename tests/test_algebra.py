@@ -219,9 +219,11 @@ def test_all_congruences_matches_enumeration():
         assert got == expected, alg.name
 
 
-def test_all_congruences_budget():
-    with pytest.raises(BudgetExceededError):
-        all_congruences(zmod_ring(12), budget=3)
+def test_all_congruences_budget(monkeypatch):
+    monkeypatch.setenv("CRTKIT_BUDGET", "3")
+    with pytest.raises(BudgetExceededError) as info:
+        all_congruences(zmod_ring(12))
+    assert info.value.budget == 3
 
 
 def test_naive_meet_irreducibles_definition():
@@ -529,6 +531,23 @@ def test_term_grids_broadcast_and_refuse_as_eval_term_does():
         with pytest.raises(InputError) as point_error:
             eval_term(alg, bad, (0, 1, 2))
         assert str(grid_error.value) == str(point_error.value)
+
+
+@pytest.mark.parametrize("x", [[-1, 0, 2], [0, 3, 1]], ids=["negative", "too large"])
+def test_term_grids_refuse_values_outside_the_universe(x):
+    # a negative index once wrapped silently and a large one leaked numpy's
+    # IndexError; eval_term refuses the same points
+    alg = chain_lattice(3)
+    meet = App("meet", (Var(0), Var(1)))
+    bad = min(x) if min(x) < 0 else max(x)
+    with pytest.raises(InputError, match=f"^argument {bad} outside the universe$"):
+        eval_term_grid(alg, meet, (np.array(x), 1))
+    with pytest.raises(InputError, match=f"^argument {bad} outside the universe$"):
+        eval_term(alg, meet, (bad, 1))
+    with pytest.raises(InputError, match=f"^argument {bad} outside the universe$"):
+        eval_term_grid(alg, meet, (1, np.array(x)))
+    with pytest.raises(InputError, match="^grid of float64 values, expected elements$"):
+        eval_term_grid(alg, meet, (np.array([0.0, 1.0]), 1))
 
 
 def test_tables_over_the_entry_bound_are_refused_before_tabulation():

@@ -77,6 +77,12 @@ def test_power_algebra_matches_reference(build, exponent):
     assert (new.size, new.name, new.ops) == (ref.size, ref.name, ref.ops)
 
 
+def test_vector_index_round_trip():
+    for p, n in ((2, 3), (3, 2)):
+        for idx in range(p**n):
+            assert tuple_to_index(index_to_tuple(idx, p, n), p) == idx
+
+
 def test_power_algebra_rejects_an_exponent_below_one():
     with pytest.raises(InputError, match="exponent must be at least 1"):
         power_algebra(two_majority(), 0)

@@ -75,8 +75,12 @@ def test_make_view_two_element():
 
 
 def test_make_view_requires_unique_ternary():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^chain3 has 0 ternary operations; need exactly one$"):
         make_view(chain_lattice(3))  # only binary operations
+    n = two_nearlattice().op("n")
+    twice = FiniteAlgebra(2, [n, Operation("n2", 3, n.table)], name="twice")
+    with pytest.raises(InputError, match="^twice has 2 ternary operations; need exactly one$"):
+        make_view(twice)
     view = lattice_view(chain_lattice(3))
     assert view.p_count == 2
     unary_meet = FiniteAlgebra(

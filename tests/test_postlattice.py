@@ -31,7 +31,6 @@ from crtkit.errors import InputError, PreconditionError, StructureError
 from crtkit.nearlattice import make_view
 from crtkit.partitions import Partition
 from crtkit.postlattice import (
-    HAS_S,
     M_TABLE,
     N_DUAL_TABLE,
     N_TABLE,
@@ -41,7 +40,6 @@ from crtkit.postlattice import (
     S_TABLE,
     _RELATIONS,
     _TARGETS,
-    Classification,
     _choice_masks,
     _generator_view,
     _preserves,
@@ -223,24 +221,23 @@ def test_affine_instance_from_minority_square():
 
 
 def test_affine_instance_precondition_checks():
-    # a non-group "addition" derived from lattice terms is refused
-    alg = two_lattice()
-    hint = Classification(HAS_S, App("meet", (App("join", (Var(0), Var(1))), Var(2))), S_TABLE)
-    with pytest.raises(PreconditionError):
-        route_decide(alg, [c.partition for c in all_congruences(alg)][:1], alg, class_hint=hint)
+    # under 2min, an input whose s is the majority table derives the
+    # addition x + y = m(x, y, 0), and 1 + 1 = 1 is refused
+    alg = FiniteAlgebra(2, [Operation("s", 3, two_majority().op("m").table)], name="maj-as-s")
+    with pytest.raises(PreconditionError, match="does not square to the neutral element"):
+        route_decide(alg, [Partition([0, 1])], two_minority())
 
 
 def test_route_vs_matches_brute():
     rng = random.Random(60)
     gen = two_minority()
-    cls = classify(gen)
     checked = 0
     for _ in range(10):
         alg, _ = random_closed_subpower(rng, two_minority(), rng.randint(2, 3), 3)
         lattice = [c.partition for c in all_congruences(alg)]
         for _ in range(15):
             thetas = [rng.choice(lattice) for _ in range(rng.randint(2, 3))]
-            res = route_decide(alg, thetas, gen, class_hint=cls)
+            res = route_decide(alg, thetas, gen)
             assert res.route == "vs"
             assert res.warning is None
             assert res.is_cr == brute_force_is_cr_tuple(thetas).is_cr
@@ -250,12 +247,11 @@ def test_route_vs_matches_brute():
 
 def test_route_nearlattice_matches_brute():
     gen = two_lattice()
-    cls = classify(gen)
     alg = chain_lattice(4)
     lattice = [c.partition for c in all_congruences(alg)]
     for k in (2, 3):
         for thetas in itertools.combinations(lattice, k):
-            res = route_decide(alg, list(thetas), gen, class_hint=cls)
+            res = route_decide(alg, list(thetas), gen)
             assert res.route == "nearlattice"
             assert res.is_cr == brute_force_is_cr_tuple(list(thetas)).is_cr
 
@@ -263,8 +259,7 @@ def test_route_nearlattice_matches_brute():
 def test_route_nearlattice_dual_orientation():
     # the relabeled witness drives the same decision procedure
     rng = random.Random(61)
-    cls = classify(S10)
-    assert cls.table == N_DUAL_TABLE
+    assert classify(S10).table == N_DUAL_TABLE
     checked = 0
     for _ in range(8):
         alg, _ = random_closed_subpower(rng, S10, rng.randint(2, 3), 3)
@@ -273,7 +268,7 @@ def test_route_nearlattice_dual_orientation():
         lattice = [c.partition for c in all_congruences(alg)]
         for _ in range(15):
             thetas = [rng.choice(lattice) for _ in range(rng.randint(2, 3))]
-            res = route_decide(alg, thetas, S10, class_hint=cls)
+            res = route_decide(alg, thetas, S10)
             assert res.route == "nearlattice"
             assert res.is_cr == brute_force_is_cr_tuple(thetas).is_cr
             checked += 1
@@ -283,7 +278,6 @@ def test_route_nearlattice_dual_orientation():
 def test_route_dualdisc_matches_brute():
     rng = random.Random(62)
     gen = two_majority()
-    cls = classify(gen)
     checked = 0
     for _ in range(10):
         alg, _ = random_closed_subpower(rng, two_majority(), rng.randint(2, 3), 3)
@@ -292,7 +286,7 @@ def test_route_dualdisc_matches_brute():
         lattice = [c.partition for c in all_congruences(alg)]
         for _ in range(15):
             thetas = [rng.choice(lattice) for _ in range(rng.randint(2, 3))]
-            res = route_decide(alg, thetas, gen, class_hint=cls)
+            res = route_decide(alg, thetas, gen)
             assert res.route == "dualdisc"
             assert res.is_cr == brute_force_is_cr_tuple(thetas).is_cr
             checked += 1
@@ -304,7 +298,6 @@ def test_route_brute_fallbacks_carry_warnings():
         bare_set(3),
         [Partition([0, 1, 1]), Partition([0, 0, 1])],
         NEG,
-        class_hint=classify(NEG),
     )
     assert res.route == "brute"
     assert "coNP" in res.warning
@@ -314,7 +307,6 @@ def test_route_brute_fallbacks_carry_warnings():
         two_join_semilattice(),
         [Partition([0, 1])],
         two_join_semilattice(),
-        class_hint=classify(two_join_semilattice()),
     )
     assert res2.route == "brute"
     assert "open" in res2.warning
@@ -327,8 +319,6 @@ def test_route_requires_the_generator():
     thetas = [c.partition for c in all_congruences(alg)]
     with pytest.raises(TypeError, match="generator"):
         route_decide(alg, thetas)
-    with pytest.raises(TypeError, match="generator"):
-        route_decide(alg, thetas, class_hint=classify(two_lattice()))
     with pytest.raises(InputError, match="chain3 has 3 elements, need exactly 2"):
         route_decide(alg, thetas, alg)
     res = route_decide(alg, thetas, generator=two_lattice())
@@ -397,27 +387,21 @@ def test_generator_view_certifies_each_operation_the_witness_uses(op, at, value)
 def test_generator_view_needs_the_operations_the_witness_uses():
     alg = chain_lattice(3)
     thetas = [Partition([0, 1, 2]), Partition([0, 0, 0])]
-    meets = FiniteAlgebra(2, [two_lattice().op("meet")], name="meets")
-    with pytest.raises(
-        InputError, match="^meets has no operation named 'join', which its witness term uses$"
-    ):
-        route_decide(alg, thetas, meets, class_hint=classify(two_lattice()))
+    # an input whose join is ternary cannot run the witness of 2lat
+    ternary_max = [max(row) for row in itertools.product(range(3), repeat=3)]
     ternary_join = FiniteAlgebra(
-        2,
-        [two_lattice().op("meet"), Operation("join", 3, S00.op("f").table)],
-        name="tj",
+        3, [alg.op("meet"), Operation("join", 3, ternary_max)], name="tj"
     )
-    with pytest.raises(InputError, match="^'join' has arity 2, expected 3$"):
-        route_decide(alg, thetas, ternary_join, class_hint=classify(two_lattice()))
+    with pytest.raises(InputError, match="^term applies 'join' to 2 subterms, arity is 3$"):
+        route_decide(ternary_join, thetas, two_lattice())
     with pytest.raises(InputError, match="^no operation named 'meet'$"):
         route_decide(two_nearlattice(), [Partition([0, 1])], two_lattice())
 
 
 def test_route_rejects_foreign_partitions():
-    cls = classify(two_lattice())
     alg = chain_lattice(3)
     with pytest.raises(StructureError):
-        route_decide(alg, [Partition([0, 1, 0])], two_lattice(), class_hint=cls)
+        route_decide(alg, [Partition([0, 1, 0])], two_lattice())
 
 
 def test_classification_stability_under_derived_terms():

@@ -55,13 +55,13 @@ GENERATORS = {
     "2N": two_nearlattice(),
     "2lat": two_lattice(),
 }
-# every generator route_decide is tried with, and its classification
+# every generator route_decide is tried with, and (in TAGS) its class
 ROUTE_BY = {
     **GENERATORS,
     "neg": FiniteAlgebra(2, [Operation("neg", 1, (1, 0))], name="neg"),
     "2sl": two_join_semilattice(),
 }
-HINTS = {name: classify(gen) for name, gen in ROUTE_BY.items()}
+TAGS = {name: classify(gen, with_witness=False).tag for name, gen in ROUTE_BY.items()}
 # the route a subalgebra of a power of each generator takes by its own class,
 # and the method each kind of input must pass
 OWN_ROUTE = {"2maj": "dualdisc", "2min": "vs", "2N": "nearlattice", "2lat": "nearlattice"}
@@ -152,15 +152,15 @@ def test_every_route_returns_brute_force_verdict_or_refuses(instance):
         for method in DECIDERS:
             refused = _refused_by_method(directory, alg, parts, method, want)
             assert not (refused and OWN_METHOD.get(kind) == method), (method, alg.name)
-    for name, hint in HINTS.items():
+    for name, gen in ROUTE_BY.items():
         try:
-            with time_limit(hint.tag):
-                result = route_decide(alg, parts, ROUTE_BY[name], class_hint=hint)
+            with time_limit(TAGS[name]):
+                result = route_decide(alg, parts, gen)
         except CrtkitError:
             # a subalgebra of a power of the generator is in its variety
-            assert name != kind, (hint.tag, alg.name)
+            assert name != kind, (TAGS[name], alg.name)
             continue
-        assert result.is_cr == want, (hint.tag, alg.name, parts)
+        assert result.is_cr == want, (TAGS[name], alg.name, parts)
         if name == kind:
             assert result.route == OWN_ROUTE[kind]
 
@@ -235,7 +235,7 @@ def test_routes_on_128_element_powers_within_a_second(base, route):
     # least two blocks, since on the identity dualdisc takes the principal
     # congruences of all 128 elements, which takes seconds.
     gen = base()
-    alg, hint = power_algebra(gen, 7), classify(gen)
+    alg = power_algebra(gen, 7)
     rng = random.Random(alg.name)
     tuples = []
     for _ in range(4):
@@ -249,7 +249,7 @@ def test_routes_on_128_element_powers_within_a_second(base, route):
         tuples += [_identity_meet_kernels(rng, 7) for _ in range(4)]
     for parts in tuples:
         start = time.perf_counter()
-        result = route_decide(alg, parts, gen, class_hint=hint)
+        result = route_decide(alg, parts, gen)
         elapsed = time.perf_counter() - start
         assert result.route == route
         assert result.is_cr == brute_force_is_cr_tuple(parts).is_cr
@@ -259,11 +259,11 @@ def test_routes_on_128_element_powers_within_a_second(base, route):
 def test_an_oversized_reduct_is_refused_before_allocating():
     # the ternary reduct of 2lat^10 to the witness of n would need a
     # 1024^3-entry table
-    alg, hint = power_algebra(two_lattice(), 10), classify(two_lattice())
+    alg, witness = power_algebra(two_lattice(), 10), classify(two_lattice()).witness
     tracemalloc.start()
     try:
         with pytest.raises(InputError, match=r"1024\^3 = 1073741824 entries"):
-            reduct(alg, {"n": (3, hint.witness)})
+            reduct(alg, {"n": (3, witness)})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -276,14 +276,14 @@ def test_hasn_route_decides_1024_element_powers_with_an_identity_meet(base):
     # sigma on the input's own binary tables, so it builds no 1024^3-entry
     # reduct
     gen = base()
-    alg, hint = power_algebra(gen, 10), classify(gen)
+    alg = power_algebra(gen, 10)
     rng = random.Random(alg.name)
     for _ in range(3):
         parts = _identity_meet_kernels(rng, 10)
         tracemalloc.start()
         try:
             start = time.perf_counter()
-            result = route_decide(alg, parts, gen, class_hint=hint)
+            result = route_decide(alg, parts, gen)
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -330,11 +330,11 @@ def test_every_decider_and_route_refuses_a_bad_tuple(decider, bad):
         decide = DECIDERS[decider]
     else:
         gen = ROUTE_GENERATORS[decider]
-        alg, hint = power_algebra(gen, 2), classify(gen)
-        assert hint.tag == decider
+        alg = power_algebra(gen, 2)
+        assert classify(gen).tag == decider
 
         def decide(alg, thetas):
-            return route_decide(alg, thetas, gen, class_hint=hint)
+            return route_decide(alg, thetas, gen)
 
     assert decide(alg, [GOOD, Partition([0, 1, 0, 1])]).is_cr
     with pytest.raises(error, match="^" + message):

@@ -254,6 +254,11 @@ def test_embeddings_refuse_members_that_are_no_partitions():
         u_embed(3, [Partition([0, 1])])
 
 
+def test_bounded_lift_needs_exactly_one_binary_operation():
+    with pytest.raises(InputError, match="^expected exactly one binary operation, found 2$"):
+        semilattice_bounded_lift(chain_lattice(3), [Partition([0, 1, 2])])
+
+
 def test_bounded_lift_preserves_verdicts():
     def join_reduct(lat):
         return FiniteAlgebra(lat.size, [lat.op("join")], name=lat.name + "j")

@@ -160,10 +160,11 @@ def test_single_congruence_always_cr():
     assert v.is_cr and v.witness is None and v.checked == 0
 
 
-def test_budget_exhaustion():
+def test_budget_exhaustion(monkeypatch):
     thetas = [Partition(list(range(6))) for _ in range(3)]
+    monkeypatch.setenv("CRTKIT_BUDGET", "5")
     with pytest.raises(BudgetExceededError) as info:
-        brute_force_is_cr_tuple(thetas, budget=5)
+        brute_force_is_cr_tuple(thetas)
     assert info.value.budget == 5
     assert info.value.checked == 5
 

@@ -19,7 +19,6 @@ from crtkit.vectorspace import (
     dim_compatible,
     dim_solvable,
     in_rowspace,
-    index_to_vector,
     is_cr_tuple_vs,
     is_prime,
     kernel_basis,
@@ -29,7 +28,6 @@ from crtkit.vectorspace import (
     subspace_intersection,
     subspace_sum,
     subspace_to_partition,
-    vector_to_index,
     vs_instance,
 )
 
@@ -125,12 +123,6 @@ def test_vs_instance_validations():
         vs_instance(2, 2, [])
     with pytest.raises(InputError):
         vs_instance(2, 2, [[[1, 0, 1]]])
-
-
-def test_vector_index_round_trip():
-    for p, n in ((2, 3), (3, 2)):
-        for idx in range(p**n):
-            assert vector_to_index(index_to_vector(idx, p, n), p) == idx
 
 
 def test_coset_partitions_shape():
