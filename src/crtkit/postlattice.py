@@ -38,9 +38,13 @@ reaches; it runs only when a witness or the clone itself is asked for,
 and decodes only the terms asked for. The search composes an
 operation of any arity by currying its first argument: with A and B its
 compositions with the first argument fixed to 0 and to 1,
-op(g, ...) = A ^ ((A ^ B) & g) bitwise. A round evaluates this over blocks
-of first arguments, so it holds A, B and one block at a time, never the
-whole product.
+op(g, ...) = A ^ ((A ^ B) & g) bitwise. So a composition depends on the
+other arguments only through the pair (A, A ^ B), and a large round
+composes each distinct pair once. A round evaluates this over blocks of
+first arguments, so it holds the pairs and one block at a time, never the
+whole product. A search for one witness looks, in each round, for its
+table alone, and stops at the first hit; only a round that misses it
+records every new table.
 """
 
 from __future__ import annotations
@@ -97,9 +101,11 @@ _BLOCK = 1 << 18
 def _curry(table, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The compositions A of op(0, ...) and B of op(1, ...) with every tuple
     over R, flat in C order (first argument slowest), returned as A and
-    A ^ B: then op(g, ...) = A ^ ((A ^ B) & g) bitwise. `table` is op's flat
-    table, first argument most significant. Each half is one bit-sliced
-    fold (nearlattice._evaluate) over per-axis grids of R."""
+    A ^ B: then op(g, ...) = A ^ ((A ^ B) & g) bitwise, so it depends on
+    the rest of the tuple only through the pair (A, A ^ B) there (see
+    _pairs). `table` is op's flat table, first argument most significant.
+    Each half is one bit-sliced fold (nearlattice._evaluate) over per-axis
+    grids of R, built over all |R|^(arity - 1) rests."""
     import numpy as np
 
     rest = len(table).bit_length() - 2  # arguments after the first
@@ -111,6 +117,60 @@ def _curry(table, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     out[1] ^= out[0]
     A, X = out.reshape(2, -1)
     return A, X
+
+
+def _first_positions(keys: np.ndarray, count: int) -> np.ndarray:
+    """For each key below count, its first position in keys, or len(keys)
+    where it does not occur. One unbuffered minimum (np.minimum.at) over
+    the keys, in place of the sort of np.unique, which costs several times
+    more on the blocks of a round."""
+    import numpy as np
+
+    first = np.full(count, keys.size, dtype=np.intp)
+    np.minimum.at(first, keys, np.arange(keys.size))
+    return first
+
+
+def _pairs(A: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct pairs (A[r], X[r]) of a curried operation (see _curry),
+    as A, X and lead, in lead order: the lead of a pair is the first rest r,
+    in flat order, that has it. op(g, r) depends on r only through its
+    pair, so for each g the first rest at which op(g, ...) takes a value is
+    a lead. Found in blocks of _BLOCK rests (see _first_positions) against
+    a mask of the 2^16 pair codes already seen, so nothing is built over
+    all rests at once."""
+    import numpy as np
+
+    seen = np.zeros(1 << 16, dtype=bool)
+    leads = []
+    for lo in range(0, A.size, _BLOCK):
+        code = A[lo : lo + _BLOCK].astype(np.uint16) << 8 | X[lo : lo + _BLOCK]
+        first = _first_positions(code, 1 << 16)
+        fresh = (first < code.size) & ~seen
+        seen |= fresh
+        leads.append(np.sort(first[fresh]) + lo)
+    lead = np.concatenate(leads)
+    return A[lead], X[lead], lead
+
+
+def _first_hit(A: np.ndarray, X: np.ndarray, R: np.ndarray, target: int) -> Optional[int]:
+    """The least flat index g * len(A) + r with A[r] ^ (X[r] & R[g]) equal
+    to target, or None. Only a rest whose A agrees with target where X is
+    0 can hit, so the product is walked over those rests alone, in blocks
+    of g."""
+    import numpy as np
+
+    cand = np.flatnonzero(((A ^ target) & ~X) == 0)
+    if not cand.size:
+        return None
+    Ac, Xc = A[cand], X[cand]
+    rows = max(1, _BLOCK // cand.size)
+    for lo in range(0, R.size, rows):
+        hits = np.flatnonzero((Ac ^ (Xc & R[lo : lo + rows, None])).ravel() == target)
+        if hits.size:
+            g, u = divmod(int(hits[0]), cand.size)
+            return (lo + g) * A.size + int(cand[u])
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -161,15 +221,20 @@ def _witness_bfs(alg2: FiniteAlgebra, target: Optional[int]) -> _Closure:
     table composable from earlier rounds was already found then, so new
     tables really have the current depth), one operation at a time in
     signature order. An operation of any arity is curried on its first
-    argument (see _curry), and its round walks the first argument in
-    blocks of _BLOCK entries (one first argument at least), in flat order;
-    within a block only the entries whose table is not yet known are
-    looked up. A new table's witness is recorded as the first flat index
-    at which it occurs, and the new tables of one operation are recorded
-    in value order. With a target, the search ends once the target is
-    recorded, and the round stops at the first block after which the
-    target and every smaller table are known, so the tables recorded up to
-    the target are those the whole round would record."""
+    argument (see _curry). Where its product is larger than one block, only
+    the distinct pairs of its halves are composed (see _pairs), so a round
+    walks |R| first arguments times the distinct pairs, in blocks of _BLOCK
+    entries (one first argument at least), in flat order. A new table's
+    witness is recorded as the first flat index at which it occurs, and
+    the new tables of one operation are recorded in value order.
+
+    With a target, each round first looks for the target alone, operation
+    by operation, in the product of the halves (see _first_hit; that
+    search skips the rests that cannot hit, so it needs no deduplication).
+    At the first hit it records the target, with the operation and flat
+    index that the whole round would record, and stops; the smaller tables
+    of that round are not recorded. Only a round that does not reach the
+    target records every new table."""
     import numpy as np
 
     found = _Closure()
@@ -188,23 +253,32 @@ def _witness_bfs(alg2: FiniteAlgebra, target: Optional[int]) -> _Closure:
     while changed and len(found.order) < 256:
         changed = False
         R = np.array(found.order, dtype=np.uint8)
+        products = []
         for op in ops:
             A, X = _curry(op.table, R)
+            hit = None if target is None else _first_hit(A, X, R, target)
+            if hit is not None:
+                found.add(target, (op, hit, R.size))
+                return found
+            rest = A.size  # flat entries per first argument
+            if rest * R.size > _BLOCK:
+                A, X, lead = _pairs(A, X)
+            else:  # a product of one block costs less than its deduplication
+                lead = np.arange(rest)
+            products.append((op, A, X, lead, rest))
+        for op, A, X, lead, rest in products:
             rows = max(1, _BLOCK // A.size)
             first: dict[int, int] = {}  # new table -> first flat index
             for lo in range(0, R.size, rows):
                 block = (A ^ (X & R[lo : lo + rows, None])).ravel()
-                fresh = np.flatnonzero(~known[block])
-                vals, idx = np.unique(block[fresh], return_index=True)
+                pos = _first_positions(block, 256)
+                vals = np.flatnonzero((pos < block.size) & ~known)
                 known[vals] = True
-                first.update(zip(vals.tolist(), (lo * A.size + fresh[idx]).tolist()))
-                if target in first and known[:target].all():
-                    break
+                g, u = np.divmod(pos[vals], A.size)
+                first.update(zip(vals.tolist(), ((lo + g) * rest + lead[u]).tolist()))
             for val in sorted(first):
                 found.add(val, (op, first[val], R.size))
                 changed = True
-                if val == target:
-                    return found
     return found
 
 

@@ -44,6 +44,7 @@ from crtkit.postlattice import (
     _generator_view,
     _preserves,
     _witness_bfs,
+    _witness_term,
     classify,
     route_decide,
     table_of_term,
@@ -592,8 +593,10 @@ def test_classify_matches_ternary_clone_on_sampled_signatures():
 
 
 def test_witness_search_matches_reference_on_sampled_signatures():
-    # for arities up to 3 the search records the reference's terms, in the
-    # reference's order, whether it runs to the end or stops at a target
+    # for arities up to 3 a search run to the end records the reference's
+    # terms, in the reference's order. A search stopped at a target gives
+    # the reference's term for it; it records only the tables of the rounds
+    # before the target's round, and each with the reference's term.
     rng = random.Random(72)
     for draw in range(16):
         alg = sampled_signature(rng, draw)
@@ -603,7 +606,28 @@ def test_witness_search_matches_reference_on_sampled_signatures():
             term = found.term(target) if target in found else None
             ref_witness, ref_term = reference_witness_bfs(alg, target)
             assert term == ref_term, (alg.ops, target)
-            assert list(witness.items()) == list(ref_witness.items()), (alg.ops, target)
+            if target is None:
+                assert list(witness.items()) == list(ref_witness.items()), alg.ops
+                continue
+            for tab, w in witness.items():
+                assert w == ref_witness[tab], (alg.ops, target, tab)
+                if term is not None and tab != target:
+                    assert term_depth(w) < term_depth(term), (alg.ops, target, tab)
+
+
+def sampled_and_arity_four_algebras():
+    rng = random.Random(72)
+    yield from (sampled_signature(rng, draw) for draw in range(16))
+    yield from (two_elem("quaternary", f=p.values) for p in ARITY_FOUR)
+
+
+def test_witness_search_stopped_at_any_table_gives_the_clone_term():
+    # every table the full search reaches, not only s, n and m, gets the
+    # same term from a search that stops at it
+    for alg in sampled_and_arity_four_algebras():
+        clone = ternary_clone(alg)
+        for tab, term in clone.items():
+            assert _witness_term(alg, tab) == term, (alg.ops, tab)
 
 
 ARITY_FOUR = [
@@ -662,3 +686,16 @@ def test_ternary_clone_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_ternary_clone_of_a_five_ary_nor_stays_in_bounded_memory():
+    # its last round has 41^4 rests and 256 distinct curried pairs; the
+    # pairs are found in blocks of rests, not by one sort over all of them
+    alg = two_elem("nor5", f=(5, lambda *args: 1 - max(args)))
+    tracemalloc.start()
+    try:
+        assert len(ternary_clone(alg)) == 256
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
