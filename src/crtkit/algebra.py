@@ -6,7 +6,9 @@ are partitions compatible with every operation; they are produced here
 wrapped in a Congruence record that remembers the certifying algebra.
 
 This module is the core every command loads: operations and algebras, the
-table helpers and size limits, the laws of binary operations, and
+table helpers (with _evaluate, the bitwise fold of a two-element table
+that the classifier and the nearlattice views share) and size limits, the
+laws of binary operations, and
 certification (congruence_violation, certify). Certification tests only
 the operations that are neither constants nor projections, found once per
 algebra by an exact table test, and imports numpy only when one is left.
@@ -244,6 +246,26 @@ def table_dtype(size: int):
     import numpy as np
 
     return np.dtype(_typecode(size))
+
+
+def _evaluate(table, args: list, ones):
+    """A two-element table, flat with its first argument most significant,
+    applied bitwise to args (ints, or packed bit arrays that broadcast
+    together); `ones` stands for 1. The fold curries the last argument
+    first: f(..., x) = a ^ ((a ^ b) & x) with a = f(..., 0) and
+    b = f(..., 1). On the first level a and b are constants, so the result
+    is one of 0, not x, x and 1, looked up. Pure Python: the classifier's
+    tag folds it over ints without numpy."""
+    if not args:
+        return ones if table[0] else 0
+    x = args[-1]
+    leaf = (0, ones ^ x, x, ones)
+    pairs = iter(table)
+    vals = [leaf[a + 2 * b] for a, b in zip(pairs, pairs)]
+    for x in reversed(args[:-1]):
+        pairs = iter(vals)
+        vals = [a ^ ((a ^ b) & x) for a, b in zip(pairs, pairs)]
+    return vals[0]
 
 
 # entries per block of an array kernel over blocks of first arguments

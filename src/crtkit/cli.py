@@ -10,7 +10,8 @@ Subcommands:
 
 Verdicts and reports go to stdout, diagnostics to stderr. Exit codes:
 0 for success (check: tuple is CR), 10 for check's NOT-CR verdict, 2 for
-any error (bad files, non-congruences, method preconditions, budgets).
+any error (bad files, non-congruences, method preconditions, budgets,
+exhausted memory).
 Identical inputs produce byte-identical stdout.
 """
 
@@ -236,14 +237,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # crtkit calls no BLAS routine, so numpy's OpenBLAS pool would only spin
+    # threads; read when numpy is first imported, which a command does lazily
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         config.budget(config.DEFAULT_TUPLE_BUDGET)  # reject a bad override up front
         return args.func(args)
-    except CrtkitError as exc:
+    except (CrtkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # numpy names the allocation; a bare one says nothing
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_ERROR
 
 

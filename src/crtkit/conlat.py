@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from . import algebra, config
 from .algebra import Congruence, FiniteAlgebra, table_dtype
 from .errors import BudgetExceededError, InputError
 from .partitions import Partition, _bits, _UnionFind
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Congruence:
@@ -63,8 +61,6 @@ def principal_partition_set(alg: FiniteAlgebra) -> list[Partition]:
     n = alg.size
     if n == 1:
         return []
-    import numpy as np
-
     xs, ys = np.triu_indices(n, k=1)
     num_pairs = len(xs)
     pair_id = np.full((n, n), -1, dtype=np.int32)
@@ -144,8 +140,6 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     1.8M edge keys of boolean_lattice(7); on rows it imports numpy.ma,
     about 20 ms of a command's start-up.
     """
-    import numpy as np
-
     keep = np.empty(len(keys), dtype=bool)
     keep[:1] = True
     if keys.ndim == 1:
@@ -290,25 +284,20 @@ def meet_irreducible_congruences(alg: FiniteAlgebra) -> list[Congruence]:
     """Meet-irreducible congruences, computed from principal congruences only.
 
     Requires the congruence lattice to be distributive (caller-asserted).
-    Join-irreducible principals survive the filter "strictly above the join
-    of the strictly smaller principals"; each join-irreducible theta then
-    maps to the join of the join-irreducibles theta does not sit below,
-    the largest member of the lattice avoiding theta.
+    Every join-irreducible congruence is principal, so _join_irreducibles
+    finds them among the principal congruences and the identity, without
+    which the atoms would be skipped as least members. Each
+    join-irreducible theta then maps to the join of the join-irreducibles
+    theta does not sit below: join-primeness keeps theta out of it, so it
+    is the largest congruence not above theta. Joins are ORs of relation
+    masks, closed once (_equivalence_closure).
     """
     n = alg.size
-    ident = Partition.identity(n)
-    principal = principal_partition_set(alg)
-    join_irr = []
-    for theta in principal:
-        below = [d for d in principal if d != theta and d.refines(theta)]
-        if functools.reduce(Partition.join, below, ident) != theta:
-            join_irr.append(theta)
+    _, masks, join_irr = _join_irreducibles([Partition.identity(n), *principal_partition_set(alg)])
     out: dict[tuple, Partition] = {}
-    for theta in join_irr:
-        # join-primeness keeps theta out of this join, so it is the
-        # largest congruence not above theta
-        avoiding = [d for d in join_irr if not theta.refines(d)]
-        m = functools.reduce(Partition.join, avoiding, ident)
+    for j in join_irr:
+        avoiding = (masks[d] for d in join_irr if masks[j] & ~masks[d])
+        m = _equivalence_closure(functools.reduce(operator.or_, avoiding, masks[0]), n)
         out[m.labels] = m
     return [Congruence(alg, p) for p in sorted(out.values(), key=lambda q: q.labels)]
 
@@ -391,7 +380,11 @@ def _count_down_sets(down: list[int], up: list[int], limit: int) -> int:
 
 def _join_irreducibles(lattice: list[Partition]):
     """(distinct members, their relation masks, indices of the
-    join-irreducible members) of a lattice of partitions closed under join."""
+    join-irreducible members) of a lattice of partitions closed under join,
+    or of an algebra's principal congruences with the identity first: below
+    a principal congruence every congruence is a join of principal ones, so
+    there too a member is join-irreducible when the members strictly below
+    it do not join to it."""
     parts = list({p.labels: p for p in lattice}.values())
     # x <= y iff the relation mask of x has no bit outside y's
     masks = [_relation_mask(p) for p in parts]

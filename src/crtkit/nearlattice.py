@@ -29,14 +29,13 @@ implication algebra is an antichain, so it has no covers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-from .algebra import FiniteAlgebra, as_partitions, certify
+import numpy as np
+
+from .algebra import FiniteAlgebra, _evaluate, as_partitions, certify
 from .errors import InputError, StructureError
 from .partitions import Partition, _bits, canonical_labels
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(eq=False)
@@ -58,29 +57,8 @@ class NearlatticeView:
 _CHUNK_BYTES = 1 << 22
 
 
-def _evaluate(table, args: list, ones):
-    """A boolean function, flat table with its first argument most
-    significant, applied bitwise to args (ints, or packed bit arrays that
-    broadcast together); `ones` stands for 1. The fold curries the last
-    argument first: f(..., x) = a ^ ((a ^ b) & x) with a = f(..., 0) and
-    b = f(..., 1). On the first level a and b are constants, so the result
-    is one of 0, not x, x and 1, looked up."""
-    if not args:
-        return ones if table[0] else 0
-    x = args[-1]
-    leaf = (0, ones ^ x, x, ones)
-    pairs = iter(table)
-    vals = [leaf[a + 2 * b] for a, b in zip(pairs, pairs)]
-    for x in reversed(args[:-1]):
-        pairs = iter(vals)
-        vals = [a ^ ((a ^ b) & x) for a, b in zip(pairs, pairs)]
-    return vals[0]
-
-
 def _row_masks(rows: np.ndarray) -> list[int]:
     """Each row of a boolean matrix as an int with column j at bit j."""
-    import numpy as np
-
     packed = np.packbits(rows, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
@@ -96,8 +74,6 @@ def _order_view(
     images. p is meet-irreducible iff its strict up-set is the up-set of
     one element (its unique upper cover).
     """
-    import numpy as np
-
     n = alg.size
     tops = np.flatnonzero(leq_bool.all(axis=0))
     if len(tops) != 1:
@@ -134,8 +110,6 @@ def _certify_op(alg: FiniteAlgebra, rule, S: np.ndarray, full: np.ndarray):
     sigma of the rule's operation's value differs from the rule's table
     folded over the packed sigmas of the arguments (_evaluate, with `full`
     the packed all-ones row)."""
-    import numpy as np
-
     name, table, text = rule
     T = alg.table_array(name)
     n, k, width = alg.size, T.ndim, S.shape[1]
@@ -166,8 +140,6 @@ def _view(alg: FiniteAlgebra, leq_bool: np.ndarray, rules, what: str) -> Nearlat
     certified on each rule: an operation name, its two-element table (flat,
     first argument most significant) and the table in words. The arities
     are checked before leq_bool is read."""
-    import numpy as np
-
     for name, table, _ in rules:
         op = alg.op(name)
         if len(table) != 1 << op.arity:
@@ -198,8 +170,6 @@ def make_view(
     elements, the order is x <= y iff j(x, y) = y and sigma must carry each
     rule's operation to its table instead.
     """
-    import numpy as np
-
     idx = np.arange(alg.size)
     if rules is None:
         ternary = [op.name for op in alg.ops if op.arity == 3]
@@ -214,8 +184,6 @@ def make_view(
 def lattice_view(alg: FiniteAlgebra) -> NearlatticeView:
     """View of a distributive lattice: x <= y iff x v y = y, and sigma must
     be an injective lattice homomorphism into the subsets of P."""
-    import numpy as np
-
     alg.op("meet")  # a missing meet is named first
     leq = alg.table_array("join") == np.arange(alg.size)[None, :]
     rules = [("meet", (0, 0, 0, 1), "x and y"), ("join", (0, 1, 1, 1), "x or y")]

@@ -42,7 +42,9 @@ op(g, ...) = A ^ ((A ^ B) & g) bitwise. So a composition depends on the
 other arguments only through the pair (A, A ^ B), and a large round
 composes each distinct pair once. A round evaluates this over blocks of
 first arguments, so it holds the pairs and one block at a time, never the
-whole product. A search for one witness looks, in each round, for its
+whole product; A and A ^ B themselves span every tuple of the other
+arguments, so halves past a byte bound are refused with an InputError
+before they are built. A search for one witness looks, in each round, for its
 table alone, and stops at the first hit; only a round that misses it
 records every new table.
 """
@@ -54,11 +56,11 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from . import deciders, nearlattice
-from .algebra import Congruence, FiniteAlgebra, Operation, table_dtype
+# terms and nearlattice load numpy with their bodies, so they are read
+# through their lazily loaded modules: the tag alone runs neither
+from . import deciders, nearlattice, terms
+from .algebra import Congruence, FiniteAlgebra, Operation, _evaluate, table_dtype
 from .errors import ClassificationError, InputError, PreconditionError, StructureError
-from .nearlattice import _evaluate
-from .terms import App, Term, Var, eval_term, eval_term_grid
 
 if TYPE_CHECKING:
     import numpy as np
@@ -84,12 +86,12 @@ def _check_two(alg2: FiniteAlgebra):
         raise InputError(f"{alg2.name} has {alg2.size} elements, need exactly 2")
 
 
-def table_of_term(alg2: FiniteAlgebra, term: Term) -> int:
+def table_of_term(alg2: FiniteAlgebra, term: terms.Term) -> int:
     """8-bit table of a term read as a ternary operation on {0,1}."""
     _check_two(alg2)
     out = 0
     for p in range(8):
-        out |= eval_term(alg2, term, (p >> 2 & 1, p >> 1 & 1, p & 1)) << p
+        out |= terms.eval_term(alg2, term, (p >> 2 & 1, p >> 1 & 1, p & 1)) << p
     return out
 
 
@@ -97,18 +99,30 @@ def table_of_term(alg2: FiniteAlgebra, term: Term) -> int:
 # builds beyond the op(0, ...) and op(1, ...) halves
 _BLOCK = 1 << 18
 
+# bytes the two halves of one curried operation may take; the 6-ary nor's
+# reach 2 * 41^5, its 7-ary form's 2 * 41^6 (9.5 GB)
+_MAX_HALVES_BYTES = 1 << 28
 
-def _curry(table, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+
+def _curry(op: Operation, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The compositions A of op(0, ...) and B of op(1, ...) with every tuple
     over R, flat in C order (first argument slowest), returned as A and
     A ^ B: then op(g, ...) = A ^ ((A ^ B) & g) bitwise, so it depends on
     the rest of the tuple only through the pair (A, A ^ B) there (see
-    _pairs). `table` is op's flat table, first argument most significant.
-    Each half is one bit-sliced fold (nearlattice._evaluate) over per-axis
-    grids of R, built over all |R|^(arity - 1) rests."""
+    _pairs). Each half is one bit-sliced fold (algebra._evaluate) of op's
+    table over per-axis grids of R, built over all |R|^(arity - 1) rests;
+    halves of more than _MAX_HALVES_BYTES raise InputError before they
+    are allocated."""
     import numpy as np
 
-    rest = len(table).bit_length() - 2  # arguments after the first
+    table, rest = op.table, op.arity - 1
+    size = 2 * R.size**rest
+    if size > _MAX_HALVES_BYTES:
+        raise InputError(
+            f"the witness search composes {op.name} (arity {op.arity}) over {R.size} "
+            f"tables: its halves need 2 * {R.size}^{rest} = {size} bytes, more than "
+            f"the {_MAX_HALVES_BYTES} allowed"
+        )
     axes = [R.reshape([-1 if j == i else 1 for j in range(rest)]) for i in range(rest)]
     half = len(table) // 2
     out = np.empty((2,) + (R.size,) * rest, dtype=np.uint8)
@@ -189,7 +203,7 @@ class _Closure:
     def __init__(self):
         self.order: list[int] = []
         self._recipes: dict[int, object] = {}
-        self._terms: dict[int, Term] = {}
+        self._terms: dict[int, terms.Term] = {}
 
     def __contains__(self, tab: int) -> bool:
         return tab in self._recipes
@@ -199,7 +213,7 @@ class _Closure:
             self._recipes[tab] = recipe
             self.order.append(tab)
 
-    def term(self, tab: int) -> Term:
+    def term(self, tab: int) -> terms.Term:
         if tab not in self._terms:
             recipe = self._recipes[tab]
             if isinstance(recipe, tuple):
@@ -208,11 +222,12 @@ class _Closure:
                 for _ in range(op.arity):  # last axis varies fastest
                     digits.append(pos % size)
                     pos //= size
-                recipe = App(op.name, tuple(self.term(self.order[i]) for i in reversed(digits)))
+                args = tuple(self.term(self.order[i]) for i in reversed(digits))
+                recipe = terms.App(op.name, args)
             self._terms[tab] = recipe
         return self._terms[tab]
 
-    def witnesses(self) -> dict[int, Term]:
+    def witnesses(self) -> dict[int, terms.Term]:
         return {tab: self.term(tab) for tab in self.order}
 
 
@@ -241,12 +256,12 @@ def _witness_bfs(alg2: FiniteAlgebra, target: Optional[int]) -> _Closure:
     import numpy as np
 
     found = _Closure()
-    found.add(PROJ_X, Var(0))
-    found.add(PROJ_Y, Var(1))
-    found.add(PROJ_Z, Var(2))
+    found.add(PROJ_X, terms.Var(0))
+    found.add(PROJ_Y, terms.Var(1))
+    found.add(PROJ_Z, terms.Var(2))
     for op in alg2.ops:
         if op.arity == 0:
-            found.add(0xFF if op.table[0] else 0x00, App(op.name))
+            found.add(0xFF if op.table[0] else 0x00, terms.App(op.name))
     if target in found:
         return found
     known = np.zeros(256, dtype=bool)
@@ -258,7 +273,7 @@ def _witness_bfs(alg2: FiniteAlgebra, target: Optional[int]) -> _Closure:
         R = np.array(found.order, dtype=np.uint8)
         products = []
         for op in ops:
-            A, X = _curry(op.table, R)
+            A, X = _curry(op, R)
             hit = None if target is None else _first_hit(A, X, R, target)
             if hit is not None:
                 found.add(target, (op, hit, R.size))
@@ -285,14 +300,14 @@ def _witness_bfs(alg2: FiniteAlgebra, target: Optional[int]) -> _Closure:
     return found
 
 
-def ternary_clone(alg2: FiniteAlgebra) -> dict[int, Term]:
+def ternary_clone(alg2: FiniteAlgebra) -> dict[int, terms.Term]:
     """The ternary part of the term clone, each table mapped to a
     smallest-depth witness term. At most 256 tables, so this terminates."""
     _check_two(alg2)
     return _witness_bfs(alg2, None).witnesses()
 
 
-def _witness_term(alg2: FiniteAlgebra, target: int) -> Term:
+def _witness_term(alg2: FiniteAlgebra, target: int) -> terms.Term:
     found = _witness_bfs(alg2, target)
     if target not in found:
         raise StructureError(
@@ -309,7 +324,7 @@ def _witness_term(alg2: FiniteAlgebra, target: int) -> Term:
 @dataclass(frozen=True)
 class Classification:
     tag: str
-    witness: Optional[Term] = None
+    witness: Optional[terms.Term] = None
     table: Optional[int] = None
 
 
@@ -471,7 +486,7 @@ def classify(alg2: FiniteAlgebra, with_witness: bool = True) -> Classification:
 # the affine route
 
 
-def _derived_addition(alg, s_term: Term) -> FiniteAlgebra:
+def _derived_addition(alg, s_term: terms.Term) -> FiniteAlgebra:
     """The algebra with the one operation x + y := s(x, y, 0), named add.
 
     Verifies that x + x = 0; coordinatize checks the group laws with 0 as
@@ -483,7 +498,7 @@ def _derived_addition(alg, s_term: Term) -> FiniteAlgebra:
     n = alg.size
     idx = np.arange(n)
     T = np.empty((n, n), dtype=table_dtype(n))
-    T[...] = eval_term_grid(alg, s_term, (idx[:, None], idx[None, :], 0))
+    T[...] = terms.eval_term_grid(alg, s_term, (idx[:, None], idx[None, :], 0))
     if T.diagonal().any():
         raise PreconditionError("derived addition does not square to the neutral element")
     return FiniteAlgebra(n, [Operation("add", 2, T)], name=f"{alg.name}+")
@@ -514,8 +529,8 @@ class RouteResult:
         return self.is_cr
 
 
-def _operations(term: Term) -> set[str]:
-    if isinstance(term, Var):
+def _operations(term: terms.Term) -> set[str]:
+    if isinstance(term, terms.Var):
         return set()
     return {term.op}.union(*map(_operations, term.args))
 
@@ -537,7 +552,7 @@ def _generator_view(alg, generator: FiniteAlgebra, cls: Classification):
         if swap:
             table = tuple(1 - v for v in reversed(table))
         rules.append((name, table, f"{name} of {generator.name}" + " relabeled 0-1" * swap))
-    join = eval_term_grid(alg, cls.witness, (idx[:, None], idx[:, None], idx[None, :]))
+    join = terms.eval_term_grid(alg, cls.witness, (idx[:, None], idx[:, None], idx[None, :]))
     return nearlattice.make_view(alg, join_table=join, rules=rules)
 
 

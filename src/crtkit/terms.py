@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
+
+import numpy as np
 
 from .algebra import (
     _BLOCK,
@@ -24,9 +26,6 @@ from .algebra import (
     table_dtype,
 )
 from .errors import InputError, PreconditionError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -75,8 +74,6 @@ def eval_term_grid(alg: FiniteAlgebra, term: Term, grids) -> np.ndarray:
     the result has the broadcast shape of the grids the term uses. Raises
     InputError where eval_term would, and for a grid holding anything but
     elements."""
-    import numpy as np
-
     for grid in grids:
         if grid is None:
             continue
@@ -115,8 +112,6 @@ def term_table(alg: FiniteAlgebra, term: Term, arity: int) -> np.ndarray:
     anything is allocated."""
     n = alg.size
     check_table_size(n, arity, f"the term {term_str(term)} on {alg.name}")
-    import numpy as np
-
     dtype = table_dtype(n)
     axes = [
         np.arange(n, dtype=dtype).reshape([n if j == i else 1 for j in range(arity)])
@@ -158,8 +153,6 @@ def quotient(alg: FiniteAlgebra, delta) -> tuple[FiniteAlgebra, tuple[int, ...]]
     delta is certified (algebra.certify) unless it is a Congruence of alg.
     """
     part = congruence(alg, delta).partition
-    import numpy as np
-
     reps = np.array(part.representatives(), dtype=np.intp)
     labels = np.array(part.labels, dtype=table_dtype(part.num_blocks))
     ops = [

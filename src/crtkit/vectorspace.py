@@ -10,14 +10,13 @@ tuple is CR exactly when the two dimensions agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-from .algebra import failed_binary_law
+import numpy as np
+
+from .algebra import as_partitions, failed_binary_law
 from .errors import InputError, PreconditionError, StructureError
 from .partitions import Partition, canonical_labels
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def is_prime(p: int) -> bool:
@@ -32,8 +31,6 @@ def is_prime(p: int) -> bool:
 
 
 def _as_matrix(rows, width: int, p: int) -> np.ndarray:
-    import numpy as np
-
     mat = np.array(list(rows), dtype=np.int64)
     if mat.size == 0:
         return np.zeros((0, width), dtype=np.int64)
@@ -46,8 +43,6 @@ def _as_matrix(rows, width: int, p: int) -> np.ndarray:
 
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p; returns (nonzero rows, pivot columns)."""
-    import numpy as np
-
     A = np.array(mat, dtype=np.int64) % p
     if A.ndim != 2:
         raise InputError("rref expects a matrix")
@@ -81,8 +76,6 @@ def rank(mat: np.ndarray, p: int) -> int:
 
 def kernel_basis(mat: np.ndarray, p: int) -> np.ndarray:
     """Rows spanning {x : mat @ x = 0 mod p}."""
-    import numpy as np
-
     A = np.asarray(mat, dtype=np.int64)
     if A.ndim != 2:
         raise InputError("kernel_basis expects a matrix")
@@ -98,8 +91,6 @@ def kernel_basis(mat: np.ndarray, p: int) -> np.ndarray:
 
 
 def subspace_sum(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    import numpy as np
-
     return rref(np.vstack([a, b]), p)[0]
 
 
@@ -110,8 +101,6 @@ def subspace_intersection(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def in_rowspace(vec, basis: np.ndarray, p: int) -> bool:
-    import numpy as np
-
     stacked = np.vstack([basis, np.asarray(vec, dtype=np.int64).reshape(1, -1) % p])
     return rank(stacked, p) == basis.shape[0]
 
@@ -146,8 +135,6 @@ def vs_instance(p: int, n: int, bases: Sequence) -> VSInstance:
 def annihilator_matrix(inst: VSInstance) -> np.ndarray:
     """Stack, over pairs i<j, the conditions a_i - a_j in W_i + W_j as rows
     over the kn coordinates of a target tuple."""
-    import numpy as np
-
     p, n, k = inst.p, inst.n, inst.k
     blocks = []
     for i in range(k):
@@ -296,10 +283,6 @@ def congruence_to_subspace(chart: Coordinatization, theta) -> np.ndarray:
 
     For a congruence of the group the zero block is a subgroup, hence a
     subspace; the size check below catches partitions that are not."""
-    import numpy as np
-
-    from .algebra import as_partitions
-
     (part,) = as_partitions([theta], len(chart.to_vector))
     zero = chart.from_vector[(0,) * chart.dim]
     block = [e for e in range(part.n) if part.labels[e] == part.labels[zero]]
@@ -314,8 +297,6 @@ def congruence_to_subspace(chart: Coordinatization, theta) -> np.ndarray:
 
 def subspace_to_partition(chart: Coordinatization, basis: np.ndarray) -> Partition:
     """Coset partition of a subspace pulled back through the chart."""
-    import numpy as np
-
     R, pivots = rref(basis, chart.p)
     labels = []
     for e in range(len(chart.to_vector)):

@@ -29,6 +29,7 @@ from crtkit.catalog import (
     zmod_group,
     zmod_ring,
 )
+from crtkit import postlattice
 from crtkit.cli import METHODS, build_parser, main
 from crtkit.formats import parse_algebra, parse_congruences, serialize_algebra
 from crtkit.deciders import DECIDERS
@@ -483,6 +484,53 @@ def test_classify2_frozen_outputs(fix, capsys, algfile, expected):
     assert (code, out, err) == (0, expected, "")
 
 
+def test_classify2_refuses_the_seven_ary_nor_before_allocating(capsys, tmp_path):
+    # the witness search's halves would take 2 * 41^6 bytes (9.5 GB); numpy
+    # used to refuse them with a bare traceback and exit 1
+    nor7 = FiniteAlgebra(2, [Operation("nor", 7, [1] + [0] * 127)], name="nor7")
+    path = tmp_path / "nor7.alg"
+    path.write_text(serialize_algebra(nor7))
+    assert run(capsys, "classify2", "--algebra", str(path)) == (
+        2,
+        "",
+        "error: the witness search composes nor (arity 7) over 41 tables: its halves "
+        "need 2 * 41^6 = 9500208482 bytes, more than the 268435456 allowed\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "exc,line",
+    [
+        (MemoryError(), "error: out of memory\n"),
+        (MemoryError("Unable to allocate 4.00 GiB"), "error: Unable to allocate 4.00 GiB\n"),
+    ],
+    ids=["bare", "numpy"],
+)
+def test_main_reports_exhausted_memory_as_an_error(fix, capsys, monkeypatch, exc, line):
+    # the tag's bit-sliced masks still exhaust memory on wide operations
+    def exhausted(alg2):
+        raise exc
+
+    monkeypatch.setattr(postlattice, "classify", exhausted)
+    assert run(capsys, "classify2", "--algebra", fix["2lat.alg"]) == (2, "", line)
+
+
+@pytest.mark.parametrize("preset,seen", [(None, "1"), ("3", "3")])
+def test_main_gives_openblas_one_thread_unless_set(fix, preset, seen):
+    # crtkit calls no BLAS routine; a caller's own setting is kept
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    script = (
+        "import contextlib, io, os\nfrom crtkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    main(['conlat', '--algebra', {fix['chain3.alg']!r}])\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{seen}\n", "")
+
+
 def test_classify2_relabeled_witness(fix, capsys, tmp_path):
     s10 = FiniteAlgebra(
         2,
@@ -800,6 +848,20 @@ ARRAYS = ["inspect", "numpy"]  # numpy imports inspect itself
             ["dataclasses", *ARRAYS],
             ["conlat", "dualdisc", "terms"],
         ),
+        # the tag reads Post's lattice with pure-Python bit slices, so only a
+        # witness search loads numpy, and with it the terms it builds
+        (
+            ["classify2", "--algebra", "2sl.alg"],
+            "CLASS: SemilatticeFamily  COMPLEXITY: open",
+            ["dataclasses", "inspect"],
+            ["postlattice"],
+        ),
+        (
+            ["classify2", "--algebra", "2lat.alg"],
+            "CLASS: HasN",
+            ["dataclasses", *ARRAYS],
+            ["postlattice", "terms"],
+        ),
     ],
     ids=[
         "import",
@@ -815,6 +877,8 @@ ARRAYS = ["inspect", "numpy"]  # numpy imports inspect itself
         "check-vs",
         "check-distlat",
         "check-dualdisc",
+        "classify2-semilattice",
+        "classify2-lattice",
     ],
 )
 def test_command_loads_numpy_and_scipy_only_where_used(fix, tmp_path, argv, shows, loaded, ran):

@@ -699,3 +699,16 @@ def test_ternary_clone_of_a_five_ary_nor_stays_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_witness_search_refuses_halves_over_the_bound(monkeypatch):
+    # the 5-ary nor's last round curries it over 41 tables, 2 * 41^4 bytes
+    monkeypatch.setattr("crtkit.postlattice._MAX_HALVES_BYTES", 1 << 20)
+    alg = two_elem("nor5", f=(5, lambda *args: 1 - max(args)))
+    for search in (classify, ternary_clone):
+        with pytest.raises(InputError) as info:
+            search(alg)
+        assert str(info.value) == (
+            "the witness search composes f (arity 5) over 41 tables: its halves need "
+            "2 * 41^4 = 5651522 bytes, more than the 1048576 allowed"
+        )
