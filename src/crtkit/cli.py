@@ -106,13 +106,7 @@ def _provenance_lines(inst, doubled: bool) -> list[str]:
 
 
 def cmd_gen_hard(args) -> int:
-    from .satgadget import (
-        as_left_zero_semigroup,
-        parse_dimacs,
-        reduce_formula,
-        u_embed,
-        validate_3sat_prime,
-    )
+    from .satgadget import parse_dimacs, reduce_formula, u_embed, validate_3sat_prime
 
     phi = parse_dimacs(_read(args.cnf))
     violations = validate_3sat_prime(phi)
@@ -121,22 +115,14 @@ def cmd_gen_hard(args) -> int:
             print(f"not a 3SAT' formula: {line}", file=sys.stderr)
         return EXIT_ERROR
     inst = reduce_formula(phi)
+    alg, parts = algebra.FiniteAlgebra(inst.size, [], name=f"S{inst.size}"), inst.thetas
     if args.u_embed:
         alg, parts = u_embed(inst.size, inst.thetas)
-        if args.semigroup:
-            from .catalog import left_zero_mul
+    if args.semigroup:
+        from .catalog import left_zero_mul
 
-            alg = algebra.FiniteAlgebra(
-                alg.size,
-                list(alg.ops) + [left_zero_mul(alg.size)],
-                name=f"{alg.name}xLZ",
-            )
-    elif args.semigroup:
-        alg, congs = as_left_zero_semigroup(inst)
-        parts = tuple(c.partition for c in congs)
-    else:
-        alg = algebra.FiniteAlgebra(inst.size, [], name=f"S{inst.size}")
-        parts = inst.thetas
+        name = f"{alg.name}xLZ" if args.u_embed else f"LZ{alg.size}"
+        alg = algebra.FiniteAlgebra(alg.size, [*alg.ops, left_zero_mul(alg.size)], name=name)
 
     os.makedirs(args.out, exist_ok=True)
     named = [(f"theta{i + 1}", part) for i, part in enumerate(parts)]

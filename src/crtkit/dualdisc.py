@@ -18,6 +18,7 @@ runs on the quotient by that meet, where Sigma is read off.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass
@@ -130,29 +131,26 @@ def generates(basis, closed) -> bool:
 
 def projections_full_or_cross(shape: Sequence[int], tuples) -> bool:
     """The structure hypothesis: onto each coordinate the projection is full,
-    and onto each coordinate pair it is full or the trace of one cross."""
+    and onto each coordinate pair it is full or the trace of one cross.
+
+    The trace of (i a | j b) is row a plus column b of the pair, so a
+    projection of its s_i + s_j - 1 pairs is a trace exactly when it holds
+    one whole row and one whole column."""
     shape = tuple(shape)
     tuples = list(tuples)
     for i, size in enumerate(shape):
         if {t[i] for t in tuples} != set(range(size)):
             return False
-    for i in range(len(shape)):
-        for j in range(i + 1, len(shape)):
-            proj = {(t[i], t[j]) for t in tuples}
-            if len(proj) == shape[i] * shape[j]:
-                continue
-            traces = [
-                {
-                    (x, y)
-                    for x in range(shape[i])
-                    for y in range(shape[j])
-                    if x == a or y == b
-                }
-                for a in range(shape[i])
-                for b in range(shape[j])
-            ]
-            if proj not in traces:
-                return False
+    for i, j in itertools.combinations(range(len(shape)), 2):
+        proj = {(t[i], t[j]) for t in tuples}
+        if len(proj) == shape[i] * shape[j]:
+            continue
+        rows = collections.Counter(x for x, _ in proj)
+        columns = collections.Counter(y for _, y in proj)
+        if len(proj) != shape[i] + shape[j] - 1 or not (
+            shape[j] in rows.values() and shape[i] in columns.values()
+        ):
+            return False
     return True
 
 

@@ -83,13 +83,15 @@ def parse_algebra(text: str) -> FiniteAlgebra:
         arity = _expect_int(tokens, pos + 2, f"the arity of {op_name!r}")
         if arity < 0:
             raise InputError(f"operation {op_name!r} has negative arity")
-        count = size**arity
         pos += 3
-        if pos + count > len(tokens):
+        left = len(tokens) - pos
+        # size ** arity > left once arity reaches left's bit length, so a huge
+        # power is never computed; nor printed, past Python's digit limit
+        if size > 1 and arity >= left.bit_length() or size**arity > left:
             raise InputError(
-                f"operation {op_name!r} needs {count} values, file has "
-                f"{len(tokens) - pos}"
+                f"operation {op_name!r} needs {size}^{arity} values, file has {left}"
             )
+        count = size**arity
         try:
             table = tuple(map(int, itertools.islice(tokens, pos, pos + count)))
         except ValueError:

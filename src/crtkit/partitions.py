@@ -137,8 +137,7 @@ class Partition:
 
     def refines(self, other: "Partition") -> bool:
         """True when every block of self lies inside a block of other."""
-        if self.n != other.n:
-            raise InputError("partitions over different ground sets")
+        self._check_same_ground(other)
         image = [-1] * self.num_blocks
         for x in range(self.n):
             lab = self.labels[x]

@@ -31,7 +31,8 @@ no clone closure. Each preservation test is bit-sliced: for a relation R
 and an operation of arity k, bit c of an int stands for the c-th of the
 |R|^k choices of k rows, the operation is evaluated bitwise on one int per
 argument and coordinate, and R's characteristic function on the images,
-so that all choices are tested at once. Witness terms, and the ternary
+so that all choices are tested at once, up to 2^29 choices; a wider
+test is refused with an InputError. Witness terms, and the ternary
 part of the clone (ternary_clone), come from a breadth-first search over
 8-bit tables that records a smallest-depth term for each table it
 reaches; it runs only when a witness or the clone itself is asked for,
@@ -358,6 +359,11 @@ _TARGETS = (
 )
 
 
+# choices of rows one preservation test may take: its ints hold that many
+# bits each; the 11-ary nor's 6^11 fit, a 10-ary threshold's 8^10 do not
+_MAX_CHOICES = 1 << 29
+
+
 @functools.cache
 def _choice_masks(rel: frozenset[tuple[int, ...]], arity: int):
     """Bit-sliced choices of `arity` rows of rel, one bit per choice.
@@ -367,9 +373,17 @@ def _choice_masks(rel: frozenset[tuple[int, ...]], arity: int):
     masks, masks[j][i] having bit c set when row c_i has a 1 at coordinate
     j, and the all-ones int over the |rel| ** arity choices. Argument i
     repeats one period of |rel| runs of |rel| ** (arity - 1 - i) equal bits,
-    so its mask is that period repeated |rel| ** i times (see _repeat)."""
+    so its mask is that period repeated |rel| ** i times (see _repeat).
+    More than _MAX_CHOICES choices raise InputError before any int is
+    built."""
     rows = sorted(rel)
     n, width = len(rows), len(rows[0])
+    if n**arity > _MAX_CHOICES:
+        raise InputError(
+            f"the tag tests an operation of arity {arity} on a relation of {n} rows: "
+            f"its {n}^{arity} = {n**arity} choices of rows are more than the "
+            f"{_MAX_CHOICES} allowed"
+        )
     masks: list[list[int]] = [[] for _ in range(width)]
     for i in range(arity):
         run = n ** (arity - 1 - i)

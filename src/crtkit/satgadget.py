@@ -385,6 +385,8 @@ def semilattice_bounded_lift(alg: FiniteAlgebra, thetas):
     and the existing top.  Each partition gains the bottom as a singleton
     block.  The tuple verdict is unchanged by this construction.
     """
+    import numpy as np
+
     op = _unique_binary_op(alg)
     n = alg.size
     T = alg.table_array(op.name)
@@ -397,19 +399,13 @@ def semilattice_bounded_lift(alg: FiniteAlgebra, thetas):
     if not (T[:, top] == top).all():
         raise PreconditionError("the semilattice has no top element")
     parts = as_partitions(thetas, n)
-    lifted_table = []
-    for x in range(n + 1):
-        for y in range(n + 1):
-            if x == n:
-                lifted_table.append(y)
-            elif y == n:
-                lifted_table.append(x)
-            else:
-                lifted_table.append(int(T[x, y]))
+    join = np.empty((n + 1, n + 1), dtype=np.intp)
+    join[:n, :n] = T
+    join[n] = join[:, n] = np.arange(n + 1)
     bounded = FiniteAlgebra(
         n + 1,
         [
-            Operation(op.name, 2, tuple(lifted_table)),
+            Operation(op.name, 2, join),
             Operation("zero", 0, (n,)),
             Operation("one", 0, (top,)),
         ],

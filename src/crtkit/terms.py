@@ -51,18 +51,24 @@ def eval_term(alg: FiniteAlgebra, term: Term, args) -> int:
     return _eval(alg, term, args)
 
 
-def _eval(alg, term, args):
+def _check_node(alg, term, count: int):
+    """Raise InputError unless term is a Var among count arguments or an
+    App of one of alg's operations to as many subterms as its arity."""
     if isinstance(term, Var):
-        if not 0 <= term.index < len(args):
-            raise InputError(f"term uses x{term.index + 1} but got {len(args)} arguments")
-        return args[term.index]
-    if not isinstance(term, App):
+        if not 0 <= term.index < count:
+            raise InputError(f"term uses x{term.index + 1} but got {count} arguments")
+    elif not isinstance(term, App):
         raise InputError(f"not a term node: {term!r}")
-    op = alg.op(term.op)
-    if len(term.args) != op.arity:
+    elif len(term.args) != (arity := alg.op(term.op).arity):
         raise InputError(
-            f"term applies {term.op!r} to {len(term.args)} subterms, arity is {op.arity}"
+            f"term applies {term.op!r} to {len(term.args)} subterms, arity is {arity}"
         )
+
+
+def _eval(alg, term, args):
+    _check_node(alg, term, len(args))
+    if isinstance(term, Var):
+        return args[term.index]
     return alg.apply(term.op, *(_eval(alg, t, args) for t in term.args))
 
 
@@ -87,17 +93,9 @@ def eval_term_grid(alg: FiniteAlgebra, term: Term, grids) -> np.ndarray:
 
 
 def _eval_grid(alg, term, grids):
+    _check_node(alg, term, len(grids))
     if isinstance(term, Var):
-        if not 0 <= term.index < len(grids):
-            raise InputError(f"term uses x{term.index + 1} but got {len(grids)} arguments")
         return grids[term.index]
-    if not isinstance(term, App):
-        raise InputError(f"not a term node: {term!r}")
-    op = alg.op(term.op)
-    if len(term.args) != op.arity:
-        raise InputError(
-            f"term applies {term.op!r} to {len(term.args)} subterms, arity is {op.arity}"
-        )
     table = alg.table_array(term.op)
     return table[tuple(_eval_grid(alg, t, grids) for t in term.args)]
 

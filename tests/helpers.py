@@ -634,6 +634,34 @@ def reference_quotient_tables(alg: FiniteAlgebra, part: Partition) -> list[tuple
     ]
 
 
+def reference_projections_full_or_cross(shape, tuples) -> bool:
+    """dualdisc.projections_full_or_cross by comparing each pair projection
+    that is not full with every cross trace of the pair."""
+    shape = tuple(shape)
+    tuples = list(tuples)
+    for i, size in enumerate(shape):
+        if {t[i] for t in tuples} != set(range(size)):
+            return False
+    for i in range(len(shape)):
+        for j in range(i + 1, len(shape)):
+            proj = {(t[i], t[j]) for t in tuples}
+            if len(proj) == shape[i] * shape[j]:
+                continue
+            traces = [
+                {
+                    (x, y)
+                    for x in range(shape[i])
+                    for y in range(shape[j])
+                    if x == a or y == b
+                }
+                for a in range(shape[i])
+                for b in range(shape[j])
+            ]
+            if proj not in traces:
+                return False
+    return True
+
+
 def reference_dualdisc(alg: FiniteAlgebra, parts):
     """dualdisc.is_cr_tuple_dualdisc as it stood before it ran on the
     quotient by the meet of the tuple: sigma is filtered from the

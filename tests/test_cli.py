@@ -498,6 +498,37 @@ def test_classify2_refuses_the_seven_ary_nor_before_allocating(capsys, tmp_path)
     )
 
 
+def test_classify2_refuses_the_twelve_ary_nor_before_building_its_masks(capsys, tmp_path):
+    # the tag's ints for one relation would hold 6^12 bits each; a 10-ary
+    # threshold's 8^10 used to take 16 s and end in a MemoryError
+    nor12 = FiniteAlgebra(2, [Operation("nor", 12, [1] + [0] * 4095)], name="nor12")
+    path = tmp_path / "nor12.alg"
+    path.write_text(serialize_algebra(nor12))
+    assert run(capsys, "classify2", "--algebra", str(path)) == (
+        2,
+        "",
+        "error: the tag tests an operation of arity 12 on a relation of 6 rows: its "
+        "6^12 = 2176782336 choices of rows are more than the 536870912 allowed\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "size,arity",
+    [(2, 20000), (3, 20000000), (10**4000, 2)],
+    ids=["2^20000", "3^20000000", "(10^4000)^2"],
+)
+def test_a_huge_table_is_refused_before_its_size_is_computed(capsys, tmp_path, size, arity):
+    # size ** arity used to be computed (3^20000000 took 9 s) and then
+    # printed past Python's int-to-str digit limit: a traceback and exit 1
+    path = tmp_path / "huge.alg"
+    path.write_text(f"algebra huge\nsize {size}\nop f {arity}\n0 1\n")
+    assert run(capsys, "classify2", "--algebra", str(path)) == (
+        2,
+        "",
+        f"error: operation 'f' needs {size}^{arity} values, file has 2\n",
+    )
+
+
 @pytest.mark.parametrize(
     "exc,line",
     [
@@ -722,6 +753,30 @@ def test_gen_hard_u_embed_semigroup_file_round_trips(fix, capsys, tmp_path):
     assert serialize_algebra(alg).encode("ascii") == blob
 
 
+@pytest.mark.parametrize(
+    "flags,size,header",
+    [
+        ([], 225, ["algebra S225"]),
+        (["--semigroup"], 225, ["algebra LZ225", "op mul 2"]),
+        (["--u-embed"], 450, ["algebra U225", "op neg 1", "op zero 0", "op one 0"]),
+        (
+            ["--u-embed", "--semigroup"],
+            450,
+            ["algebra U225xLZ", "op neg 1", "op zero 0", "op one 0", "op mul 2"],
+        ),
+    ],
+    ids=["bare", "semigroup", "u-embed", "u-embed-semigroup"],
+)
+def test_gen_hard_names_the_algebra_each_flag_combination_builds(
+    fix, capsys, tmp_path, flags, size, header
+):
+    out_dir = tmp_path / "HN"
+    code, out, _ = run(capsys, "gen-hard", "--cnf", fix["pentagon.cnf"], "--out", str(out_dir), *flags)
+    assert code == 0 and out.splitlines()[0] == f"SIZE: {size}"
+    emitted = (out_dir / "instance.alg").read_text().splitlines()
+    assert [l for l in emitted if l.startswith(("algebra ", "op "))] == header
+
+
 def test_gen_hard_rejects_short_formula(fix, capsys, tmp_path):
     code, out, err = run(
         capsys,
@@ -799,9 +854,8 @@ ARRAYS = ["inspect", "numpy"]  # numpy imports inspect itself
             [],
             ["catalog", "systems"],
         ),
-        # the left-zero product is a projection, so certifying each theta on
-        # it reads its table once and builds no arrays; so does the check of
-        # the written instance
+        # the left-zero product is a projection, so the check of the written
+        # instance certifies each theta reading its table once, with no arrays
         (
             ["gen-hard", "--cnf", "pentagon.cnf", "--out", "OUT", "--semigroup"],
             "SIZE: 225",

@@ -31,6 +31,7 @@ from helpers import (
     random_closed_subpower,
     random_distributive_lattice,
     reference_dualdisc,
+    reference_projections_full_or_cross,
     relation_product,
 )
 
@@ -151,6 +152,30 @@ def test_projections_full_or_cross():
     assert not projections_full_or_cross(shape, [(0, 0), (0, 1)])
     # the graph of equality on 2x2 is neither full nor a cross
     assert not projections_full_or_cross(shape, [(0, 0), (1, 1)])
+
+
+def test_projections_full_or_cross_matches_the_reference():
+    # every subset of the cube, then per shape: the full product, each cross
+    # trace, intersections of a few crosses, random subsets and, on two
+    # coordinates, every subset of a trace's size s_0 + s_1 - 1
+    cube = list(itertools.product(range(2), repeat=3))
+    cases = [((2, 2, 2), [t for k, t in enumerate(cube) if mask >> k & 1]) for mask in range(256)]
+    rng = random.Random(61)
+    for shape in ((3, 3), (2, 4), (3, 3, 2), (4, 4, 3)):
+        points = list(itertools.product(*(range(s) for s in shape)))
+        crosses = list(all_crosses(shape))
+        samples = [points, *(intersect_crosses(shape, [c]) for c in crosses)]
+        samples += [intersect_crosses(shape, rng.sample(crosses, rng.randint(2, 4))) for _ in range(100)]
+        samples += [rng.sample(points, rng.randint(1, len(points))) for _ in range(300)]
+        if len(shape) == 2:
+            samples += itertools.combinations(points, shape[0] + shape[1] - 1)
+        cases += [(shape, sample) for sample in samples]
+    verdicts = []
+    for shape, sample in cases:
+        want = reference_projections_full_or_cross(shape, sample)
+        assert projections_full_or_cross(shape, sample) == want, (shape, sample)
+        verdicts.append(want)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
 
 
 def test_sigma_above():

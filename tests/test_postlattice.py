@@ -701,6 +701,13 @@ def test_ternary_clone_of_a_five_ary_nor_stays_in_bounded_memory():
     assert peak < 16 * 2**20
 
 
+def test_the_tag_reads_a_nine_ary_operation_below_the_choice_bound():
+    # its widest test, on the 6 rows of dup3, takes 6^9 choices; the 12-ary
+    # nor's 6^12 are refused (see tests/test_cli.py)
+    nor9 = two_elem("nor9", f=(9, lambda *args: 1 - max(args)))
+    assert classify(nor9, with_witness=False).tag == "HasS"
+
+
 def test_witness_search_refuses_halves_over_the_bound(monkeypatch):
     # the 5-ary nor's last round curries it over 41 tables, 2 * 41^4 bytes
     monkeypatch.setattr("crtkit.postlattice._MAX_HALVES_BYTES", 1 << 20)
