@@ -11,7 +11,8 @@ that the classifier and the nearlattice views share) and size limits, the
 laws of binary operations, and
 certification (congruence_violation, certify). Certification tests only
 the operations that are neither constants nor projections, found once per
-algebra by an exact table test, and imports numpy only when one is left.
+algebra by an exact table test. It tests a unary one in pure Python and
+imports numpy only when one of arity 2 or more is left.
 The congruence lattice (principal congruences, all_congruences,
 meet-irreducibles, the lattice predicates) lives in crtkit.conlat, and
 terms with the algebras derived by them (reduct, quotient, subalgebra) in
@@ -53,9 +54,13 @@ class FiniteAlgebra:
     it and table_array views it without copying. A table is given as a
     sequence of ints, or as a numpy integer array (any shape with size **
     arity entries, flat order as for sequences), which is range-checked
-    with one array min and max and copied once through its narrow buffer."""
+    with one array min and max and copied once through its narrow buffer.
 
-    def __init__(self, size: int, ops, name: str = "A"):
+    With _narrow=True every table must already be an array.array of that
+    typecode holding only values below size (formats.parse_algebra builds
+    them so); each is adopted as it is, without a copy or a range check."""
+
+    def __init__(self, size: int, ops, name: str = "A", *, _narrow: bool = False):
         if size < 1:
             raise InputError("the universe must be nonempty")
         self.size = size
@@ -68,32 +73,8 @@ class FiniteAlgebra:
                 raise InputError(f"duplicate operation name {name_!r}")
             if arity < 0:
                 raise InputError(f"operation {name_!r} has negative arity")
-            is_array = hasattr(table, "dtype")
-            if not is_array:
-                try:
-                    table = array.array(code, table)
-                except TypeError:
-                    raise InputError(f"operation {name_!r} table is not integer") from None
-                except OverflowError:
-                    raise InputError(f"operation {name_!r} table value out of range") from None
-            entries = table.size if is_array else len(table)
-            if entries != size**arity:
-                raise InputError(
-                    f"operation {name_!r} table has {entries} entries, "
-                    f"expected {size**arity}"
-                )
-            if is_array:
-                if table.dtype.kind not in "iu":
-                    raise InputError(f"operation {name_!r} table is not integer")
-                low, high = table.min(), table.max()
-            else:  # an unsigned array.array refused negative values above
-                low, high = 0, max(table)
-            if low < 0 or high >= size:
-                raise InputError(f"operation {name_!r} table value out of range")
-            if is_array:
-                narrow = table.astype(code, order="C", copy=False)
-                table = array.array(code)
-                table.frombytes(memoryview(narrow).cast("B"))
+            if not _narrow:
+                table = _narrow_table(name_, arity, table, size, code)
             op = Operation(name_, arity, table)
             self._by_name[name_] = op
             checked.append(op)
@@ -182,11 +163,42 @@ class FiniteAlgebra:
         return f"FiniteAlgebra({self.name!r}, size={self.size}, ops=[{sig}])"
 
 
+def _narrow_table(name: str, arity: int, table, size: int, code: str) -> array.array:
+    """A table given to FiniteAlgebra, checked and copied into a new
+    array.array of the typecode code; InputError names the operation."""
+    is_array = hasattr(table, "dtype")
+    if not is_array:
+        try:
+            table = array.array(code, table)
+        except TypeError:
+            raise InputError(f"operation {name!r} table is not integer") from None
+        except OverflowError:
+            raise InputError(f"operation {name!r} table value out of range") from None
+    entries = table.size if is_array else len(table)
+    if entries != size**arity:
+        raise InputError(
+            f"operation {name!r} table has {entries} entries, expected {size**arity}"
+        )
+    if is_array:
+        if table.dtype.kind not in "iu":
+            raise InputError(f"operation {name!r} table is not integer")
+        low, high = table.min(), table.max()
+    else:  # an unsigned array.array refused negative values above
+        low, high = 0, max(table)
+    if low < 0 or high >= size:
+        raise InputError(f"operation {name!r} table value out of range")
+    if is_array:
+        narrow = table.astype(code, order="C", copy=False)
+        table = array.array(code)
+        table.frombytes(memoryview(narrow).cast("B"))
+    return table
+
+
 # entries per slab of whole rows that _is_constant_or_projection compares
 _SLAB = 1 << 12
 
 
-def _is_constant_or_projection(table, n: int, strides) -> bool:
+def _is_constant_or_projection(table: array.array, n: int, strides) -> bool:
     """Whether the flat table of an operation on n elements with the given
     argument strides is a constant or a projection; an exact test.
 
@@ -194,26 +206,28 @@ def _is_constant_or_projection(table, n: int, strides) -> bool:
     index leave at most one candidate (no candidate for most operations, so
     only those entries are read). The table is then compared with the
     candidate slab by slab of whole rows (runs of first arguments), up to
-    the first slab that differs, so no copy longer than a slab is made."""
+    the first slab that differs: both slabs are arrays of the table's
+    typecode, so no copy longer than a slab is made, and none into ints."""
     if not strides or n == 1:
         return True
+    code = table.typecode
     first, last = table[0], table[-1]
     probe = [table[s] for s in strides]
     row = strides[0]  # entries per value of the first argument
     if first == last and probe.count(first) == len(probe):
 
         def slab(lo, hi):
-            return (first,) * ((hi - lo) * row)
+            return array.array(code, [first]) * ((hi - lo) * row)
 
     elif (first, last) == (0, n - 1) and probe.count(0) == len(probe) - 1 and 1 in probe:
         run = strides[probe.index(1)]
         if run == row:  # the first argument: row x is x throughout
 
             def slab(lo, hi):
-                return _runs(range(lo, hi), row)
+                return _runs(code, range(lo, hi), row)
 
         else:  # every row is the same
-            pattern = _runs(range(n), run) * (row // (n * run))
+            pattern = _runs(code, range(n), run) * (row // (n * run))
 
             def slab(lo, hi):
                 return pattern * (hi - lo)
@@ -223,14 +237,17 @@ def _is_constant_or_projection(table, n: int, strides) -> bool:
     rows = max(1, _SLAB // row)
     for lo in range(0, n, rows):
         hi = min(n, lo + rows)
-        if tuple(table[lo * row : hi * row]) != slab(lo, hi):
+        if table[lo * row : hi * row] != slab(lo, hi):
             return False
     return True
 
 
-def _runs(values, run: int) -> tuple[int, ...]:
-    """Each of values repeated run times in a row."""
-    return tuple(itertools.chain.from_iterable(itertools.repeat(v, run) for v in values))
+def _runs(code: str, values, run: int) -> array.array:
+    """Each of values repeated run times in a row, as an array of typecode code."""
+    out = array.array(code)
+    for v in values:
+        out += array.array(code, [v]) * run
+    return out
 
 
 def _typecode(size: int) -> str:
@@ -364,34 +381,56 @@ def congruence_violation(alg: FiniteAlgebra, part: Partition):
     is such a moved tuple.
 
     Constants and projections respect every partition, so only
-    alg.nontrivial_ops() are tested, each on its own table array. When
-    there are none (a set with constants, a left-zero semigroup), no
-    array is built and numpy is not imported.
+    alg.nontrivial_ops() are tested, in signature order. A unary operation
+    is tested in pure Python, with one pass over its table; an operation
+    of higher arity on its own table array. So numpy is imported only when
+    a nontrivial operation of arity 2 or more is reached: certifying a set
+    with constants, a left-zero semigroup or a unary algebra builds no
+    array.
     """
     if part.n != alg.size:
         raise InputError("partition size does not match the algebra")
     if part.num_blocks in (1, part.n):
         return None
-    tested = alg.nontrivial_ops()
-    if not tested:
+    reps = part.representatives()
+    for op in alg.nontrivial_ops():
+        if op.arity == 1:
+            start = _unary_violation_start(op.table, part.labels, reps)
+        else:
+            start = _array_violation_start(alg, op, part, reps)
+        if start is not None:
+            return _violation_at(alg, op, part, start)
+    return None
+
+
+def _unary_violation_start(table, labels, reps) -> Optional[int]:
+    """The least x at which the unary table breaks the partition with
+    these labels and block representatives, or None: x is the least member
+    of the first block whose images fall in more than one block."""
+    image = [labels[v] for v in table]
+    want = [image[r] for r in reps]  # the block of f(rep) for each block
+    if image == [want[b] for b in labels]:
         return None
+    return min(reps[b] for b, got in zip(labels, image) if got != want[b])
+
+
+def _array_violation_start(alg: FiniteAlgebra, op: Operation, part: Partition, reps):
+    """The least flat index of the table of op whose args, one of them
+    moved to its block's representative (reps by block), map to another
+    block; None when op respects the partition."""
     import numpy as np
 
     labels = np.array(part.labels, dtype=table_dtype(part.num_blocks))
-    rep = np.array(part.representatives(), dtype=np.intp)[labels]
-    for op in tested:
-        table = alg.table_array(op.name)
-        image = labels[table]
-        starts = []
-        for pos, stride in enumerate(alg._strides[op.name]):
-            bad = np.flatnonzero(image != image.take(rep, axis=pos))
-            if bad.size:
-                # flat indices of the mismatches with argument pos moved to its rep
-                x = bad // stride % alg.size
-                starts.append(int((bad - stride * (x - rep[x])).min()))
-        if starts:
-            return _violation_at(alg, op, part, min(starts))
-    return None
+    rep = np.array(reps, dtype=np.intp)[labels]
+    image = labels[alg.table_array(op.name)]
+    starts = []
+    for pos, stride in enumerate(alg._strides[op.name]):
+        bad = np.flatnonzero(image != image.take(rep, axis=pos))
+        if bad.size:
+            # flat indices of the mismatches with argument pos moved to its rep
+            x = bad // stride % alg.size
+            starts.append(int((bad - stride * (x - rep[x])).min()))
+    return min(starts, default=None)
 
 
 def _violation_at(alg: FiniteAlgebra, op: Operation, part: Partition, idx: int):

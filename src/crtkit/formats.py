@@ -27,9 +27,10 @@ canonical files and in-memory values.
 
 from __future__ import annotations
 
+import array
 import itertools
 
-from .algebra import FiniteAlgebra, Operation
+from .algebra import FiniteAlgebra, Operation, _typecode
 from .errors import InputError
 from .partitions import Partition, canonical_labels
 
@@ -43,6 +44,8 @@ def _check_name(kind: str, name: str) -> str:
 
 
 def _tokens(text: str) -> list[str]:
+    if "#" not in text:  # no comment line: every line boundary is whitespace
+        return text.split()
     out = []
     for line in text.splitlines():
         stripped = line.strip()
@@ -61,8 +64,33 @@ def _expect_int(tokens: list[str], pos: int, what: str) -> int:
         raise InputError(f"expected {what}, got {tokens[pos]!r}") from None
 
 
+class _Numerals(dict):
+    """numeral -> value for the values below size, filled in as the tables
+    are read, so it holds no more numerals than the entries read. A token
+    int() refuses, or a value outside 0..size-1, raises ValueError."""
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size = size
+
+    def __missing__(self, token: str) -> int:
+        value = int(token)
+        if not 0 <= value < self.size:
+            raise ValueError(token)
+        self[token] = value
+        return value
+
+
 def parse_algebra(text: str) -> FiniteAlgebra:
-    """Parse an algebra file; malformed input raises InputError."""
+    """Parse an algebra file; malformed input raises InputError.
+
+    Each table is read straight into an array.array of the algebra's
+    narrow typecode, each token looked up in a map from the numerals read
+    so far to their int() values (so `01` reads as 1). A token that int()
+    refuses, or whose value lies outside the universe, sends its table the
+    slow way, to a list of int() values: a malformed token raises here, an
+    out-of-range value in FiniteAlgebra's range check, with the messages
+    and in the order these checks have always had."""
     tokens = _tokens(text)
     if len(tokens) < 2 or tokens[0] != "algebra":
         raise InputError("an algebra file starts with: algebra <name>")
@@ -72,7 +100,8 @@ def parse_algebra(text: str) -> FiniteAlgebra:
     size = _expect_int(tokens, 3, "the universe size")
     if size < 1:
         raise InputError("the universe must be nonempty")
-    ops = []
+    value = _Numerals(size).__getitem__
+    ops, narrow = [], True
     pos = 4
     while pos < len(tokens):
         if tokens[pos] != "op":
@@ -93,14 +122,15 @@ def parse_algebra(text: str) -> FiniteAlgebra:
             )
         count = size**arity
         try:
-            table = tuple(map(int, itertools.islice(tokens, pos, pos + count)))
+            table = array.array(
+                _typecode(size), map(value, itertools.islice(tokens, pos, pos + count))
+            )
         except ValueError:
-            for i in range(count):
-                _expect_int(tokens, pos + i, f"a value of {op_name!r}")
-            raise
+            table = [_expect_int(tokens, pos + i, f"a value of {op_name!r}") for i in range(count)]
+            narrow = False
         ops.append(Operation(op_name, arity, table))
         pos += count
-    return FiniteAlgebra(size, ops, name=name)
+    return FiniteAlgebra(size, ops, name=name, _narrow=narrow)
 
 
 def serialize_algebra(alg: FiniteAlgebra) -> str:

@@ -1,5 +1,6 @@
 """Congruence certification against the per-tuple reference scan."""
 
+import array
 import itertools
 import random
 
@@ -12,6 +13,7 @@ from crtkit.algebra import (
     FiniteAlgebra,
     Operation,
     _is_constant_or_projection,
+    _typecode,
     congruence_violation,
 )
 from crtkit.catalog import (
@@ -24,6 +26,7 @@ from crtkit.catalog import (
     zmod_ring,
 )
 from crtkit.partitions import Partition
+from crtkit.satgadget import u_embed
 
 from helpers import naive_is_congruence, reference_congruence_violation, set_partitions
 
@@ -164,8 +167,8 @@ def test_only_the_tested_tables_become_arrays():
     assert congruence_violation(alg, Partition([0, 0, 1, 1, 2, 2])) == ("neg", 0, (0,), 1)
 
 
-class ReadCounter(tuple):
-    """A table that counts the entries read from it."""
+class ReadCounter(array.array):
+    """A table in its storage type that counts the entries read from it."""
 
     def __getitem__(self, key):
         got = super().__getitem__(key)
@@ -175,7 +178,7 @@ class ReadCounter(tuple):
 
 def entries_read(op, n):
     """The test's answer on op, and the number of entries it read."""
-    table = ReadCounter(op.table)
+    table = ReadCounter(_typecode(n), op.table)
     table.reads = 0
     strides = tuple(n**k for k in range(op.arity - 1, -1, -1))
     return _is_constant_or_projection(table, n, strides), table.reads
@@ -214,3 +217,91 @@ def test_a_change_in_any_slab_of_a_big_table_is_found(planted):
         table = list(planted)
         table[idx] = (table[idx] + 1) % n
         assert not entries_read(Operation("f", arity, tuple(table)), n)[0], idx
+
+
+# ---------------------------------------------------------------------------
+# the pure-Python path of unary operations, on universes of 100-500 elements
+
+
+def random_labels(rng, n, blocks):
+    return [rng.randrange(blocks) for _ in range(n)]
+
+
+def respecting_map(rng, part):
+    """A random unary map sending each block into one block."""
+    blocks = part.blocks()
+    target = [rng.randrange(part.num_blocks) for _ in blocks]
+    return [rng.choice(blocks[target[lab]]) for lab in part.labels]
+
+
+def planted_map(rng, part):
+    """A respecting map with one entry moved out of its block's target
+    block, at an element whose block has another member: a violation."""
+    table = respecting_map(rng, part)
+    x = rng.choice([x for x in range(part.n) if len(part.blocks()[part.labels[x]]) > 1])
+    table[x] = rng.choice([y for y in range(part.n) if part.labels[y] != part.labels[table[x]]])
+    return table
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_u_embed_of_random_bare_set_tuples_matches_the_reference(seed):
+    rng = random.Random(seed)
+    m = rng.randrange(50, 251)
+    thetas = [Partition(random_labels(rng, m, rng.randrange(2, 8))) for _ in range(3)]
+    alg, doubled = u_embed(m, thetas, c=rng.randrange(m))
+    assert [op.arity for op in alg.nontrivial_ops()] == [1]
+    for part in doubled:
+        assert congruence_violation(alg, part) is None
+        assert reference_congruence_violation(alg, part) is None
+    # partitions of the doubled universe that neg does not respect
+    for blocks in (2, 5, 40):
+        part = Partition(random_labels(rng, 2 * m, blocks))
+        got = congruence_violation(alg, part)
+        assert got is not None
+        assert got == reference_congruence_violation(alg, part)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_unary_maps_with_a_planted_violation_match_the_reference(seed):
+    rng = random.Random(100 + seed)
+    n = rng.randrange(100, 501)
+    part = Partition(random_labels(rng, n, rng.randrange(2, 30)))
+    good, bad = respecting_map(rng, part), planted_map(rng, part)
+    alg = FiniteAlgebra(
+        n, [Operation("f", 1, good), Operation("zero", 0, (0,)), Operation("g", 1, bad)]
+    )
+    got = congruence_violation(alg, part)
+    assert got is not None and got[0] == "g"
+    assert got == reference_congruence_violation(alg, part)
+
+
+def mixed_algebra(rng, part, binary_breaks: bool):
+    """A binary operation x * y = h(x) for a random unary h, followed by
+    unary maps: one that respects part and one with a planted violation.
+    The product breaks part only when binary_breaks."""
+    h = (planted_map if binary_breaks else respecting_map)(rng, part)
+    mul = [h[x] for x in range(part.n) for _ in range(part.n)]
+    ops = [
+        Operation("mul", 2, mul),
+        Operation("f", 1, respecting_map(rng, part)),
+        Operation("g", 1, planted_map(rng, part)),
+    ]
+    return FiniteAlgebra(part.n, ops)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_unary_operations_after_a_binary_one_are_certified(seed):
+    # a unary operation placed after one of arity 2 is still tested, and the
+    # witness is still the first in signature order
+    rng = random.Random(200 + seed)
+    n = rng.randrange(100, 121)
+    part = Partition(random_labels(rng, n, rng.randrange(20, 40)))
+    respecting = mixed_algebra(rng, part, binary_breaks=False)
+    assert [op.arity for op in respecting.nontrivial_ops()] == [2, 1, 1]
+    got = congruence_violation(respecting, part)
+    assert got is not None and got[0] == "g"
+    assert got == reference_congruence_violation(respecting, part)
+    breaking = mixed_algebra(rng, part, binary_breaks=True)
+    got = congruence_violation(breaking, part)
+    assert got is not None and got[0] == "mul"
+    assert got == reference_congruence_violation(breaking, part)

@@ -868,10 +868,17 @@ ARRAYS = ["inspect", "numpy"]  # numpy imports inspect itself
             [],
             ["systems"],
         ),
-        # neg is neither a constant nor a projection: its table is certified
-        # as an array
+        # neg is neither a constant nor a projection, but it is unary, so
+        # its table is certified in pure Python
         (
             ["check", "--algebra", "ulz.alg", "--congs", "ulz.congs"],
+            "RESULT: NOT-CR",
+            [],
+            ["systems"],
+        ),
+        # meet and join are binary: their tables are certified as arrays
+        (
+            ["check", "--algebra", "chain3.alg", "--congs", "chain3.congs", "--method", "brute"],
             "RESULT: NOT-CR",
             ARRAYS,
             ["systems"],
@@ -927,6 +934,7 @@ ARRAYS = ["inspect", "numpy"]  # numpy imports inspect itself
         "gen-hard-semigroup",
         "check-brute-semigroup",
         "check-brute-u-embed-semigroup",
+        "check-brute-chain",
         "conlat-z60",
         "check-vs",
         "check-distlat",

@@ -1,5 +1,7 @@
 """Algebra and congruence file round trips and rejection of bad input."""
 
+import tracemalloc
+
 import pytest
 
 from crtkit.algebra import FiniteAlgebra, Operation, all_congruences
@@ -106,6 +108,53 @@ def test_table_value_out_of_range(value):
     doc = f"algebra a\nsize 2\nop g 1\n1 0\nop f 2\n0 1 {value} 1\n"
     with pytest.raises(InputError, match="'f' table value out of range"):
         parse_algebra(doc)
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        # past the typecode of the table, and equal to the size in a wider one
+        ("algebra a\nsize 2\nop f 1\n0 70000\n", "operation 'f' table value out of range"),
+        (
+            "algebra a\nsize 300\nop f 1\n" + "0 " * 299 + "300\n",
+            "operation 'f' table value out of range",
+        ),
+        ("algebra a\nsize 2\nop f 1\n0 1.0\n", "expected a value of 'f', got '1.0'"),
+        # a malformed token anywhere is named before a value out of range
+        ("algebra a\nsize 2\nop f 1\n0 5\nop g 1\n0 x\n", "expected a value of 'g', got 'x'"),
+        # then the operations are checked in signature order
+        ("algebra a\nsize 2\nop f 1\n0 5\nop f 1\n0 1\n", "operation 'f' table value out of range"),
+        (
+            "algebra a\nsize 2\nop f 1\n0 1\nop f 1\n0 1\nop g 1\n0 5\n",
+            "duplicate operation name 'f'",
+        ),
+    ],
+    ids=["past-typecode", "size-in-wide-table", "non-integer", "token-first", "range", "duplicate"],
+)
+def test_table_errors_keep_their_messages_and_order(doc, message):
+    with pytest.raises(InputError) as err:
+        parse_algebra(doc)
+    assert str(err.value) == message
+
+
+def test_non_canonical_numerals_parse_as_their_values():
+    doc = "algebra a\nsize 3\nop f 1\n01 +2 0_0\nop g 2\n01 01 1 2 2 2 002 -0 0\n"
+    alg = parse_algebra(doc)
+    assert [tuple(op.table) for op in alg.ops] == [(1, 2, 0), (1, 1, 1, 2, 2, 2, 2, 0, 0)]
+    assert [op.table.typecode for op in alg.ops] == ["B", "B"]
+    assert parse_algebra(serialize_algebra(alg)).ops == alg.ops
+
+
+def test_a_huge_size_with_a_short_table_fails_before_any_numeral_map():
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError) as err:
+            parse_algebra("algebra a\nsize 1000000000\nop c 0\n5\nop f 1\n0 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "operation 'f' needs 1000000000^1 values, file has 2"
+    assert peak < 1 << 20
 
 
 def test_serialize_rejects_unprintable_names():
