@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import array
 import importlib
-import itertools
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import InputError, StructureError
@@ -79,11 +78,6 @@ class FiniteAlgebra:
             self._by_name[name_] = op
             checked.append(op)
         self.ops: tuple[Operation, ...] = tuple(checked)
-        # strides[name][i] = weight of argument i in the flat table index
-        self._strides = {
-            op.name: tuple(size**k for k in range(op.arity - 1, -1, -1))
-            for op in self.ops
-        }
         self._translations = None
         self._nontrivial = None
 
@@ -94,43 +88,52 @@ class FiniteAlgebra:
             raise InputError(f"no operation named {name!r}") from None
 
     def apply(self, name: str, *args: int) -> int:
-        op = self.op(name)
+        """The entry of the named operation at args: its table read row-major,
+        first argument most significant, at the flat index folded by
+        Horner's rule (idx = idx * size + a). An unknown name, a wrong
+        number of arguments, or an argument that is not an int or lies
+        outside 0..size-1 raises InputError."""
+        try:
+            op = self._by_name[name]
+        except KeyError:
+            raise InputError(f"no operation named {name!r}") from None
         if len(args) != op.arity:
             raise InputError(
                 f"operation {name!r} expects {op.arity} arguments, got {len(args)}"
             )
+        n = self.size
         idx = 0
-        for stride, a in zip(self._strides[name], args):
-            idx += stride * a
+        try:
+            for a in args:
+                if not 0 <= a < n:
+                    raise InputError(
+                        f"argument {a!r} of {name!r} is outside the universe 0..{n - 1}"
+                    )
+                idx = idx * n + a
+        except (TypeError, OverflowError):  # not comparable, or a numpy scalar
+            idx = None
+        # a float or numpy integer argument leaves a float or numpy scalar here
+        if idx.__class__ is not int:
+            raise InputError(f"arguments of {name!r} must be ints, got {args!r}")
         return op.table[idx]
 
     def translations(self) -> list[tuple[int, ...]]:
-        """All unary maps f(c1..x..cm) obtained by fixing all but one argument."""
+        """All unary maps f(c1..x..cm) obtained by fixing all but one
+        argument, each once, in order of operation, position of x and the
+        fixed arguments in lex order; each is one strided slice of the table."""
         if self._translations is None:
-            n = self.size
             seen = set()
             out = []
             for op in self.ops:
-                if op.arity == 0:
-                    continue
-                if op.arity == 1:
-                    candidates = [op.table]
-                else:
-                    candidates = []
-                    for pos in range(op.arity):
-                        strides = self._strides[op.name]
-                        step = strides[pos]
-                        others = [strides[i] for i in range(op.arity) if i != pos]
-                        for combo in itertools.product(range(n), repeat=op.arity - 1):
-                            base = sum(s * c for s, c in zip(others, combo))
-                            candidates.append(
-                                tuple(op.table[base + step * x] for x in range(n))
-                            )
-                for tr in candidates:
-                    tr = tuple(tr)
-                    if tr not in seen:
-                        seen.add(tr)
-                        out.append(tr)
+                table = op.table
+                for step in _strides(self.size, op.arity):
+                    span = step * self.size
+                    for row in range(0, len(table), span):
+                        for base in range(row, row + step):
+                            tr = tuple(table[base : base + span : step])
+                            if tr not in seen:
+                                seen.add(tr)
+                                out.append(tr)
             self._translations = out
         return self._translations
 
@@ -143,7 +146,9 @@ class FiniteAlgebra:
             self._nontrivial = tuple(
                 op
                 for op in self.ops
-                if not _is_constant_or_projection(op.table, self.size, self._strides[op.name])
+                if not _is_constant_or_projection(
+                    op.table, self.size, _strides(self.size, op.arity)
+                )
             )
         return self._nontrivial
 
@@ -192,6 +197,12 @@ def _narrow_table(name: str, arity: int, table, size: int, code: str) -> array.a
         table = array.array(code)
         table.frombytes(memoryview(narrow).cast("B"))
     return table
+
+
+def _strides(size: int, arity: int) -> tuple[int, ...]:
+    """The weight of each argument in the flat index of a table of that
+    arity on size elements: size ** (arity - 1 - i) for argument i."""
+    return tuple(size**k for k in range(arity - 1, -1, -1))
 
 
 # entries per slab of whole rows that _is_constant_or_projection compares
@@ -252,8 +263,11 @@ def _runs(code: str, values, run: int) -> array.array:
 
 def _typecode(size: int) -> str:
     """The unsigned array typecode of the narrowest itemsize holding
-    0..size-1: 'B', 'H', 'I' or 'Q'."""
-    return next(code for code in "BHIQ" if size - 1 < 1 << (8 * array.array(code).itemsize))
+    0..size-1: 'B', 'H', 'I' or 'Q'; InputError when none holds it."""
+    for code in "BHIQ":
+        if size - 1 < 1 << (8 * array.array(code).itemsize):
+            return code
+    raise InputError(f"size {size} is too large: a universe has at most 2^64 elements")
 
 
 def table_dtype(size: int):
@@ -424,7 +438,7 @@ def _array_violation_start(alg: FiniteAlgebra, op: Operation, part: Partition, r
     rep = np.array(reps, dtype=np.intp)[labels]
     image = labels[alg.table_array(op.name)]
     starts = []
-    for pos, stride in enumerate(alg._strides[op.name]):
+    for pos, stride in enumerate(_strides(alg.size, op.arity)):
         bad = np.flatnonzero(image != image.take(rep, axis=pos))
         if bad.size:
             # flat indices of the mismatches with argument pos moved to its rep
@@ -436,7 +450,7 @@ def _array_violation_start(alg: FiniteAlgebra, op: Operation, part: Partition, r
 def _violation_at(alg: FiniteAlgebra, op: Operation, part: Partition, idx: int):
     """The first (position, replacement) violation at the flat index idx."""
     labels, blocks, table = part.labels, part.blocks(), op.table
-    strides = alg._strides[op.name]
+    strides = _strides(alg.size, op.arity)
     args = tuple(idx // s % alg.size for s in strides)
     out = labels[table[idx]]
     for pos, x in enumerate(args):

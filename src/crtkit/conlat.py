@@ -12,6 +12,7 @@ Results are partitions, or Congruence records of crtkit.algebra.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 
 import numpy as np
@@ -249,22 +250,32 @@ def all_congruences(alg: FiniteAlgebra) -> list[Congruence]:
     Every congruence is a join of principal ones, so each new member is
     joined only with the principal congruences. Results come back sorted by
     label vector. Raises BudgetExceededError when the lattice outgrows the
-    budget: 100000 members, or CRTKIT_BUDGET as read at the call.
+    budget: 100000 members, or CRTKIT_BUDGET as read at the call. When
+    every operation is a constant or a projection, every partition is a
+    congruence, so an algebra whose Bell number exceeds the budget is
+    refused before anything is enumerated.
     """
     limit = config.budget(config.DEFAULT_CONGRUENCE_BUDGET)
     n = alg.size
+
+    def refuse():
+        raise BudgetExceededError(
+            f"congruence lattice of {alg.name} exceeds {limit} members",
+            checked=limit + 1,
+            budget=limit,
+        )
+
+    if not alg.nontrivial_ops() and _bell_exceeds(n, limit):
+        refuse()
     known: dict[tuple, Partition] = {}
     ident = Partition.identity(n)
     known[ident.labels] = ident
+
     def admit(p: Partition):
         known[p.labels] = p
         worklist.append(p)
         if len(known) > limit:
-            raise BudgetExceededError(
-                f"congruence lattice of {alg.name} exceeds {limit} members",
-                checked=len(known),
-                budget=limit,
-            )
+            refuse()
 
     worklist = []
     principal = principal_partition_set(alg)
@@ -278,6 +289,17 @@ def all_congruences(alg: FiniteAlgebra) -> list[Congruence]:
             if j.labels not in known:
                 admit(j)
     return [Congruence(alg, p) for p in sorted(known.values(), key=lambda q: q.labels)]
+
+
+def _bell_exceeds(n: int, limit: int) -> bool:
+    """Whether the partitions of n elements (the Bell number B(n)) are more
+    than limit; rows of Bell's triangle are built only until one passes it."""
+    row = [1]  # a row of Bell's triangle: it starts with B(k) and ends with B(k + 1)
+    for _ in range(n - 1):
+        if row[-1] > limit:
+            break
+        row = list(itertools.accumulate(row, initial=row[-1]))
+    return row[-1] > limit
 
 
 def meet_irreducible_congruences(alg: FiniteAlgebra) -> list[Congruence]:

@@ -61,6 +61,13 @@ def naive_is_congruence(alg, part):
     return True
 
 
+def reference_apply(op: Operation, n: int, args) -> int:
+    """The entry of op (on n elements) at args, read at the flat index
+    sum(args[i] * n ** (arity - 1 - i)): the row-major rule of
+    FiniteAlgebra.apply, written as a sum of powers."""
+    return op.table[sum(a * n ** (op.arity - 1 - i) for i, a in enumerate(args))]
+
+
 def reference_congruence_violation(alg, part):
     """Per-tuple scan for the first violation of compatibility.
 

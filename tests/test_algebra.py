@@ -4,6 +4,7 @@ import array
 import itertools
 import pickle
 import random
+import time
 
 import numpy as np
 import pytest
@@ -66,6 +67,7 @@ from crtkit.partitions import Partition
 
 from helpers import (
     naive_is_congruence,
+    reference_apply,
     reference_associative,
     reference_is_distributive,
     reference_is_permutable,
@@ -101,6 +103,50 @@ def test_apply_row_major():
         alg.apply("f", 0)
     with pytest.raises(InputError):
         alg.apply("g", 0, 0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_apply_reads_the_row_major_entry_of_random_tables(seed):
+    # sizes 1-7, arities 0-4: random tables, so f(x, y) and f(y, x) differ
+    # and a fold of the arguments in the wrong order reads the wrong entry
+    rng = random.Random(seed)
+    for n in range(1, 8):
+        ops = [
+            Operation(f"f{arity}", arity, [rng.randrange(n) for _ in range(n**arity)])
+            for arity in range(5)
+        ]
+        alg = FiniteAlgebra(n, ops)
+        for op in alg.ops:
+            for args in itertools.product(range(n), repeat=op.arity):
+                assert alg.apply(op.name, *args) == reference_apply(op, n, args), (n, args)
+
+
+@pytest.mark.parametrize(
+    "name,args",
+    [
+        ("meet", (0, 5)),
+        ("meet", (-1, 2)),
+        ("meet", (5, 5)),
+        ("meet", (0, 3)),
+        ("meet", (3, 0)),
+        ("meet", (1.0, 2)),
+        ("meet", (0, 2.5)),
+        ("meet", ("1", 0)),
+        ("meet", (np.int64(1), 0)),
+        ("meet", (0,)),
+        ("meet", (0, 1, 2)),
+        ("add", (0, 1)),
+    ],
+    ids=[
+        "past-size", "negative", "both-past-size", "equal-to-size-last",
+        "equal-to-size-first", "float", "float-last", "str", "numpy-int",
+        "too-few", "too-many", "unknown-name",
+    ],
+)
+def test_apply_refuses_what_is_not_an_entry(name, args):
+    # each used to return some other entry or raise a bare IndexError
+    with pytest.raises(InputError):
+        chain_lattice(3).apply(name, *args)
 
 
 def test_translations_of_z4():
@@ -224,6 +270,26 @@ def test_all_congruences_budget(monkeypatch):
     with pytest.raises(BudgetExceededError) as info:
         all_congruences(zmod_ring(12))
     assert info.value.budget == 3
+
+
+def test_an_algebra_of_projections_is_refused_by_its_bell_number(monkeypatch):
+    # every partition of a left-zero semigroup is a congruence: LZ12 has
+    # 4213597, and the lattice is refused before any is enumerated
+    monkeypatch.delenv("CRTKIT_BUDGET", raising=False)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as info:
+        all_congruences(left_zero_semigroup(12))
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == "congruence lattice of LZ12 exceeds 100000 members"
+    assert (info.value.checked, info.value.budget) == (100001, 100000)
+    assert len(all_congruences(left_zero_semigroup(6))) == 203
+
+
+def test_the_bell_number_refusal_reads_the_budget(monkeypatch):
+    monkeypatch.setenv("CRTKIT_BUDGET", "10")
+    with pytest.raises(BudgetExceededError):
+        all_congruences(left_zero_semigroup(4))  # Bell number 15
+    assert len(all_congruences(left_zero_semigroup(3))) == 5  # Bell number 5
 
 
 def test_naive_meet_irreducibles_definition():

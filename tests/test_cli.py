@@ -512,6 +512,22 @@ def test_classify2_refuses_the_twelve_ary_nor_before_building_its_masks(capsys, 
     )
 
 
+@pytest.mark.parametrize("command", ["check", "conlat"])
+def test_a_universe_past_2_to_the_64_is_refused(capsys, tmp_path, command):
+    # no array typecode holds its elements: a bare StopIteration used to exit 1
+    size = 2**64 + 1
+    path = tmp_path / "huge.alg"
+    path.write_text(f"algebra a\nsize {size}\nop c 0\n5\n")
+    congs = tmp_path / "huge.congs"
+    congs.write_text("cong t 0\n")
+    args = ["--algebra", str(path)] + (["--congs", str(congs)] if command == "check" else [])
+    assert run(capsys, command, *args) == (
+        2,
+        "",
+        f"error: size {size} is too large: a universe has at most 2^64 elements\n",
+    )
+
+
 @pytest.mark.parametrize(
     "size,arity",
     [(2, 20000), (3, 20000000), (10**4000, 2)],
