@@ -67,9 +67,15 @@ class FiniteAlgebra:
         self._by_name = {}
         code = _typecode(size)
         checked = []
-        for name_, arity, table in ops:
+        for i, entry in enumerate(ops):
+            try:
+                name_, arity, table = entry
+            except (TypeError, ValueError):
+                raise InputError(f"operation entry {i} is not (name, arity, table)") from None
             if name_ in self._by_name:
                 raise InputError(f"duplicate operation name {name_!r}")
+            if not isinstance(arity, int):
+                raise InputError(f"operation {name_!r} has arity {arity!r}, not an int")
             if arity < 0:
                 raise InputError(f"operation {name_!r} has negative arity")
             if not _narrow:
@@ -267,7 +273,10 @@ def _typecode(size: int) -> str:
     for code in "BHIQ":
         if size - 1 < 1 << (8 * array.array(code).itemsize):
             return code
-    raise InputError(f"size {size} is too large: a universe has at most 2^64 elements")
+    # past 4096 bits a count is named by its bit length: Python prints at
+    # most 4300 digits
+    shown = size if size.bit_length() <= 4096 else f"of {size.bit_length()} bits"
+    raise InputError(f"size {shown} is too large: a universe has at most 2^64 elements")
 
 
 def table_dtype(size: int):
@@ -314,13 +323,17 @@ MAX_PRINCIPAL_EDGES = 1 << 25
 
 def check_table_size(size: int, arity: int, what: str):
     """Raise InputError, before anything is allocated, when a table of
-    size ** arity entries would exceed MAX_TABLE_ENTRIES."""
-    entries = size**arity
-    if entries > MAX_TABLE_ENTRIES:
-        raise InputError(
-            f"{what} needs a table of {size}^{arity} = {entries} entries, "
-            f"more than the {MAX_TABLE_ENTRIES} allowed"
-        )
+    size ** arity entries would exceed MAX_TABLE_ENTRIES. Bit lengths are
+    compared first, so a power of more than 4096 bits is neither computed
+    nor printed (see _typecode)."""
+    if size > 1 and size.bit_length() * arity > 4096:
+        entries = f"at least 2^{(size.bit_length() - 1) * arity}"
+    elif (entries := size**arity) <= MAX_TABLE_ENTRIES:
+        return
+    raise InputError(
+        f"{what} needs a table of {size}^{arity} = {entries} entries, "
+        f"more than the {MAX_TABLE_ENTRIES} allowed"
+    )
 
 
 def _associative(np, T: np.ndarray) -> bool:

@@ -182,50 +182,38 @@ def index_to_tuple(idx: int, base: int, length: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _pointwise_codes(alg: FiniteAlgebra, columns, dtype):
-    """Each operation of alg applied coordinate-wise to elements of a power.
-
-    The elements are given by their coordinate digit arrays: element x has
-    coordinate i equal to columns[i][x]. Yields (op, codes) per operation,
-    where codes has shape (len(columns[0]),) * op.arity and holds the code,
-    base alg.size with the leftmost coordinate most significant, of the image
-    of each argument tuple of elements, in the given integer dtype, which
-    must hold every code. A nullary operation gives the code of its
-    constant tuple."""
-    import numpy as np
-
-    weights = [alg.size ** (len(columns) - 1 - i) for i in range(len(columns))]
-    for op in alg.ops:
-        table = alg.table_array(op.name)
-        codes = np.zeros((), dtype=dtype)
-        for weight, digits in zip(weights, columns):
-            codes = codes + np.multiply(table[np.ix_(*[digits] * op.arity)], weight, dtype=dtype)
-        yield op, codes
-
-
 def power_algebra(alg: FiniteAlgebra, exponent: int) -> FiniteAlgebra:
     """Direct power with pointwise operations; tuples are coded base alg.size
     with the leftmost coordinate most significant.
 
     Every operation of arity k is tabulated on all alg.size ** (exponent * k)
     argument tuples, in lexicographic order of their codes; a nullary
-    operation c becomes the constant tuple (c, ..., c). Raises InputError
-    for an exponent below 1, and before tabulating anything when a table
-    would exceed algebra.MAX_TABLE_ENTRIES."""
+    operation c becomes the constant tuple (c, ..., c). A tuple of A^(j+1)
+    codes as its code in A^j times alg.size plus its last coordinate, so
+    each table of A^(j+1) is one broadcast product of those of A^j and A,
+    in the narrow dtype of the result. Raises InputError for an exponent
+    that is not an int or is below 1, for more than 2^64 elements, and
+    before tabulating anything when a table would exceed
+    algebra.MAX_TABLE_ENTRIES."""
+    if not isinstance(exponent, int):
+        raise InputError(f"exponent must be an int, got {exponent!r}")
     if exponent < 1:
         raise InputError("exponent must be at least 1")
-    import numpy as np
-
     n = alg.size
+    if n > 1 and exponent > 64:  # so n ** exponent > 2^64 is never computed
+        raise InputError(f"{alg.name}^{exponent} has {n}^{exponent} elements, more than 2^64")
+    size = n**exponent
     for op in alg.ops:
-        check_table_size(n**exponent, op.arity, f"{op.name} on {alg.name}^{exponent}")
-    codes = np.arange(n**exponent)
-    columns = [codes // n ** (exponent - 1 - i) % n for i in range(exponent)]
-    ops = [
-        Operation(op.name, op.arity, images)
-        for op, images in _pointwise_codes(alg, columns, table_dtype(n**exponent))
-    ]
-    return FiniteAlgebra(n**exponent, ops, name=f"{alg.name}^{exponent}")
+        check_table_size(size, op.arity, f"{op.name} on {alg.name}^{exponent}")
+    ops = []
+    for op in alg.ops:
+        k = op.arity
+        table = alg.table_array(op.name).astype(table_dtype(size))
+        images = table
+        for m in (n**j for j in range(1, exponent)):
+            images = images.reshape([m, 1] * k) * n + table.reshape([1, n] * k)
+        ops.append(Operation(op.name, k, images))
+    return FiniteAlgebra(size, ops, name=f"{alg.name}^{exponent}")
 
 
 def fork_nearlattice() -> tuple[FiniteAlgebra, list[tuple[int, int]]]:
@@ -245,20 +233,22 @@ def subpower(alg: FiniteAlgebra, coords: list[tuple[int, ...]]):
     argument tuples of the given elements only, never on the whole power.
 
     Raises InputError when coords is empty, holds tuples of unequal or zero
-    length, a coordinate outside alg's universe or a tuple twice, or is not
-    closed: then the message names the operation, its argument tuples and
-    the image tuple that falls outside. Like power_algebra, it refuses a
-    table over algebra.MAX_TABLE_ENTRIES before tabulating it."""
+    length, a coordinate that is not an int (as for FiniteAlgebra.apply) of
+    alg's universe or a tuple twice, or is not closed: then the message
+    names the operation, its argument tuples and the image tuple that falls
+    outside. Like power_algebra, it refuses a table over
+    algebra.MAX_TABLE_ENTRIES before tabulating it."""
     if not coords:
         raise InputError("empty coordinate list")
-    ordered = sorted(tuple(c) for c in coords)
+    n = alg.size
+    tuples = [tuple(c) for c in coords]
+    for c in tuples:
+        if not all(isinstance(v, int) and 0 <= v < n for v in c):
+            raise InputError(f"coordinate tuple {c!r} has an entry not an int in 0..{n - 1}")
+    ordered = sorted(tuples)
     length = len(ordered[0])
     if length < 1 or any(len(c) != length for c in ordered):
         raise InputError("coordinate tuples of unequal or zero length")
-    n = alg.size
-    for c in ordered:
-        if not all(0 <= v < n for v in c):
-            raise InputError(f"coordinate tuple {c} has an entry outside 0..{n - 1}")
     for a, b in zip(ordered, ordered[1:]):
         if a == b:
             raise InputError(f"coordinate tuple {a} given twice")
@@ -268,10 +258,15 @@ def subpower(alg: FiniteAlgebra, coords: list[tuple[int, ...]]):
 
     if n**length - 1 > np.iinfo(np.intp).max:
         raise InputError(f"tuples of length {length} over {n} elements are too long to code")
-    columns = list(np.array(ordered, dtype=np.intp).T)
+    columns = np.array(ordered, dtype=np.intp).T
     elements = np.array([tuple_to_index(c, n) for c in ordered], dtype=np.intp)
     ops = []
-    for op, images in _pointwise_codes(alg, columns, np.intp):
+    for op in alg.ops:
+        table = alg.table_array(op.name)
+        images = np.zeros((), dtype=np.intp)
+        for digits in columns:
+            # intp throughout: a uint64 table would promote the sum to float
+            images = np.add(images * n, table[np.ix_(*[digits] * op.arity)], dtype=np.intp)
         images = images.ravel()
         found = np.searchsorted(elements, images).clip(max=len(elements) - 1)
         outside = np.flatnonzero(elements[found] != images)

@@ -43,9 +43,12 @@ Term = Union[Var, App]
 
 
 def eval_term(alg: FiniteAlgebra, term: Term, args) -> int:
-    """Evaluate a term tree at a tuple of universe elements."""
+    """Evaluate a term tree at a tuple of universe elements; an argument
+    that is not an int is refused, as by FiniteAlgebra.apply."""
     args = tuple(args)
     for a in args:
+        if not isinstance(a, int):
+            raise InputError(f"argument {a!r} is not an int")
         if not 0 <= a < alg.size:
             raise InputError(f"argument {a} outside the universe")
     return _eval(alg, term, args)
@@ -107,7 +110,9 @@ def term_table(alg: FiniteAlgebra, term: Term, arity: int) -> np.ndarray:
     It is evaluated by eval_term_grid over blocks of first arguments of
     about _BLOCK entries each, so what it holds beyond the result is
     bounded. A table over MAX_TABLE_ENTRIES raises InputError before
-    anything is allocated."""
+    anything is allocated, and so does an arity below 1."""
+    if arity < 1:
+        raise InputError(f"a term table has arity at least 1, got {arity}")
     n = alg.size
     check_table_size(n, arity, f"the term {term_str(term)} on {alg.name}")
     dtype = table_dtype(n)

@@ -627,6 +627,30 @@ def test_tables_over_the_entry_bound_are_refused_before_tabulation():
     assert term_table(alg, term.args[0], 2).shape == (257, 257)
 
 
+def test_huge_counts_are_refused_without_printing_them():
+    # each message once printed a number past Python's 4300-digit limit
+    with pytest.raises(InputError, match="^size of 158497 bits is too large"):
+        FiniteAlgebra(3 ** (10**5), [])
+    with pytest.raises(InputError, match=r"3\^1000000 = at least 2\^1000000 entries"):
+        term_table(chain_lattice(3), Var(0), 10**6)
+    with pytest.raises(InputError, match=r"^chain3\^1000000 has 3\^1000000 elements"):
+        power_algebra(chain_lattice(3), 10**6)
+
+
+@pytest.mark.parametrize("arity", [0, -1])
+def test_term_table_refuses_an_arity_below_one(arity):
+    # n ** (arity - 1) leaked TypeError
+    with pytest.raises(InputError, match=f"^a term table has arity at least 1, got {arity}$"):
+        term_table(chain_lattice(3), Var(0), arity)
+
+
+@pytest.mark.parametrize("arg", [1.5, "a"], ids=["float", "str"])
+def test_eval_term_refuses_an_argument_that_is_not_an_int(arg):
+    # a variable returned 1.5 as if it were an element; "a" leaked TypeError
+    with pytest.raises(InputError, match=f"^argument {arg!r} is not an int$"):
+        eval_term(chain_lattice(3), Var(0), (arg,))
+
+
 def test_quotient_gathers_the_per_entry_tables():
     rng = random.Random(7)
     for alg in (zmod_ring(12), power_algebra(two_majority(), 3), chain_lattice(5)):
@@ -652,6 +676,20 @@ def test_array_tables_are_checked_and_seed_the_table_arrays():
     tuples = FiniteAlgebra(3, [Operation("add", 2, tuple(table.ravel().tolist()))])
     assert np.shares_memory(tuples.table_array("add"), tuples.op("add").table)
     assert tuples.table_array("add").tolist() == table.tolist()
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (("f", 1), r"^operation entry 0 is not \(name, arity, table\)$"),
+        (("f", "1", (0, 1)), r"^operation 'f' has arity '1', not an int$"),
+    ],
+    ids=["short", "str-arity"],
+)
+def test_a_malformed_operation_entry_is_refused(entry, message):
+    # unpacking leaked ValueError, and comparing the arity TypeError
+    with pytest.raises(InputError, match=message):
+        FiniteAlgebra(2, [entry])
 
 
 @pytest.mark.parametrize(
