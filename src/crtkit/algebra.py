@@ -60,6 +60,8 @@ class FiniteAlgebra:
     them so); each is adopted as it is, without a copy or a range check."""
 
     def __init__(self, size: int, ops, name: str = "A", *, _narrow: bool = False):
+        if not isinstance(size, int):
+            raise InputError(f"the universe size {size!r} is not an int")
         if size < 1:
             raise InputError("the universe must be nonempty")
         self.size = size
@@ -72,6 +74,8 @@ class FiniteAlgebra:
                 name_, arity, table = entry
             except (TypeError, ValueError):
                 raise InputError(f"operation entry {i} is not (name, arity, table)") from None
+            if not isinstance(name_, str):
+                raise InputError(f"operation entry {i} has name {name_!r}, not a str")
             if name_ in self._by_name:
                 raise InputError(f"duplicate operation name {name_!r}")
             if not isinstance(arity, int):

@@ -8,10 +8,18 @@ from .algebra import FiniteAlgebra, Operation, _typecode, check_table_size, tabl
 from .errors import InputError
 
 
+def _check_count(n, least: int, what: str):
+    """Raise InputError unless n is an int (as for FiniteAlgebra.apply) of
+    at least least."""
+    if not isinstance(n, int):
+        raise InputError(f"{what} must be an int, got {n!r}")
+    if n < least:
+        raise InputError(f"{what} must be at least {least}, got {n}")
+
+
 def chain_lattice(n: int) -> FiniteAlgebra:
     """The n-element chain 0 < 1 < ... < n-1 with meet=min, join=max."""
-    if n < 1:
-        raise InputError("a chain needs at least one element")
+    _check_count(n, 1, "a chain's size")
     meet = tuple(min(x, y) for x in range(n) for y in range(n))
     join = tuple(max(x, y) for x in range(n) for y in range(n))
     return FiniteAlgebra(
@@ -23,8 +31,7 @@ def chain_lattice(n: int) -> FiniteAlgebra:
 
 def boolean_lattice(num_atoms: int) -> FiniteAlgebra:
     """Subsets of an num_atoms-set as bitmasks, under intersection and union."""
-    if num_atoms < 0:
-        raise InputError("negative atom count")
+    _check_count(num_atoms, 0, "the atom count")
     n = 1 << num_atoms
     meet = tuple(x & y for x in range(n) for y in range(n))
     join = tuple(x | y for x in range(n) for y in range(n))
@@ -75,8 +82,7 @@ def diamond_m3() -> FiniteAlgebra:
 
 def zmod_ring(n: int) -> FiniteAlgebra:
     """The ring of integers mod n with addition, negation, multiplication, 0."""
-    if n < 1:
-        raise InputError("modulus must be positive")
+    _check_count(n, 1, "the modulus")
     add = tuple((x + y) % n for x in range(n) for y in range(n))
     mul = tuple((x * y) % n for x in range(n) for y in range(n))
     neg = tuple((-x) % n for x in range(n))
@@ -93,8 +99,7 @@ def zmod_ring(n: int) -> FiniteAlgebra:
 
 
 def zmod_group(n: int) -> FiniteAlgebra:
-    if n < 1:
-        raise InputError("modulus must be positive")
+    _check_count(n, 1, "the modulus")
     add = tuple((x + y) % n for x in range(n) for y in range(n))
     neg = tuple((-x) % n for x in range(n))
     return FiniteAlgebra(
@@ -143,6 +148,7 @@ def two_implication() -> FiniteAlgebra:
 def left_zero_mul(n: int) -> Operation:
     """The left-zero product x * y = x on n elements, built row by row in
     its storage type, so that FiniteAlgebra copies it as one block."""
+    _check_count(n, 1, "a semigroup's size")
     code = _typecode(n)
     mul = array.array(code)
     for x in range(n):
@@ -152,15 +158,12 @@ def left_zero_mul(n: int) -> Operation:
 
 def left_zero_semigroup(n: int) -> FiniteAlgebra:
     """x * y = x; every partition is a congruence."""
-    if n < 1:
-        raise InputError("need at least one element")
     return FiniteAlgebra(n, [left_zero_mul(n)], name=f"LZ{n}")
 
 
 def bare_set(n: int) -> FiniteAlgebra:
     """No operations at all; congruences are exactly the partitions."""
-    if n < 1:
-        raise InputError("need at least one element")
+    _check_count(n, 1, "a set's size")
     return FiniteAlgebra(n, [], name=f"set{n}")
 
 
@@ -195,10 +198,7 @@ def power_algebra(alg: FiniteAlgebra, exponent: int) -> FiniteAlgebra:
     that is not an int or is below 1, for more than 2^64 elements, and
     before tabulating anything when a table would exceed
     algebra.MAX_TABLE_ENTRIES."""
-    if not isinstance(exponent, int):
-        raise InputError(f"exponent must be an int, got {exponent!r}")
-    if exponent < 1:
-        raise InputError("exponent must be at least 1")
+    _check_count(exponent, 1, "exponent")
     n = alg.size
     if n > 1 and exponent > 64:  # so n ** exponent > 2^64 is never computed
         raise InputError(f"{alg.name}^{exponent} has {n}^{exponent} elements, more than 2^64")
@@ -232,16 +232,22 @@ def subpower(alg: FiniteAlgebra, coords: list[tuple[int, ...]]):
     order. Each operation of arity r is tabulated on the len(coords) ** r
     argument tuples of the given elements only, never on the whole power.
 
-    Raises InputError when coords is empty, holds tuples of unequal or zero
-    length, a coordinate that is not an int (as for FiniteAlgebra.apply) of
-    alg's universe or a tuple twice, or is not closed: then the message
-    names the operation, its argument tuples and the image tuple that falls
-    outside. Like power_algebra, it refuses a table over
-    algebra.MAX_TABLE_ENTRIES before tabulating it."""
+    Raises InputError when coords is empty, holds a coordinate tuple that is
+    not a sequence, tuples of unequal or zero length, a coordinate that is
+    not an int (as for FiniteAlgebra.apply) of alg's universe or a tuple
+    twice, or is not closed: then the message names the operation, its
+    argument tuples and the image tuple that falls outside. Like
+    power_algebra, it refuses a table over algebra.MAX_TABLE_ENTRIES
+    before tabulating it."""
     if not coords:
         raise InputError("empty coordinate list")
     n = alg.size
-    tuples = [tuple(c) for c in coords]
+    tuples = []
+    for c in coords:
+        try:
+            tuples.append(tuple(c))
+        except TypeError:
+            raise InputError(f"coordinate tuple {c!r} is not a tuple") from None
     for c in tuples:
         if not all(isinstance(v, int) and 0 <= v < n for v in c):
             raise InputError(f"coordinate tuple {c!r} has an entry not an int in 0..{n - 1}")

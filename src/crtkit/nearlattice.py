@@ -209,14 +209,6 @@ def tarski_view(alg: FiniteAlgebra) -> NearlatticeView:
 # congruences through the view
 
 
-def theta_at(view: NearlatticeView, p: int) -> Partition:
-    """The two-block partition separating {x <= p} from the rest."""
-    if p not in view.mi_elements:
-        raise InputError(f"{p} is not meet-irreducible")
-    down = view.leq[p]
-    return Partition([0 if (down >> x) & 1 else 1 for x in range(view.alg.size)])
-
-
 def f_of_theta(view: NearlatticeView, theta) -> int:
     """Bitmask over P indices of {p : theta refines the two-block split at p}."""
     (part,) = as_partitions([theta], view.alg.size)
@@ -313,21 +305,10 @@ def _fringes(image: set, down: list[int], up: list[int], keep: int) -> list[int]
     return sorted(out)
 
 
-def fringe_elements(view: NearlatticeView) -> list[int]:
-    """Maximal down-sets of P outside the image of sigma, ascending."""
-    full = (1 << view.p_count) - 1
-    return _fringes(set(view.sigma), *_subposet(view, full), full)
-
-
 def is_interpolable(view: NearlatticeView, bmask: int, fmask: int) -> bool:
     """Whether some element agrees with the down-set on the masked indices."""
     want = bmask & fmask
     return any(view.sigma[a] & fmask == want for a in range(view.alg.size))
-
-
-def covers_in_subposet(view: NearlatticeView, qmask: int) -> list[tuple[int, int]]:
-    """Covering pairs (upper index, lower index) of the subposet on qmask."""
-    return list(_covers(*_subposet(view, qmask), qmask))
 
 
 def _mask_to_elements(view: NearlatticeView, mask: int) -> tuple[int, ...]:

@@ -60,7 +60,10 @@ class Partition:
     __slots__ = ("labels", "n", "num_blocks", "_blocks", "_masks")
 
     def __init__(self, labels):
-        labels = canonical_labels(labels)
+        try:
+            labels = canonical_labels(labels)
+        except TypeError:  # not iterable, or an unhashable label
+            raise InputError(f"partition labels {labels!r} are not a sequence of labels") from None
         if not labels:
             raise InputError("a partition needs a nonempty ground set")
         self.labels = labels
@@ -82,8 +85,8 @@ class Partition:
         labels = [-1] * n
         for k, block in enumerate(blocks):
             for x in block:
-                if not 0 <= x < n:
-                    raise InputError(f"element {x} outside 0..{n - 1}")
+                if not (isinstance(x, int) and 0 <= x < n):
+                    raise InputError(f"element {x!r} is not an int in 0..{n - 1}")
                 if labels[x] != -1:
                     raise InputError(f"element {x} appears in two blocks")
                 labels[x] = k
@@ -96,8 +99,8 @@ class Partition:
         """Equivalence closure of a set of pairs."""
         uf = _UnionFind(n)
         for x, y in pairs:
-            if not (0 <= x < n and 0 <= y < n):
-                raise InputError(f"pair ({x},{y}) outside 0..{n - 1}")
+            if not all(isinstance(v, int) and 0 <= v < n for v in (x, y)):
+                raise InputError(f"pair ({x!r}, {y!r}) is not two ints in 0..{n - 1}")
             uf.union(x, y)
         return cls(uf.labels())
 

@@ -135,10 +135,6 @@ def validate_3sat_prime(phi: CnfFormula) -> list[str]:
     return violations
 
 
-def is_3sat_prime(phi: CnfFormula) -> bool:
-    return not validate_3sat_prime(phi)
-
-
 def satisfies(phi: CnfFormula, assignment) -> bool:
     """Does a {variable: bit} mapping make every clause true?"""
     for clause in phi.clauses:

@@ -37,8 +37,8 @@ def make_system(thetas, targets) -> CongruenceSystem:
         )
     n = parts[0].n
     for a in targets:
-        if not 0 <= a < n:
-            raise InputError(f"target {a} outside the ground set")
+        if not (isinstance(a, int) and 0 <= a < n):
+            raise InputError(f"target {a!r} is not an int in 0..{n - 1}")
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             if not parts[i].join(parts[j]).related(targets[i], targets[j]):

@@ -100,11 +100,6 @@ def subspace_intersection(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return kernel_basis(subspace_sum(kernel_basis(a, p), kernel_basis(b, p), p), p)
 
 
-def in_rowspace(vec, basis: np.ndarray, p: int) -> bool:
-    stacked = np.vstack([basis, np.asarray(vec, dtype=np.int64).reshape(1, -1) % p])
-    return rank(stacked, p) == basis.shape[0]
-
-
 @dataclass(eq=False)
 class VSInstance:
     """A congruence tuple on GF(p)^n, one RREF subspace basis per coordinate."""
@@ -319,11 +314,3 @@ def coset_partitions(inst: VSInstance) -> list[Partition]:
     basis = tuple(p ** (n - 1 - i) for i in range(n))
     chart = Coordinatization(p, n, basis, to_vector, {v: x for x, v in enumerate(to_vector)})
     return [subspace_to_partition(chart, w) for w in inst.subspaces]
-
-
-def random_subspace(rng, p: int, n: int) -> np.ndarray:
-    """RREF basis of the row space of a random matrix (uniform entries)
-    with a uniform number of rows from 0 to n."""
-    d = rng.randrange(0, n + 1)
-    rows = [[rng.randrange(p) for _ in range(n)] for _ in range(d)]
-    return rref(_as_matrix(rows, n, p), p)[0]

@@ -20,10 +20,13 @@ from crtkit.algebra import (
 )
 from crtkit.catalog import index_to_tuple, power_algebra, subpower, tuple_to_index
 from crtkit.errors import BudgetExceededError, InputError, StructureError
-from crtkit.nearlattice import NearlatticeView, NlVerdict, certify_tuple
+from crtkit.dualdisc import _lift_all
+from crtkit.nearlattice import NearlatticeView, NlVerdict, _covers, _fringes, _subposet, certify_tuple
 from crtkit.partitions import Partition
 from crtkit.postlattice import PROJ_X, PROJ_Y, PROJ_Z
+from crtkit.satgadget import CnfFormula, validate_3sat_prime
 from crtkit.systems import CrVerdict, quotient_reduce
+from crtkit.vectorspace import _as_matrix, rank, rref
 
 if TYPE_CHECKING:
     import numpy as np
@@ -414,6 +417,27 @@ def all_down_sets(view: NearlatticeView) -> list[int]:
     return sorted(found)
 
 
+def theta_at(view: NearlatticeView, p: int) -> Partition:
+    """The two-block partition separating {x <= p} from the rest."""
+    if p not in view.mi_elements:
+        raise InputError(f"{p} is not meet-irreducible")
+    down = view.leq[p]
+    return Partition([0 if (down >> x) & 1 else 1 for x in range(view.alg.size)])
+
+
+def fringe_elements(view: NearlatticeView) -> list[int]:
+    """Maximal down-sets of P outside the image of sigma, ascending, by the
+    screen the decider runs on each projection."""
+    full = (1 << view.p_count) - 1
+    return _fringes(set(view.sigma), *_subposet(view, full), full)
+
+
+def covers_in_subposet(view: NearlatticeView, qmask: int) -> list[tuple[int, int]]:
+    """Covering pairs (upper index, lower index) of the subposet on qmask,
+    as the decider enumerates them."""
+    return list(_covers(*_subposet(view, qmask), qmask))
+
+
 def reference_view(alg: FiniteAlgebra, kind: str = "nearlattice") -> NearlatticeView:
     """nearlattice's views as they stood when every constructor tabulated a
     derived ternary operation: n itself ("nearlattice"), (x meet y) join z
@@ -704,3 +728,28 @@ def reference_dualdisc(alg: FiniteAlgebra, parts):
             continue
         return False, (lam, mu)
     return True, None
+
+
+def sigma_above(alg: FiniteAlgebra, delta: Partition) -> list[Partition]:
+    """Meet-irreducible congruences lying above the congruence delta, sorted
+    by label vector, as dualdisc reads them off alg / delta."""
+    return sorted(_lift_all(alg, delta)[1].values(), key=lambda p: p.labels)
+
+
+def in_rowspace(vec, basis: np.ndarray, p: int) -> bool:
+    import numpy as np
+
+    stacked = np.vstack([basis, np.asarray(vec, dtype=np.int64).reshape(1, -1) % p])
+    return rank(stacked, p) == basis.shape[0]
+
+
+def random_subspace(rng, p: int, n: int) -> np.ndarray:
+    """RREF basis of the row space of a random matrix (uniform entries)
+    with a uniform number of rows from 0 to n."""
+    d = rng.randrange(0, n + 1)
+    rows = [[rng.randrange(p) for _ in range(n)] for _ in range(d)]
+    return rref(_as_matrix(rows, n, p), p)[0]
+
+
+def is_3sat_prime(phi: CnfFormula) -> bool:
+    return not validate_3sat_prime(phi)

@@ -32,16 +32,7 @@ from crtkit.catalog import (
     two_nearlattice,
     zmod_ring,
 )
-from crtkit.dualdisc import (
-    all_crosses,
-    cross_closure,
-    cross_contains,
-    generates,
-    intersect_crosses,
-    irreducible_crosses,
-    is_cr_tuple_dualdisc,
-    projections_full_or_cross,
-)
+from crtkit.dualdisc import is_cr_tuple_dualdisc, projections_full_or_cross
 from crtkit.nearlattice import (
     is_cr_tuple_distlattice,
     is_cr_tuple_nearlattice,
@@ -55,7 +46,6 @@ from crtkit.satgadget import (
     CnfFormula,
     assignment_to_system,
     find_satisfying,
-    is_3sat_prime,
     random_3sat_prime,
     reduce_formula,
     satisfies,
@@ -73,14 +63,23 @@ from crtkit.systems import (
 from crtkit.vectorspace import (
     coset_partitions,
     is_cr_tuple_vs,
-    random_subspace,
     rref,
     vs_instance,
 )
 
+from crosses import (
+    all_crosses,
+    cross_closure,
+    cross_contains,
+    generates,
+    intersect_crosses,
+    irreducible_crosses,
+)
 from helpers import (
+    is_3sat_prime,
     random_closed_subpower,
     random_distributive_lattice,
+    random_subspace,
     set_partitions,
 )
 

@@ -693,6 +693,22 @@ def test_a_malformed_operation_entry_is_refused(entry, message):
 
 
 @pytest.mark.parametrize(
+    "size, ops, message",
+    [
+        (2, [(["f"], 1, (0, 1))], r"^operation entry 0 has name \['f'\], not a str$"),
+        ("3", [], r"^the universe size '3' is not an int$"),
+        (2.0, [], r"^the universe size 2\.0 is not an int$"),
+    ],
+    ids=["list-name", "str-size", "float-size"],
+)
+def test_an_algebra_refuses_a_size_or_name_of_the_wrong_type(size, ops, message):
+    # the list name leaked TypeError (unhashable), and so did the str size;
+    # the float size was accepted, then leaked from Partition.identity
+    with pytest.raises(InputError, match=message):
+        FiniteAlgebra(size, ops)
+
+
+@pytest.mark.parametrize(
     "table, message",
     [
         ((0.5, 1.0), "table is not integer"),

@@ -13,6 +13,7 @@ from crtkit.catalog import (
     chain_lattice,
     diamond_m3,
     index_to_tuple,
+    left_zero_mul,
     left_zero_semigroup,
     power_algebra,
     subpower,
@@ -95,6 +96,26 @@ def test_power_algebra_rejects_an_exponent_that_is_not_an_int(exponent):
         power_algebra(two_majority(), exponent)
 
 
+@pytest.mark.parametrize(
+    "build, n",
+    [
+        (chain_lattice, "3"),
+        (chain_lattice, 2.0),
+        (boolean_lattice, 2.0),
+        (zmod_ring, "4"),
+        (zmod_group, 1.5),
+        (left_zero_semigroup, "2"),
+        (left_zero_mul, 2.5),
+        (bare_set, 2.0),
+    ],
+    ids=lambda v: getattr(v, "__name__", repr(v)),
+)
+def test_catalog_sizes_that_are_not_ints_are_refused(build, n):
+    # bare_set(2.0) built a set of size 2.0; the others leaked TypeError
+    with pytest.raises(InputError, match=f"must be an int, got {n!r}$"):
+        build(n)
+
+
 def test_a_power_of_a_set_without_operations_builds_no_array():
     # digit columns over all 2^40 elements once raised MemoryError
     alg = power_algebra(bare_set(2), 40)
@@ -142,7 +163,7 @@ def test_subpower_names_the_escaping_tuples_of_a_set_that_is_not_closed():
 
 
 def test_subpower_rejects_malformed_tuples():
-    for coords in ([], [(0, 1), (1,)], [()], [(0, 2)], [(0,) * 64]):
+    for coords in ([], [(0, 1), (1,)], [()], [(0, 2)], [(0,) * 64], [0, 1]):
         with pytest.raises(InputError):
             subpower(two_majority(), coords)
 

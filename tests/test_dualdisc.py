@@ -7,9 +7,13 @@ import pytest
 
 from crtkit.algebra import FiniteAlgebra, Operation, all_congruences
 from crtkit.catalog import chain_lattice, power_algebra, two_majority, zmod_group, zmod_ring
-from crtkit.dualdisc import (
+from crtkit.dualdisc import _inside_composition, is_cr_tuple_dualdisc, projections_full_or_cross
+from crtkit.errors import InputError, PreconditionError, StructureError
+from crtkit.partitions import Partition
+from crtkit.systems import brute_force_is_cr_tuple
+
+from crosses import (
     Cross,
-    _inside_composition,
     all_crosses,
     compose_crosses,
     cross_closure,
@@ -18,21 +22,15 @@ from crtkit.dualdisc import (
     generates,
     intersect_crosses,
     irreducible_crosses,
-    is_cr_tuple_dualdisc,
     make_cross,
-    projections_full_or_cross,
-    sigma_above,
 )
-from crtkit.errors import InputError, PreconditionError, StructureError
-from crtkit.partitions import Partition
-from crtkit.systems import brute_force_is_cr_tuple
-
 from helpers import (
     random_closed_subpower,
     random_distributive_lattice,
     reference_dualdisc,
     reference_projections_full_or_cross,
     relation_product,
+    sigma_above,
 )
 
 

@@ -26,9 +26,7 @@ from crtkit.errors import InputError, StructureError
 from crtkit.nearlattice import (
     canonical_down_set,
     certify_tuple,
-    covers_in_subposet,
     f_of_theta,
-    fringe_elements,
     is_cr_tuple_distlattice,
     is_cr_tuple_nearlattice,
     is_cr_tuple_tarski,
@@ -37,7 +35,6 @@ from crtkit.nearlattice import (
     make_view,
     solve_via_view,
     tarski_view,
-    theta_at,
     theta_of_f,
 )
 from crtkit.partitions import Partition, canonical_labels
@@ -45,12 +42,15 @@ from crtkit.systems import brute_force_is_cr_tuple, make_system, solve_system
 
 from helpers import (
     all_down_sets,
+    covers_in_subposet,
+    fringe_elements,
     random_closed_subpower,
     random_distributive_lattice,
     reference_distlattice,
     reference_nearlattice,
     reference_tarski,
     reference_view,
+    theta_at,
 )
 
 

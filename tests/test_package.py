@@ -1,15 +1,19 @@
 """The crtkit namespace: library modules registered lazily, names re-exported
-from them, and the benchmark tracer that rebinds functions inside them.
+from them, the benchmark tracer that rebinds functions inside them, and the
+rule that the library defines only what a command, a route or an export runs.
 
-Each check runs in a fresh interpreter, since the test run has long
-since loaded every module.
+Each check of the namespace runs in a fresh interpreter, since the test run
+has long since loaded every module.
 """
 
+import ast
 import os
+import re
 import subprocess
 import sys
 
 import crtkit
+from crtkit import algebra
 from crtkit.catalog import power_algebra, two_nearlattice
 from crtkit.formats import serialize_algebra
 
@@ -18,6 +22,11 @@ LIBRARY = sorted(
     name[:-3] for name in os.listdir(SRC) if name.endswith(".py") and name not in ("__init__.py", "cli.py")
 )
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+
+# definitions kept although nothing in src/ reaches them yet
+WAITING = {
+    ("nearlattice", "solve_via_view"),  # the solution side of ROADMAP item 4's witnesses
+}
 
 
 def fresh(script: str) -> str:
@@ -149,3 +158,58 @@ def test_benchmark_tracer_rebinds_every_wrapped_function(tmp_path):
         "nearlattice.view_s True",
         "nearlattice.decide_s True",
     ]
+
+
+def _names_used(node) -> set:
+    """The names a statement uses as code: names, attributes and imported
+    names, never the words of a string or docstring."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            used.add(sub.name.rpartition(".")[2])
+    return used
+
+
+def test_every_library_definition_is_run_by_a_command_a_route_or_an_export():
+    # roots: what a module runs at import (the CLI's entry point among it),
+    # the names the package or algebra re-exports, the catalog constructors,
+    # the names perfbench reads, the interpreter's dunders and WAITING; a
+    # definition is kept when a kept one uses it, so helpers that only call
+    # each other are caught too
+    defined, reached = {}, set()
+    for filename in sorted(os.listdir(SRC)):
+        if filename.endswith(".py"):
+            with open(os.path.join(SRC, filename)) as f:
+                for node in ast.parse(f.read()).body:
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                        defined[filename[:-3], node.name] = node
+                    else:
+                        reached |= _names_used(node)
+    for table in (crtkit._EXPORTS, algebra._MOVED):
+        reached.update(n for names in table.values() for n in names.split())
+    for dirpath, dirnames, filenames in os.walk(PERFBENCH):
+        dirnames[:] = [d for d in dirnames if d != "__pycache__"]
+        for filename in filenames:
+            with open(os.path.join(dirpath, filename), errors="replace") as f:
+                reached.update(re.findall(r"\w+", f.read()))
+    kept = set()
+    grown = True
+    while grown:
+        grown = {
+            key
+            for key in defined.keys() - kept
+            if key[1] in reached
+            or key[0] == "catalog"
+            or key in WAITING
+            or re.fullmatch(r"__\w+__", key[1])
+        }
+        kept |= grown
+        for key in grown:
+            reached |= _names_used(defined[key])
+    assert WAITING <= defined.keys()
+    unreached = sorted(f"{m}.{n}" for m, n in defined.keys() - kept)
+    assert not unreached, f"defined but run by no command, route or export: {unreached}"

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -64,6 +65,23 @@ def test_from_blocks():
         Partition.from_blocks(3, [[0, 1], [1, 2]])  # 1 twice
     with pytest.raises(InputError):
         Partition.from_blocks(3, [[0, 1, 2, 3]])  # out of range
+
+
+@pytest.mark.parametrize(
+    "build, shown",
+    [
+        (lambda: Partition(None), "None"),
+        (lambda: Partition.from_blocks(3, [[0, "a"]]), "'a'"),
+        (lambda: Partition.from_pairs(3, [("a", 1)]), "'a'"),
+        (lambda: Partition.from_blocks(2, [[0, 1.0]]), "1.0"),
+    ],
+    ids=["none", "blocks-str", "pairs-str", "blocks-float"],
+)
+def test_partitions_refuse_labels_and_elements_of_the_wrong_type(build, shown):
+    # each leaked TypeError: from iterating None, from the range test, and
+    # from indexing the label list with a float
+    with pytest.raises(InputError, match=re.escape(shown)):
+        build()
 
 
 def test_from_pairs_takes_transitive_closure():

@@ -74,6 +74,14 @@ def test_make_system_validations():
         make_system([p, p], [0, 2])
 
 
+@pytest.mark.parametrize("target", ["a", 1.0], ids=["str", "float"])
+def test_make_system_refuses_a_target_that_is_not_an_int(target):
+    # "a" leaked TypeError from the range test; 1.0 was accepted, then
+    # leaked TypeError when the system was solved
+    with pytest.raises(InputError, match=f"^target {target!r} is not an int in 0..1$"):
+        make_system([Partition([0, 1])], [target])
+
+
 def test_solve_system():
     p = Partition([0, 0, 1, 1])
     q = Partition([0, 1, 0, 1])

@@ -18,11 +18,9 @@ from crtkit.vectorspace import (
     coset_partitions,
     dim_compatible,
     dim_solvable,
-    in_rowspace,
     is_cr_tuple_vs,
     is_prime,
     kernel_basis,
-    random_subspace,
     rank,
     rref,
     subspace_intersection,
@@ -30,6 +28,8 @@ from crtkit.vectorspace import (
     subspace_to_partition,
     vs_instance,
 )
+
+from helpers import in_rowspace, random_subspace
 
 
 def span(basis, p):
