@@ -12,13 +12,16 @@ laws of binary operations, and
 certification (congruence_violation, certify). Certification tests only
 the operations that are neither constants nor projections, found once per
 algebra by an exact table test. It tests a unary one in pure Python and
-imports numpy only when one of arity 2 or more is left.
+imports numpy only when one of arity 2 or more is left. A congruence tuple
+enters through one intake, as_partitions (certify reads it there too),
+which refuses a tuple that is not iterable or holds no partition.
 The congruence lattice (principal congruences, all_congruences,
 meet-irreducibles, the lattice predicates) lives in crtkit.conlat, and
 terms with the algebras derived by them (reduct, quotient, subalgebra) in
 crtkit.terms.
-Their names still resolve here, through a module __getattr__ (PEP 562) that
-loads the defining module on first use.
+Their public names (_MOVED) still resolve here, through a module
+__getattr__ (PEP 562) that loads the defining module on first use; the
+benchmark tracer looks some of them up here.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import importlib
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import InputError, StructureError
-from .partitions import Partition
+from .partitions import Partition, _iterable
 
 if TYPE_CHECKING:
     import numpy as np
@@ -487,8 +490,8 @@ def as_partitions(thetas, size: Optional[int] = None, names=None) -> tuple[Parti
     must be at least one (thetas may be an iterator), and each must be on
     `size` elements (as many as the first member when size is None). Raises
     InputError otherwise, naming member i names[i] ("tuple member i + 1"
-    by default)."""
-    parts = tuple(as_partition(t) for t in thetas)
+    by default), and when thetas is not iterable."""
+    parts = tuple(as_partition(t) for t in _members(thetas))
     if not parts:
         raise InputError("need at least one congruence")
     size = parts[0].n if size is None else size
@@ -498,6 +501,12 @@ def as_partitions(thetas, size: Optional[int] = None, names=None) -> tuple[Parti
                 f"{_member(names, i)} is a partition of {part.n} elements, expected {size}"
             )
     return parts
+
+
+def _members(thetas) -> tuple:
+    """The members of a congruence tuple, the one intake of as_partitions
+    and certify: InputError unless thetas is iterable."""
+    return tuple(_iterable(thetas, "a sequence of congruences"))
 
 
 def _member(names, i: int) -> str:
@@ -515,7 +524,7 @@ def certify(alg: FiniteAlgebra, thetas, names=None) -> tuple[Congruence, ...]:
     get, so a tuple certified once (by `crtkit check`, say) passes through
     them unchecked.
     """
-    thetas = tuple(thetas)
+    thetas = _members(thetas)
     out = []
     for i, (theta, part) in enumerate(zip(thetas, as_partitions(thetas, alg.size, names))):
         if not (isinstance(theta, Congruence) and theta.algebra is alg):
@@ -543,8 +552,8 @@ _MOVED = {
     "conlat": "all_congruences congruence_lattice_is_distributive "
     "congruence_lattice_is_permutable is_arithmetic meet_irreducible_congruences "
     "naive_meet_irreducibles principal_congruence principal_partition_set",
-    "terms": "App Term Var eval_term eval_term_grid generated_subuniverse quotient reduct "
-    "subalgebra term_str term_table term_variables",
+    "terms": "App Term Var eval_term eval_term_grid quotient reduct subalgebra term_str "
+    "term_table term_variables",
 }
 _HOME = {name: module for module, names in _MOVED.items() for name in names.split()}
 

@@ -6,6 +6,7 @@ import array
 
 from .algebra import FiniteAlgebra, Operation, _typecode, check_table_size, table_dtype
 from .errors import InputError
+from .partitions import _iterable
 
 
 def _check_count(n, least: int, what: str):
@@ -232,13 +233,14 @@ def subpower(alg: FiniteAlgebra, coords: list[tuple[int, ...]]):
     order. Each operation of arity r is tabulated on the len(coords) ** r
     argument tuples of the given elements only, never on the whole power.
 
-    Raises InputError when coords is empty, holds a coordinate tuple that is
-    not a sequence, tuples of unequal or zero length, a coordinate that is
-    not an int (as for FiniteAlgebra.apply) of alg's universe or a tuple
-    twice, or is not closed: then the message names the operation, its
-    argument tuples and the image tuple that falls outside. Like
-    power_algebra, it refuses a table over algebra.MAX_TABLE_ENTRIES
-    before tabulating it."""
+    Raises InputError when coords is not a sequence or is empty, holds a
+    coordinate tuple that is not a sequence, tuples of unequal or zero
+    length, a coordinate that is not an int (as for FiniteAlgebra.apply) of
+    alg's universe or a tuple twice, or is not closed: then the message
+    names the operation, its argument tuples and the image tuple that
+    falls outside. Like power_algebra, it refuses a table over
+    algebra.MAX_TABLE_ENTRIES before tabulating it."""
+    coords = list(_iterable(coords, "a sequence of coordinate tuples"))
     if not coords:
         raise InputError("empty coordinate list")
     n = alg.size

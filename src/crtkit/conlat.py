@@ -32,8 +32,8 @@ def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Congruence:
     component of pairs once (on Z60's 1770 pairs about 0.07 s, against
     about 4.3 s for this function pair by pair)."""
     n = alg.size
-    if not (0 <= a < n and 0 <= b < n):
-        raise InputError(f"elements ({a},{b}) outside the universe")
+    if not all(isinstance(v, int) and 0 <= v < n for v in (a, b)):
+        raise InputError(f"elements ({a!r},{b!r}) outside the universe")
     uf = _UnionFind(n)
     if a != b:
         uf.union(a, b)

@@ -179,11 +179,16 @@ def parse_congruences(text: str, size: int | None = None) -> list[tuple[str, Par
 
 
 def serialize_congruences(items) -> str:
-    """Canonical text form of (name, partition-like) pairs."""
+    """Canonical text form of (name, partition-like) pairs; an item that is
+    no pair is refused with an InputError naming its position."""
     from .algebra import as_partition
 
     lines = []
-    for name, theta in items:
+    for i, item in enumerate(items):
+        try:
+            name, theta = item
+        except (TypeError, ValueError):
+            raise InputError(f"item {i + 1} is not a (name, partition) pair: {item!r}") from None
         _check_name("congruence", name)
         part = as_partition(theta)
         lines.append(f"cong {name} " + " ".join(str(v) for v in part.labels))

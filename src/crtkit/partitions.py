@@ -10,6 +10,7 @@ blocks in label order visits them ordered by least element.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable
 
 from .errors import InputError, PreconditionError
 
@@ -23,6 +24,20 @@ def canonical_labels(seq) -> tuple[int, ...]:
             remap[value] = len(remap)
         out.append(remap[value])
     return tuple(out)
+
+
+def _ground(n) -> int:
+    """n, refused with InputError unless it is an int."""
+    if not isinstance(n, int):
+        raise InputError(f"ground set size {n!r} is not an int")
+    return n
+
+
+def _iterable(items, what: str):
+    """items, refused with InputError ("expected what") unless iterable."""
+    if not isinstance(items, Iterable):
+        raise InputError(f"expected {what}, got {items!r}")
+    return items
 
 
 class _UnionFind:
@@ -74,17 +89,17 @@ class Partition:
 
     @classmethod
     def identity(cls, n: int) -> "Partition":
-        return cls(range(n))
+        return cls(range(_ground(n)))
 
     @classmethod
     def total(cls, n: int) -> "Partition":
-        return cls([0] * n)
+        return cls([0] * _ground(n))
 
     @classmethod
     def from_blocks(cls, n: int, blocks) -> "Partition":
-        labels = [-1] * n
-        for k, block in enumerate(blocks):
-            for x in block:
+        labels = [-1] * _ground(n)
+        for k, block in enumerate(_iterable(blocks, "a sequence of blocks")):
+            for x in _iterable(block, "a block of elements"):
                 if not (isinstance(x, int) and 0 <= x < n):
                     raise InputError(f"element {x!r} is not an int in 0..{n - 1}")
                 if labels[x] != -1:
@@ -97,11 +112,12 @@ class Partition:
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Partition":
         """Equivalence closure of a set of pairs."""
-        uf = _UnionFind(n)
-        for x, y in pairs:
-            if not all(isinstance(v, int) and 0 <= v < n for v in (x, y)):
-                raise InputError(f"pair ({x!r}, {y!r}) is not two ints in 0..{n - 1}")
-            uf.union(x, y)
+        uf = _UnionFind(_ground(n))
+        for pair in _iterable(pairs, "a sequence of pairs"):
+            pair = tuple(_iterable(pair, "a pair of elements"))
+            if not (len(pair) == 2 and all(isinstance(v, int) and 0 <= v < n for v in pair)):
+                raise InputError(f"pair {pair!r} is not two ints in 0..{n - 1}")
+            uf.union(*pair)
         return cls(uf.labels())
 
     def __eq__(self, other):

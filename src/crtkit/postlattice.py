@@ -88,12 +88,12 @@ def _check_two(alg2: FiniteAlgebra):
 
 
 def table_of_term(alg2: FiniteAlgebra, term: terms.Term) -> int:
-    """8-bit table of a term read as a ternary operation on {0,1}."""
+    """8-bit table of a term read as a ternary operation on {0,1}: the
+    entry at (x, y, z) is bit 4x + 2y + z, the little-endian packing of its
+    2x2x2 term_table."""
     _check_two(alg2)
-    out = 0
-    for p in range(8):
-        out |= terms.eval_term(alg2, term, (p >> 2 & 1, p >> 1 & 1, p & 1)) << p
-    return out
+    bits = terms.term_table(alg2, term, 3).ravel().tolist()
+    return sum(bit << p for p, bit in enumerate(bits))
 
 
 # entries per block of a composition round, which bounds the arrays a round

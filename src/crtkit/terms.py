@@ -2,11 +2,11 @@
 from an algebra by them or by its congruences.
 
 A term is a tree of Var leaves (x1, x2, ...) and App nodes naming an
-operation. eval_term evaluates one at a point; eval_term_grid and
-term_table evaluate one on index arrays, in blocks of first arguments.
-reduct interprets a new signature by terms, quotient divides by a
-congruence, and subalgebra restricts an algebra to a closed subset
-(generated_subuniverse finds one).
+operation. One evaluator, _eval_grid, gathers each operation's table at
+its subterms' values: eval_term runs it on the plain ints of one point,
+eval_term_grid on index arrays, and term_table on blocks of first
+arguments. reduct interprets a new signature by terms, quotient divides
+by a congruence, and subalgebra restricts an algebra to a closed subset.
 """
 
 from __future__ import annotations
@@ -51,12 +51,14 @@ def eval_term(alg: FiniteAlgebra, term: Term, args) -> int:
             raise InputError(f"argument {a!r} is not an int")
         if not 0 <= a < alg.size:
             raise InputError(f"argument {a} outside the universe")
-    return _eval(alg, term, args)
+    _check_term(alg, term, len(args))
+    return int(_eval_grid(alg, term, [int(a) for a in args]))
 
 
-def _check_node(alg, term, count: int):
-    """Raise InputError unless term is a Var among count arguments or an
-    App of one of alg's operations to as many subterms as its arity."""
+def _check_term(alg, term, count: int):
+    """Raise InputError unless every node of term, visited parent first and
+    left to right, is a Var among count arguments or an App of one of alg's
+    operations to as many subterms as its arity."""
     if isinstance(term, Var):
         if not 0 <= term.index < count:
             raise InputError(f"term uses x{term.index + 1} but got {count} arguments")
@@ -66,13 +68,9 @@ def _check_node(alg, term, count: int):
         raise InputError(
             f"term applies {term.op!r} to {len(term.args)} subterms, arity is {arity}"
         )
-
-
-def _eval(alg, term, args):
-    _check_node(alg, term, len(args))
-    if isinstance(term, Var):
-        return args[term.index]
-    return alg.apply(term.op, *(_eval(alg, t, args) for t in term.args))
+    else:
+        for t in term.args:
+            _check_term(alg, t, count)
 
 
 def eval_term_grid(alg: FiniteAlgebra, term: Term, grids) -> np.ndarray:
@@ -92,11 +90,13 @@ def eval_term_grid(alg: FiniteAlgebra, term: Term, grids) -> np.ndarray:
         if values.size and not (0 <= values.min() and values.max() < alg.size):
             bad = values[(values < 0) | (values >= alg.size)].flat[0]
             raise InputError(f"argument {bad} outside the universe")
+    _check_term(alg, term, len(grids))
     return _eval_grid(alg, term, grids)
 
 
 def _eval_grid(alg, term, grids):
-    _check_node(alg, term, len(grids))
+    """The value of a term checked by _check_term: a Var reads its grid and
+    an App gathers its operation's table at its subterms' values."""
     if isinstance(term, Var):
         return grids[term.index]
     table = alg.table_array(term.op)
@@ -107,12 +107,14 @@ def term_table(alg: FiniteAlgebra, term: Term, arity: int) -> np.ndarray:
     """The table of a term read as an operation of the given arity (at
     least 1), as an array of shape (alg.size,) * arity in table_dtype.
 
-    It is evaluated by eval_term_grid over blocks of first arguments of
-    about _BLOCK entries each, so what it holds beyond the result is
-    bounded. A table over MAX_TABLE_ENTRIES raises InputError before
-    anything is allocated, and so does an arity below 1."""
+    It is evaluated by eval_term_grid's evaluator over blocks of first
+    arguments of about _BLOCK entries each, so what it holds beyond the
+    result is bounded. A table over MAX_TABLE_ENTRIES raises InputError
+    before anything is allocated, and so do an arity below 1 and a term
+    eval_term would refuse."""
     if arity < 1:
         raise InputError(f"a term table has arity at least 1, got {arity}")
+    _check_term(alg, term, arity)
     n = alg.size
     check_table_size(n, arity, f"the term {term_str(term)} on {alg.name}")
     dtype = table_dtype(n)
@@ -191,30 +193,7 @@ def reduct(alg: FiniteAlgebra, interp, name: Optional[str] = None) -> FiniteAlge
 
 
 # ---------------------------------------------------------------------------
-# subuniverses and subalgebras
-
-
-def generated_subuniverse(alg: FiniteAlgebra, seeds) -> list[int]:
-    """Least subset containing the seeds and closed under every operation."""
-    current = set(seeds)
-    for op in alg.ops:
-        if op.arity == 0:
-            current.add(op.table[0])
-    if not current:
-        raise PreconditionError("no seeds and no constants: the closure is empty")
-    grew = True
-    while grew:
-        grew = False
-        snapshot = sorted(current)
-        for op in alg.ops:
-            if op.arity == 0:
-                continue
-            for args in itertools.product(snapshot, repeat=op.arity):
-                value = alg.apply(op.name, *args)
-                if value not in current:
-                    current.add(value)
-                    grew = True
-    return sorted(current)
+# subalgebras
 
 
 def subalgebra(alg: FiniteAlgebra, universe) -> tuple[FiniteAlgebra, dict[int, int]]:

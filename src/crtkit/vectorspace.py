@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import as_partitions, failed_binary_law
 from .errors import InputError, PreconditionError, StructureError
-from .partitions import Partition, canonical_labels
+from .partitions import Partition
 
 
 def is_prime(p: int) -> bool:
@@ -90,16 +90,6 @@ def kernel_basis(mat: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def subspace_sum(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return rref(np.vstack([a, b]), p)[0]
-
-
-def subspace_intersection(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # ann(U cap W) = ann(U) + ann(W), and double annihilation is the identity;
-    # the annihilator of a row space is the kernel of its basis
-    return kernel_basis(subspace_sum(kernel_basis(a, p), kernel_basis(b, p), p), p)
-
-
 @dataclass(eq=False)
 class VSInstance:
     """A congruence tuple on GF(p)^n, one RREF subspace basis per coordinate."""
@@ -128,13 +118,14 @@ def vs_instance(p: int, n: int, bases: Sequence) -> VSInstance:
 
 
 def annihilator_matrix(inst: VSInstance) -> np.ndarray:
-    """Stack, over pairs i<j, the conditions a_i - a_j in W_i + W_j as rows
-    over the kn coordinates of a target tuple."""
+    """Stack, over pairs i<j, the conditions a_i - a_j in W_i + W_j (the
+    kernel of the stacked bases) as rows over the kn coordinates of a
+    target tuple."""
     p, n, k = inst.p, inst.n, inst.k
     blocks = []
     for i in range(k):
         for j in range(i + 1, k):
-            ann = kernel_basis(subspace_sum(inst.subspaces[i], inst.subspaces[j], p), p)
+            ann = kernel_basis(np.vstack([inst.subspaces[i], inst.subspaces[j]]), p)
             if ann.shape[0] == 0:
                 continue
             wide = np.zeros((ann.shape[0], k * n), dtype=np.int64)
@@ -147,12 +138,12 @@ def annihilator_matrix(inst: VSInstance) -> np.ndarray:
 
 
 def dim_solvable(inst: VSInstance) -> int:
-    """Dimension of {(a+w_1, ..., a+w_k) : a in V, w_i in W_i} inside V^k."""
-    p, n, k = inst.p, inst.n, inst.k
-    inter = inst.subspaces[0]
-    for w in inst.subspaces[1:]:
-        inter = subspace_intersection(inter, w, p)
-    return n + sum(w.shape[0] for w in inst.subspaces) - inter.shape[0]
+    """Dimension of {(a+w_1, ..., a+w_k) : a in V, w_i in W_i} inside V^k:
+    n + sum dim W_i - dim(cap W_i), and n - dim(cap W_i) = dim ann(cap W_i)
+    is the rank of the stacked kernel bases, as ann(cap W_i) = sum ann(W_i)."""
+    p = inst.p
+    anns = np.vstack([kernel_basis(w, p) for w in inst.subspaces])
+    return sum(w.shape[0] for w in inst.subspaces) + rank(anns, p)
 
 
 def dim_compatible(inst: VSInstance) -> int:
@@ -291,16 +282,16 @@ def congruence_to_subspace(chart: Coordinatization, theta) -> np.ndarray:
 
 
 def subspace_to_partition(chart: Coordinatization, basis: np.ndarray) -> Partition:
-    """Coset partition of a subspace pulled back through the chart."""
-    R, pivots = rref(basis, chart.p)
-    labels = []
-    for e in range(len(chart.to_vector)):
-        v = np.array(chart.to_vector[e], dtype=np.int64)
-        for row, pc in zip(R, pivots):
-            if v[pc]:
-                v = (v - v[pc] * row) % chart.p
-        labels.append(chart.from_vector[tuple(int(x) for x in v)])
-    return Partition(canonical_labels(labels))
+    """Coset partition of a subspace pulled back through the chart: every
+    element's vector is reduced by the RREF basis, all at once with one
+    step per pivot row, and two elements share a coset iff their reduced
+    vectors are equal (Partition labels them by first occurrence)."""
+    p = chart.p
+    R, pivots = rref(basis, p)
+    vecs = np.array(chart.to_vector, dtype=np.int64).reshape(len(chart.to_vector), chart.dim)
+    for row, pc in zip(R, pivots):
+        vecs = (vecs - vecs[:, pc : pc + 1] * row) % p
+    return Partition(map(tuple, vecs.tolist()))
 
 
 def coset_partitions(inst: VSInstance) -> list[Partition]:

@@ -15,18 +15,17 @@ from crtkit.algebra import (
     Var,
     as_partitions,
     failed_binary_law,
-    generated_subuniverse,
     quotient,
 )
 from crtkit.catalog import index_to_tuple, power_algebra, subpower, tuple_to_index
-from crtkit.errors import BudgetExceededError, InputError, StructureError
+from crtkit.errors import BudgetExceededError, InputError, PreconditionError, StructureError
 from crtkit.dualdisc import _lift_all
 from crtkit.nearlattice import NearlatticeView, NlVerdict, _covers, _fringes, _subposet, certify_tuple
 from crtkit.partitions import Partition
 from crtkit.postlattice import PROJ_X, PROJ_Y, PROJ_Z
 from crtkit.satgadget import CnfFormula, validate_3sat_prime
 from crtkit.systems import CrVerdict, quotient_reduce
-from crtkit.vectorspace import _as_matrix, rank, rref
+from crtkit.vectorspace import _as_matrix, kernel_basis, rank, rref
 
 if TYPE_CHECKING:
     import numpy as np
@@ -115,6 +114,30 @@ def reference_power_algebra(alg: FiniteAlgebra, exponent: int) -> FiniteAlgebra:
             table.append(tuple_to_index(value, n))
         ops.append(Operation(op.name, op.arity, tuple(table)))
     return FiniteAlgebra(size, ops, name=f"{alg.name}^{exponent}")
+
+
+def generated_subuniverse(alg: FiniteAlgebra, seeds) -> list[int]:
+    """Least subset containing the seeds and closed under every operation,
+    grown by one FiniteAlgebra.apply per argument tuple of the current set."""
+    current = set(seeds)
+    for op in alg.ops:
+        if op.arity == 0:
+            current.add(op.table[0])
+    if not current:
+        raise PreconditionError("no seeds and no constants: the closure is empty")
+    grew = True
+    while grew:
+        grew = False
+        snapshot = sorted(current)
+        for op in alg.ops:
+            if op.arity == 0:
+                continue
+            for args in itertools.product(snapshot, repeat=op.arity):
+                value = alg.apply(op.name, *args)
+                if value not in current:
+                    current.add(value)
+                    grew = True
+    return sorted(current)
 
 
 def closed_subpower(base, m, seeds):
@@ -645,13 +668,19 @@ def reference_associative(T) -> bool:
     return bool(np.array_equal(T[T, :], T[:, T]))
 
 
-def reference_term_table(alg: FiniteAlgebra, term: Term, arity: int) -> tuple[int, ...]:
-    """A term's table by one eval_term call per argument tuple, as reduct
-    built its tables before it evaluated terms on arrays."""
-    from crtkit.algebra import eval_term
+def reference_eval(alg: FiniteAlgebra, term: Term, args) -> int:
+    """A term's value at one point by one FiniteAlgebra.apply per App node,
+    as terms.eval_term evaluated it before it gathered on table arrays."""
+    if isinstance(term, Var):
+        return args[term.index]
+    return alg.apply(term.op, *(reference_eval(alg, t, args) for t in term.args))
 
+
+def reference_term_table(alg: FiniteAlgebra, term: Term, arity: int) -> tuple[int, ...]:
+    """A term's table by one reference_eval call per argument tuple, as
+    reduct built its tables before it evaluated terms on arrays."""
     return tuple(
-        eval_term(alg, term, args) for args in itertools.product(range(alg.size), repeat=arity)
+        reference_eval(alg, term, args) for args in itertools.product(range(alg.size), repeat=arity)
     )
 
 
@@ -741,6 +770,22 @@ def in_rowspace(vec, basis: np.ndarray, p: int) -> bool:
 
     stacked = np.vstack([basis, np.asarray(vec, dtype=np.int64).reshape(1, -1) % p])
     return rank(stacked, p) == basis.shape[0]
+
+
+def subspace_sum(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """The RREF basis of the sum of two row spaces, as
+    vectorspace.annihilator_matrix reduced it before taking its kernel."""
+    import numpy as np
+
+    return rref(np.vstack([a, b]), p)[0]
+
+
+def subspace_intersection(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """The intersection of two row spaces, as vectorspace.dim_solvable
+    chained it before it ranked the stacked annihilators: ann(U cap W) =
+    ann(U) + ann(W), double annihilation is the identity, and the
+    annihilator of a row space is the kernel of its basis."""
+    return kernel_basis(subspace_sum(kernel_basis(a, p), kernel_basis(b, p), p), p)
 
 
 def random_subspace(rng, p: int, n: int) -> np.ndarray:

@@ -28,7 +28,6 @@ from crtkit.algebra import (
     eval_term,
     eval_term_grid,
     failed_binary_law,
-    generated_subuniverse,
     is_arithmetic,
     is_congruence,
     meet_irreducible_congruences,
@@ -66,6 +65,7 @@ from crtkit.formats import parse_algebra, serialize_algebra
 from crtkit.partitions import Partition
 
 from helpers import (
+    generated_subuniverse,
     naive_is_congruence,
     reference_apply,
     reference_associative,
@@ -248,6 +248,13 @@ def test_principal_congruence_is_least():
                     if p.related(a, b):
                         least = least.meet(p)
                 assert principal_congruence(alg, a, b).partition == least
+
+
+@pytest.mark.parametrize("a", [0.5, "a", -1, 3], ids=["float", "str", "negative", "too-large"])
+def test_principal_congruence_refuses_an_element_outside_the_universe(a):
+    # 0.5 leaked "list indices must be integers", "a" leaked "'<=' not supported"
+    with pytest.raises(InputError, match=f"^elements \\({a!r},1\\) outside the universe$"):
+        principal_congruence(chain_lattice(3), a, 1)
 
 
 def test_all_congruences_matches_enumeration():
@@ -596,7 +603,10 @@ def test_term_grids_broadcast_and_refuse_as_eval_term_does():
             eval_term_grid(alg, bad, (0, 1, 2))
         with pytest.raises(InputError) as point_error:
             eval_term(alg, bad, (0, 1, 2))
-        assert str(grid_error.value) == str(point_error.value)
+        # a non-term leaked AttributeError from naming it in term_table's size check
+        with pytest.raises(InputError) as table_error:
+            term_table(alg, bad, 3)
+        assert str(grid_error.value) == str(point_error.value) == str(table_error.value)
 
 
 @pytest.mark.parametrize("x", [[-1, 0, 2], [0, 3, 1]], ids=["negative", "too large"])

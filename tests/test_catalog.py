@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from crtkit.algebra import FiniteAlgebra, Operation, generated_subuniverse, subalgebra
+from crtkit.algebra import FiniteAlgebra, Operation, subalgebra
 from crtkit.catalog import (
     bare_set,
     boolean_lattice,
@@ -29,7 +29,7 @@ from crtkit.catalog import (
 )
 from crtkit.errors import InputError
 
-from helpers import reference_power_algebra
+from helpers import generated_subuniverse, reference_power_algebra
 
 
 def _mixed_base(size, seed):
@@ -166,6 +166,9 @@ def test_subpower_rejects_malformed_tuples():
     for coords in ([], [(0, 1), (1,)], [()], [(0, 2)], [(0,) * 64], [0, 1]):
         with pytest.raises(InputError):
             subpower(two_majority(), coords)
+    # a list that is no list leaked "'int' object is not iterable"
+    with pytest.raises(InputError, match="^expected a sequence of coordinate tuples, got 5$"):
+        subpower(chain_lattice(3), 5)
 
 
 @pytest.mark.parametrize("coords", [[(0.5,), (1,), (2,)], [("a",)]], ids=["float", "str"])

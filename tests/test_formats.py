@@ -189,6 +189,21 @@ def test_congruence_round_trip_from_algebra():
     assert [p for _, p in back] == [c.partition for c in congs]
 
 
+@pytest.mark.parametrize(
+    "items, position",
+    [
+        ([Partition((0, 1))], 1),
+        ([("a", Partition((0, 0))), ("b",)], 2),
+        ([("c", Partition((0, 1))), 5], 2),
+    ],
+    ids=["bare-partition", "one-tuple", "int"],
+)
+def test_serialize_congruences_refuses_an_item_that_is_not_a_pair(items, position):
+    # a bare partition leaked "cannot unpack non-iterable Partition object"
+    with pytest.raises(InputError, match=f"^item {position} is not a \\(name, partition\\) pair: "):
+        serialize_congruences(items)
+
+
 def test_empty_congruence_files():
     assert parse_congruences("# nothing\n") == []
     assert parse_congruences("") == []

@@ -74,12 +74,36 @@ def test_from_blocks():
         (lambda: Partition.from_blocks(3, [[0, "a"]]), "'a'"),
         (lambda: Partition.from_pairs(3, [("a", 1)]), "'a'"),
         (lambda: Partition.from_blocks(2, [[0, 1.0]]), "1.0"),
+        (lambda: Partition.from_blocks("3", [[0]]), "'3'"),
+        (lambda: Partition.from_blocks(3, 5), "5"),
+        (lambda: Partition.from_blocks(3, [[0, 1], 2]), "2"),
+        (lambda: Partition.from_pairs(3, 5), "5"),
+        (lambda: Partition.from_pairs(3, [5]), "5"),
+        (lambda: Partition.from_pairs(3, [(0, 1, 2)]), "(0, 1, 2)"),
+        (lambda: Partition.from_pairs("3", []), "'3'"),
+        (lambda: Partition.identity("3"), "'3'"),
+        (lambda: Partition.total(3.0), "3.0"),
     ],
-    ids=["none", "blocks-str", "pairs-str", "blocks-float"],
+    ids=[
+        "none",
+        "blocks-str",
+        "pairs-str",
+        "blocks-float",
+        "blocks-size-str",
+        "blocks-int",
+        "block-int",
+        "pairs-int",
+        "pair-int",
+        "pair-triple",
+        "pairs-size-str",
+        "identity-str",
+        "total-float",
+    ],
 )
 def test_partitions_refuse_labels_and_elements_of_the_wrong_type(build, shown):
-    # each leaked TypeError: from iterating None, from the range test, and
-    # from indexing the label list with a float
+    # each leaked TypeError (a triple, ValueError): from iterating None, an
+    # int or a str size, from the range test, from indexing the label list
+    # with a float, and from unpacking what is no pair
     with pytest.raises(InputError, match=re.escape(shown)):
         build()
 

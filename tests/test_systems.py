@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crtkit.algebra import as_partitions, certify
+from crtkit.catalog import chain_lattice
 from crtkit.errors import BudgetExceededError, InputError
 from crtkit.partitions import Partition
 from crtkit.systems import (
@@ -80,6 +82,23 @@ def test_make_system_refuses_a_target_that_is_not_an_int(target):
     # leaked TypeError when the system was solved
     with pytest.raises(InputError, match=f"^target {target!r} is not an int in 0..1$"):
         make_system([Partition([0, 1])], [target])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: make_system(5, [0]),
+        lambda: brute_force_is_cr_tuple(5),
+        lambda: certify(chain_lattice(3), 5),
+        lambda: as_partitions(Partition([0, 1])),
+    ],
+    ids=["make_system", "brute_force", "certify", "as_partitions"],
+)
+def test_a_congruence_tuple_that_is_not_iterable_is_refused_at_intake(call):
+    # each leaked "object is not iterable" from as_partitions or certify
+    got = r"(5|Partition\(\[0, 1\]\))"
+    with pytest.raises(InputError, match=f"^expected a sequence of congruences, got {got}$"):
+        call()
 
 
 def test_solve_system():

@@ -23,13 +23,11 @@ from crtkit.vectorspace import (
     kernel_basis,
     rank,
     rref,
-    subspace_intersection,
-    subspace_sum,
     subspace_to_partition,
     vs_instance,
 )
 
-from helpers import in_rowspace, random_subspace
+from helpers import in_rowspace, random_subspace, subspace_intersection, subspace_sum
 
 
 def span(basis, p):
