@@ -91,8 +91,8 @@ class FiniteAlgebra:
             self._by_name[name_] = op
             checked.append(op)
         self.ops: tuple[Operation, ...] = tuple(checked)
-        self._translations = None
         self._nontrivial = None
+        self._views = {}
 
     def op(self, name: str) -> Operation:
         try:
@@ -130,26 +130,6 @@ class FiniteAlgebra:
             raise InputError(f"arguments of {name!r} must be ints, got {args!r}")
         return op.table[idx]
 
-    def translations(self) -> list[tuple[int, ...]]:
-        """All unary maps f(c1..x..cm) obtained by fixing all but one
-        argument, each once, in order of operation, position of x and the
-        fixed arguments in lex order; each is one strided slice of the table."""
-        if self._translations is None:
-            seen = set()
-            out = []
-            for op in self.ops:
-                table = op.table
-                for step in _strides(self.size, op.arity):
-                    span = step * self.size
-                    for row in range(0, len(table), span):
-                        for base in range(row, row + step):
-                            tr = tuple(table[base : base + span : step])
-                            if tr not in seen:
-                                seen.add(tr)
-                                out.append(tr)
-            self._translations = out
-        return self._translations
-
     def nontrivial_ops(self) -> tuple[Operation, ...]:
         """The operations that are neither a constant nor a projection, in
         signature order. The others respect every partition, so they are
@@ -168,13 +148,20 @@ class FiniteAlgebra:
     def table_array(self, name: str) -> np.ndarray:
         """The named operation's table as a read-only numpy view of shape
         (size,) * arity and dtype table_dtype(size); it shares memory with
-        op.table, so nothing is copied."""
-        import numpy as np
+        op.table, so nothing is copied, and is built once, on first use."""
+        view = self._views.get(name)
+        if view is None:
+            import numpy as np
 
-        op = self.op(name)
-        arr = np.frombuffer(op.table, table_dtype(self.size)).reshape((self.size,) * op.arity)
-        arr.flags.writeable = False
-        return arr
+            op = self.op(name)
+            view = np.frombuffer(op.table, table_dtype(self.size)).reshape((self.size,) * op.arity)
+            view.flags.writeable = False
+            self._views[name] = view
+        return view
+
+    def __getstate__(self):
+        # an unpickled view is a writeable copy, so views are rebuilt on use
+        return {**self.__dict__, "_views": {}}
 
     def __repr__(self):
         sig = ", ".join(f"{op.name}/{op.arity}" for op in self.ops)
@@ -553,7 +540,7 @@ _MOVED = {
     "congruence_lattice_is_permutable is_arithmetic meet_irreducible_congruences "
     "naive_meet_irreducibles principal_congruence principal_partition_set",
     "terms": "App Term Var eval_term eval_term_grid quotient reduct subalgebra term_str "
-    "term_table term_variables",
+    "term_table",
 }
 _HOME = {name: module for module, names in _MOVED.items() for name in names.split()}
 

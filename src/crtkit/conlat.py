@@ -20,17 +20,18 @@ import numpy as np
 from . import algebra, config
 from .algebra import Congruence, FiniteAlgebra, table_dtype
 from .errors import BudgetExceededError, InputError
-from .partitions import Partition, _bits, _UnionFind
+from .partitions import Partition, _bits, _iterable, _UnionFind
 
 
 def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Congruence:
     """Least congruence relating a and b.
 
     This is the per-pair reference: it closes one pair under every
-    translation with a Python union-find. For the congruences of all pairs,
-    call principal_partition_set, which computes each strongly connected
+    translation with a Python union-find, reading the columns of
+    _translations. For the congruences of all pairs, call
+    principal_partition_set, which computes each strongly connected
     component of pairs once (on Z60's 1770 pairs about 0.07 s, against
-    about 4.3 s for this function pair by pair)."""
+    about 3 s for this function pair by pair)."""
     n = alg.size
     if not all(isinstance(v, int) and 0 <= v < n for v in (a, b)):
         raise InputError(f"elements ({a!r},{b!r}) outside the universe")
@@ -38,15 +39,26 @@ def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Congruence:
     if a != b:
         uf.union(a, b)
         queue = [(a, b)]
-        translations = alg.translations()
+        images = _translations(alg).T.tolist()
         while queue:
             x, y = queue.pop()
-            for tr in translations:
-                u, v = tr[x], tr[y]
+            for u, v in zip(images[x], images[y]):
                 if uf.find(u) != uf.find(v):
                     uf.union(u, v)
                     queue.append((u, v))
     return Congruence(alg, Partition(uf.labels()))
+
+
+def _translations(alg: FiniteAlgebra) -> np.ndarray:
+    """The distinct one-variable translations f(c1..x..cm) of alg, as the
+    rows of a (count, n) array in lexicographic order (a commutative
+    operation yields each at two positions)."""
+    n = alg.size
+    rows = [np.empty((0, n), dtype=table_dtype(n))]
+    for op in alg.ops:
+        tbl = alg.table_array(op.name)
+        rows += [np.moveaxis(tbl, pos, 0).reshape(n, -1).T for pos in range(op.arity)]
+    return _sorted_unique(np.concatenate(rows))
 
 
 def principal_partition_set(alg: FiniteAlgebra) -> list[Partition]:
@@ -67,12 +79,7 @@ def principal_partition_set(alg: FiniteAlgebra) -> list[Partition]:
     pair_id = np.full((n, n), -1, dtype=np.int32)
     pair_id[xs, ys] = np.arange(num_pairs, dtype=np.int32)
 
-    # one row per translation, each once (commutative operations repeat them)
-    rows = [np.empty((0, n), dtype=table_dtype(n))]
-    for op in alg.ops:
-        tbl = alg.table_array(op.name)
-        rows += [np.moveaxis(tbl, pos, 0).reshape(n, -1).T for pos in range(op.arity)]
-    translations = _sorted_unique(np.concatenate(rows))
+    translations = _translations(alg)
     edges = num_pairs * len(translations)
     # read through the module, so a new value of algebra.MAX_PRINCIPAL_EDGES holds here
     limit = algebra.MAX_PRINCIPAL_EDGES
@@ -326,6 +333,7 @@ def meet_irreducible_congruences(alg: FiniteAlgebra) -> list[Congruence]:
 
 def naive_meet_irreducibles(n: int, lattice: list[Partition]) -> list[Partition]:
     """Filter theta != top whose strict upper set meets strictly above theta."""
+    lattice = list(_iterable(lattice, "lattice to be a list of partitions"))
     out = []
     for theta in lattice:
         if theta.num_blocks == 1:
@@ -407,6 +415,7 @@ def _join_irreducibles(lattice: list[Partition]):
     a principal congruence every congruence is a join of principal ones, so
     there too a member is join-irreducible when the members strictly below
     it do not join to it."""
+    lattice = _iterable(lattice, "lattice to be a list of partitions")
     parts = list({p.labels: p for p in lattice}.values())
     # x <= y iff the relation mask of x has no bit outside y's
     masks = [_relation_mask(p) for p in parts]

@@ -32,7 +32,7 @@ import itertools
 
 from .algebra import FiniteAlgebra, Operation, _typecode
 from .errors import InputError
-from .partitions import Partition, canonical_labels
+from .partitions import Partition, _iterable, canonical_labels
 
 
 def _check_name(kind: str, name: str) -> str:
@@ -180,11 +180,12 @@ def parse_congruences(text: str, size: int | None = None) -> list[tuple[str, Par
 
 def serialize_congruences(items) -> str:
     """Canonical text form of (name, partition-like) pairs; an item that is
-    no pair is refused with an InputError naming its position."""
+    no pair is refused with an InputError naming its position, and so are
+    items that are not iterable."""
     from .algebra import as_partition
 
     lines = []
-    for i, item in enumerate(items):
+    for i, item in enumerate(_iterable(items, "a sequence of (name, partition) pairs")):
         try:
             name, theta = item
         except (TypeError, ValueError):

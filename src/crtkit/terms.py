@@ -5,18 +5,20 @@ A term is a tree of Var leaves (x1, x2, ...) and App nodes naming an
 operation. One evaluator, _eval_grid, gathers each operation's table at
 its subterms' values: eval_term runs it on the plain ints of one point,
 eval_term_grid on index arrays, and term_table on blocks of first
-arguments. reduct interprets a new signature by terms, quotient divides
-by a congruence, and subalgebra restricts an algebra to a closed subset.
+arguments; each checks a term once, by _check_term. reduct interprets a
+new signature by terms, quotient divides by a congruence, and subalgebra
+restricts an algebra to a closed subset through catalog.subpower.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
+from . import catalog
 from .algebra import (
     _BLOCK,
     FiniteAlgebra,
@@ -26,6 +28,7 @@ from .algebra import (
     table_dtype,
 )
 from .errors import InputError, PreconditionError
+from .partitions import _iterable
 
 
 @dataclass(frozen=True)
@@ -110,10 +113,10 @@ def term_table(alg: FiniteAlgebra, term: Term, arity: int) -> np.ndarray:
     It is evaluated by eval_term_grid's evaluator over blocks of first
     arguments of about _BLOCK entries each, so what it holds beyond the
     result is bounded. A table over MAX_TABLE_ENTRIES raises InputError
-    before anything is allocated, and so do an arity below 1 and a term
-    eval_term would refuse."""
-    if arity < 1:
-        raise InputError(f"a term table has arity at least 1, got {arity}")
+    before anything is allocated, and so do an arity that is not an int of
+    at least 1 and a term eval_term would refuse."""
+    if not (isinstance(arity, int) and arity >= 1):
+        raise InputError(f"a term table has arity at least 1, got {arity!r}")
     _check_term(alg, term, arity)
     n = alg.size
     check_table_size(n, arity, f"the term {term_str(term)} on {alg.name}")
@@ -136,15 +139,6 @@ def term_str(term: Term) -> str:
     if not term.args:
         return term.op
     return "(" + " ".join([term.op] + [term_str(t) for t in term.args]) + ")"
-
-
-def term_variables(term: Term) -> set[int]:
-    if isinstance(term, Var):
-        return {term.index}
-    out: set[int] = set()
-    for t in term.args:
-        out |= term_variables(t)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -172,23 +166,28 @@ def reduct(alg: FiniteAlgebra, interp, name: Optional[str] = None) -> FiniteAlge
 
     `interp` maps new symbol -> (arity, term). Arity-0 symbols take a unary
     term that must be constant on alg; its single value becomes the table.
+    term_table checks each term; its InputError is raised with the
+    symbol's name in front.
     """
+    if not isinstance(interp, Mapping):
+        raise InputError(f"expected a mapping of symbols to (arity, term), got {interp!r}")
     ops = []
-    for sym, (arity, term) in interp.items():
+    for sym, entry in interp.items():
+        try:
+            arity, term = entry
+        except (TypeError, ValueError):
+            raise InputError(f"symbol {sym!r} is not given as (arity, term)") from None
+        try:
+            values = term_table(alg, term, arity or 1)
+        except InputError as exc:
+            raise InputError(f"symbol {sym!r}: {exc}") from None
         if arity == 0:
-            values = term_table(alg, term, 1)
             if (values != values[0]).any():
                 raise PreconditionError(
                     f"constant symbol {sym!r} interprets as a non-constant term"
                 )
-            ops.append(Operation(sym, 0, (int(values[0]),)))
-            continue
-        used = term_variables(term)
-        if used and max(used) >= arity:
-            raise InputError(
-                f"symbol {sym!r} of arity {arity} interprets via x{max(used) + 1}"
-            )
-        ops.append(Operation(sym, arity, term_table(alg, term, arity)))
+            values = (int(values[0]),)
+        ops.append(Operation(sym, arity, values))
     return FiniteAlgebra(alg.size, ops, name=name or f"{alg.name}^T")
 
 
@@ -197,18 +196,16 @@ def reduct(alg: FiniteAlgebra, interp, name: Optional[str] = None) -> FiniteAlge
 
 
 def subalgebra(alg: FiniteAlgebra, universe) -> tuple[FiniteAlgebra, dict[int, int]]:
-    """Restrict alg to a closed subset, relabelling elements 0..k-1 in order."""
+    """Restrict alg to a closed subset, relabelling elements 0..k-1 in order;
+    returns the algebra <alg>|sub and the map element -> label. It is
+    catalog.subpower on one-coordinate tuples, so a subset that is not
+    closed, or holds an element that is not an int of alg's universe,
+    raises InputError."""
+    universe = list(_iterable(universe, "a collection of elements"))
+    for e in universe:
+        if not (isinstance(e, int) and 0 <= e < alg.size):
+            raise InputError(f"element {e!r} is not an int in 0..{alg.size - 1}")
     universe = sorted(set(universe))
-    index = {e: i for i, e in enumerate(universe)}
-    ops = []
-    for op in alg.ops:
-        table = []
-        for args in itertools.product(universe, repeat=op.arity):
-            value = alg.apply(op.name, *args)
-            if value not in index:
-                raise PreconditionError(
-                    f"subset not closed: {op.name}{args} = {value} falls outside"
-                )
-            table.append(index[value])
-        ops.append(Operation(op.name, op.arity, tuple(table)))
-    return FiniteAlgebra(len(universe), ops, name=f"{alg.name}|sub"), index
+    sub, _ = catalog.subpower(alg, [(e,) for e in universe])
+    sub.name = f"{alg.name}|sub"
+    return sub, {e: i for i, e in enumerate(universe)}

@@ -140,6 +140,26 @@ def generated_subuniverse(alg: FiniteAlgebra, seeds) -> list[int]:
     return sorted(current)
 
 
+def reference_subalgebra(alg: FiniteAlgebra, universe) -> tuple[FiniteAlgebra, dict[int, int]]:
+    """terms.subalgebra as it stood before it ran catalog.subpower: every
+    entry is one FiniteAlgebra.apply on a tuple of the sorted subset, and
+    a value outside it raises PreconditionError."""
+    universe = sorted(set(universe))
+    index = {e: i for i, e in enumerate(universe)}
+    ops = []
+    for op in alg.ops:
+        table = []
+        for args in itertools.product(universe, repeat=op.arity):
+            value = alg.apply(op.name, *args)
+            if value not in index:
+                raise PreconditionError(
+                    f"subset not closed: {op.name}{args} = {value} falls outside"
+                )
+            table.append(index[value])
+        ops.append(Operation(op.name, op.arity, tuple(table)))
+    return FiniteAlgebra(len(universe), ops, name=f"{alg.name}|sub"), index
+
+
 def closed_subpower(base, m, seeds):
     """Subalgebra of base^m generated by the given coordinate tuples.
 

@@ -40,10 +40,9 @@ from crtkit.algebra import (
     table_dtype,
     term_str,
     term_table,
-    term_variables,
 )
 import crtkit.algebra
-from crtkit.conlat import _sorted_unique
+from crtkit.conlat import _sorted_unique, _translations
 from crtkit.catalog import (
     boolean_lattice,
     chain_lattice,
@@ -72,6 +71,7 @@ from helpers import (
     reference_is_distributive,
     reference_is_permutable,
     reference_quotient_tables,
+    reference_subalgebra,
     reference_term_table,
     set_partitions,
 )
@@ -152,7 +152,7 @@ def test_apply_refuses_what_is_not_an_entry(name, args):
 def test_translations_of_z4():
     alg = zmod_group(4)
     # x+c and c+x coincide; negation contributes one more map
-    got = set(alg.translations())
+    got = {tuple(row) for row in _translations(alg).tolist()}
     expected = {tuple((x + c) % 4 for x in range(4)) for c in range(4)}
     expected.add(tuple((-x) % 4 for x in range(4)))
     assert got == expected
@@ -162,7 +162,6 @@ def test_terms():
     alg = two_lattice()
     t = App("meet", (App("join", (Var(1), Var(2))), App("join", (Var(0), Var(2)))))
     assert term_str(t) == "(meet (join x2 x3) (join x1 x3))"
-    assert term_variables(t) == {0, 1, 2}
     for args in itertools.product(range(2), repeat=3):
         x, y, z = args
         assert eval_term(alg, t, args) == (y | z) & (x | z)
@@ -299,6 +298,21 @@ def test_the_bell_number_refusal_reads_the_budget(monkeypatch):
     assert len(all_congruences(left_zero_semigroup(3))) == 5  # Bell number 5
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: naive_meet_irreducibles(3, 5),
+        lambda: congruence_lattice_is_distributive(5),
+        lambda: congruence_lattice_is_permutable(5),
+    ],
+    ids=["naive-meet-irreducibles", "distributive", "permutable"],
+)
+def test_lattice_predicates_refuse_a_lattice_that_is_not_iterable(call):
+    # each leaked "'int' object is not iterable"
+    with pytest.raises(InputError, match="^expected lattice to be a list of partitions, got 5$"):
+        call()
+
+
 def test_naive_meet_irreducibles_definition():
     # chain D: 0 < a,b < 1 has the four-element boolean congruence lattice
     alg = power_algebra(zmod_group(2), 2)
@@ -348,6 +362,27 @@ def test_reduct():
     r = reduct(alg, {"double": (1, App("add", (Var(0), Var(0))))})
     assert r.size == 4
     assert tuple(r.op("double").table) == tuple((2 * x) % 4 for x in range(4))
+
+
+@pytest.mark.parametrize(
+    "interp, message",
+    [
+        (5, r"^expected a mapping of symbols to \(arity, term\), got 5$"),
+        ({"t": 5}, r"^symbol 't' is not given as \(arity, term\)$"),
+        ({"t": ("2", Var(0))}, "^symbol 't': a term table has arity at least 1, got '2'$"),
+        ({"t": (2, "x1")}, "^symbol 't': not a term node: 'x1'$"),
+        ({"t": (2, Var(2))}, "^symbol 't': term uses x3 but got 2 arguments$"),
+        (
+            {"c": (0, App("meet", (Var(0), Var(1))))},
+            "^symbol 'c': term uses x2 but got 1 arguments$",
+        ),
+    ],
+    ids=["not-a-mapping", "not-a-pair", "arity-not-int", "not-a-term", "past-arity", "constant"],
+)
+def test_reduct_refuses_an_interpretation_naming_the_symbol(interp, message):
+    # the first four leaked AttributeError, TypeError, TypeError and AttributeError
+    with pytest.raises(InputError, match=message):
+        reduct(chain_lattice(3), interp)
 
 
 def test_congruence_lattice_predicates():
@@ -512,8 +547,40 @@ def test_generated_subuniverse_and_subalgebra():
     for x in range(4):
         for y in range(4):
             assert sub.apply("add", x, y) == (x + y) % 4
-    with pytest.raises(PreconditionError):
+    escape = r"^coordinate tuples not closed: add\(\(2,\), \(2,\)\) = \(4,\) falls outside$"
+    with pytest.raises(InputError, match=escape):
         subalgebra(alg, [0, 2, 3])  # not closed: 2+2 = 4
+
+
+def test_subalgebra_matches_the_reference_on_every_subset_of_z8():
+    alg = zmod_group(8)
+    for k in range(1, 9):
+        for subset in itertools.combinations(range(8), k):
+            try:
+                ref, want = reference_subalgebra(alg, subset)
+            except PreconditionError:
+                with pytest.raises(InputError, match="^coordinate tuples not closed: "):
+                    subalgebra(alg, subset)
+                continue
+            sub, index = subalgebra(alg, subset)
+            assert (sub.size, sub.name, sub.ops, index) == (ref.size, ref.name, ref.ops, want)
+
+
+@pytest.mark.parametrize(
+    "universe, message",
+    [
+        (5, "^expected a collection of elements, got 5$"),
+        ([0, "a"], "^element 'a' is not an int in 0..7$"),
+        ([0, 2.0], "^element 2.0 is not an int in 0..7$"),
+        ([0, 8], "^element 8 is not an int in 0..7$"),
+        ([], "^empty coordinate list$"),
+    ],
+    ids=["int", "str", "float", "outside", "empty"],
+)
+def test_subalgebra_refuses_a_universe_that_is_not_a_set_of_elements(universe, message):
+    # 5 and [0, "a"] leaked TypeError
+    with pytest.raises(InputError, match=message):
+        subalgebra(zmod_group(8), universe)
 
 
 def _planted_left_zero(n, a):
@@ -686,6 +753,18 @@ def test_array_tables_are_checked_and_seed_the_table_arrays():
     tuples = FiniteAlgebra(3, [Operation("add", 2, tuple(table.ravel().tolist()))])
     assert np.shares_memory(tuples.table_array("add"), tuples.op("add").table)
     assert tuples.table_array("add").tolist() == table.tolist()
+
+
+def test_table_array_builds_each_view_once():
+    alg = zmod_ring(6)
+    view = alg.table_array("add")
+    assert alg.table_array("add") is view and not view.flags.writeable
+    assert alg.table_array("mul") is not view
+    # a pickled view would come back as a writeable copy of the table
+    back = pickle.loads(pickle.dumps(alg))
+    assert back.table_array("add") is back.table_array("add")
+    assert not back.table_array("add").flags.writeable
+    assert np.shares_memory(back.table_array("add"), back.op("add").table)
 
 
 @pytest.mark.parametrize(

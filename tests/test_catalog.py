@@ -29,7 +29,7 @@ from crtkit.catalog import (
 )
 from crtkit.errors import InputError
 
-from helpers import generated_subuniverse, reference_power_algebra
+from helpers import generated_subuniverse, reference_power_algebra, reference_subalgebra
 
 
 def _mixed_base(size, seed):
@@ -141,10 +141,13 @@ def test_subpower_matches_reference_power_and_subalgebra(build):
         coords = [index_to_tuple(x, base.size, length) for x in universe]
         rng.shuffle(coords)
         sub, ordered = subpower(base, coords)
-        ref, index = subalgebra(big, universe)
+        ref, index = reference_subalgebra(big, universe)
         want = sorted(coords, key=lambda c: index[tuple_to_index(c, base.size)])
         assert (sub.size, sub.name, sub.ops) == (ref.size, ref.name, ref.ops)
         assert ordered == want
+        restricted, got = subalgebra(big, universe)
+        assert (restricted.size, restricted.name, restricted.ops) == (ref.size, ref.name, ref.ops)
+        assert got == index
 
 
 def test_subpower_rejects_duplicate_tuples():

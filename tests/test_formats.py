@@ -190,17 +190,19 @@ def test_congruence_round_trip_from_algebra():
 
 
 @pytest.mark.parametrize(
-    "items, position",
+    "items, message",
     [
-        ([Partition((0, 1))], 1),
-        ([("a", Partition((0, 0))), ("b",)], 2),
-        ([("c", Partition((0, 1))), 5], 2),
+        ([Partition((0, 1))], r"^item 1 is not a \(name, partition\) pair: "),
+        ([("a", Partition((0, 0))), ("b",)], r"^item 2 is not a \(name, partition\) pair: "),
+        ([("c", Partition((0, 1))), 5], r"^item 2 is not a \(name, partition\) pair: "),
+        (5, r"^expected a sequence of \(name, partition\) pairs, got 5$"),
     ],
-    ids=["bare-partition", "one-tuple", "int"],
+    ids=["bare-partition", "one-tuple", "int", "not-iterable"],
 )
-def test_serialize_congruences_refuses_an_item_that_is_not_a_pair(items, position):
-    # a bare partition leaked "cannot unpack non-iterable Partition object"
-    with pytest.raises(InputError, match=f"^item {position} is not a \\(name, partition\\) pair: "):
+def test_serialize_congruences_refuses_an_item_that_is_not_a_pair(items, message):
+    # a bare partition leaked "cannot unpack non-iterable Partition object",
+    # and a list that is not iterable "'int' object is not iterable"
+    with pytest.raises(InputError, match=message):
         serialize_congruences(items)
 
 

@@ -1,6 +1,7 @@
 """The crtkit namespace: library modules registered lazily, names re-exported
 from them, the benchmark tracer that rebinds functions inside them, and the
-rule that the library defines only what a command, a route or an export runs.
+rule that the library defines only what a command, a route or an export runs
+and imports only names it uses.
 
 Each check of the namespace runs in a fresh interpreter, since the test run
 has long since loaded every module.
@@ -212,3 +213,21 @@ def test_every_library_definition_is_run_by_a_command_a_route_or_an_export():
     assert WAITING <= defined.keys()
     unreached = sorted(f"{m}.{n}" for m, n in defined.keys() - kept)
     assert not unreached, f"defined but run by no command, route or export: {unreached}"
+
+
+def test_no_library_module_imports_a_name_it_never_uses():
+    # a deletion can strand the import of what it deleted; a name counts as
+    # used where the module's code reads it, annotations included
+    unused = []
+    for filename in sorted(os.listdir(SRC)):
+        if filename.endswith(".py"):
+            with open(os.path.join(SRC, filename)) as f:
+                tree = ast.parse(f.read())
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                ):
+                    bound = (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+                    unused += [f"{filename[:-3]}.{name}" for name in bound if name not in read]
+    assert not unused, f"imported but never used: {unused}"
