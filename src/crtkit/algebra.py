@@ -6,8 +6,10 @@ are partitions compatible with every operation; they are produced here
 wrapped in a Congruence record that remembers the certifying algebra.
 
 This module is the core every command loads: operations and algebras, the
-table helpers (with _evaluate, the bitwise fold of a two-element table
-that the classifier and the nearlattice views share) and size limits, the
+table helpers (with the bit-slicing helpers: _evaluate, the bitwise fold
+of a two-element table that the classifier and the nearlattice views
+share, and _repeat, which lays out the classifier's and satgadget's
+masks) and size limits, the
 laws of binary operations, and
 certification (congruence_violation, certify). Certification tests only
 the operations that are neither constants nor projections, found once per
@@ -300,6 +302,22 @@ def _evaluate(table, args: list, ones):
         pairs = iter(vals)
         vals = [a ^ ((a ^ b) & x) for a, b in zip(pairs, pairs)]
     return vals[0]
+
+
+def _repeat(bits: int, width: int, count: int) -> int:
+    """count copies of the width-bit int `bits`, side by side.
+
+    Built by doubling over the binary digits of count, in time linear in
+    the length of the result; a repunit by long division takes quadratic
+    time."""
+    out = 0
+    while count:
+        if count & 1:
+            out = out << width | bits
+        bits |= bits << width
+        width *= 2
+        count >>= 1
+    return out
 
 
 # entries per block of an array kernel over blocks of first arguments

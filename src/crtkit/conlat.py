@@ -331,9 +331,19 @@ def meet_irreducible_congruences(alg: FiniteAlgebra) -> list[Congruence]:
     return [Congruence(alg, p) for p in sorted(out.values(), key=lambda q: q.labels)]
 
 
+def _lattice(lattice) -> list[Partition]:
+    """The members of a lattice list, refused with InputError when the list
+    is not iterable or a member, named by its position, is no Partition."""
+    parts = list(_iterable(lattice, "lattice to be a list of partitions"))
+    for i, p in enumerate(parts):
+        if not isinstance(p, Partition):
+            raise InputError(f"lattice member {i + 1} is not a partition: {p!r}")
+    return parts
+
+
 def naive_meet_irreducibles(n: int, lattice: list[Partition]) -> list[Partition]:
     """Filter theta != top whose strict upper set meets strictly above theta."""
-    lattice = list(_iterable(lattice, "lattice to be a list of partitions"))
+    lattice = _lattice(lattice)
     out = []
     for theta in lattice:
         if theta.num_blocks == 1:
@@ -415,7 +425,7 @@ def _join_irreducibles(lattice: list[Partition]):
     a principal congruence every congruence is a join of principal ones, so
     there too a member is join-irreducible when the members strictly below
     it do not join to it."""
-    lattice = _iterable(lattice, "lattice to be a list of partitions")
+    lattice = _lattice(lattice)
     parts = list({p.labels: p for p in lattice}.values())
     # x <= y iff the relation mask of x has no bit outside y's
     masks = [_relation_mask(p) for p in parts]

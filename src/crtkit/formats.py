@@ -32,7 +32,7 @@ import itertools
 
 from .algebra import FiniteAlgebra, Operation, _typecode
 from .errors import InputError
-from .partitions import Partition, _iterable, canonical_labels
+from .partitions import Partition, _iterable
 
 
 def _check_name(kind: str, name: str) -> str:
@@ -162,19 +162,20 @@ def parse_congruences(text: str, size: int | None = None) -> list[tuple[str, Par
             raise InputError(f"line {lineno}: need a name and at least one label")
         name = parts[1]
         try:
-            labels = tuple(int(tok) for tok in parts[2:])
+            labels = tuple(map(int, parts[2:]))
         except ValueError:
             raise InputError(f"line {lineno}: labels must be integers") from None
-        if labels != canonical_labels(labels):
+        part = Partition(labels)
+        if labels != part.labels:
             raise InputError(
                 f"line {lineno}: labels are not canonical; expected "
-                f"{' '.join(str(v) for v in canonical_labels(labels))}"
+                f"{' '.join(str(v) for v in part.labels)}"
             )
         if size is not None and len(labels) != size:
             raise InputError(
                 f"line {lineno}: {len(labels)} labels for a universe of size {size}"
             )
-        out.append((name, Partition(labels)))
+        out.append((name, part))
     return out
 
 

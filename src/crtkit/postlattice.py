@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING, Optional
 # terms and nearlattice load numpy with their bodies, so they are read
 # through their lazily loaded modules: the tag alone runs neither
 from . import deciders, nearlattice, terms
-from .algebra import Congruence, FiniteAlgebra, Operation, _evaluate, table_dtype
+from .algebra import Congruence, FiniteAlgebra, Operation, _evaluate, _repeat, table_dtype
 from .errors import ClassificationError, InputError, PreconditionError, StructureError
 
 if TYPE_CHECKING:
@@ -391,22 +391,6 @@ def _choice_masks(rel: frozenset[tuple[int, ...]], arity: int):
             block = sum(((1 << run) - 1) << (r * run) for r, row in enumerate(rows) if row[j])
             masks[j].append(_repeat(block, n * run, n**i))
     return masks, (1 << n**arity) - 1
-
-
-def _repeat(bits: int, width: int, count: int) -> int:
-    """count copies of the width-bit int `bits`, side by side.
-
-    Built by doubling over the binary digits of count, in time linear in
-    the length of the result; a repunit by long division takes quadratic
-    time."""
-    out = 0
-    while count:
-        if count & 1:
-            out = out << width | bits
-        bits |= bits << width
-        width *= 2
-        count >>= 1
-    return out
 
 
 @functools.cache

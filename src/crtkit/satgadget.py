@@ -20,12 +20,14 @@ constants.  A bounded-semilattice lift covers join-semilattice inputs.
 
 from typing import NamedTuple, Optional
 
-from .algebra import FiniteAlgebra, Operation, as_partitions, certify, failed_binary_law
+from .algebra import FiniteAlgebra, Operation, _repeat, as_partitions, certify, failed_binary_law
 from .errors import InputError, PreconditionError, StructureError
 from .partitions import Partition
 from .systems import CongruenceSystem, make_system, solve_system
 
 MAX_EXHAUSTIVE_VARS = 24
+# find_satisfying tests 2 ** _CHUNK_VARS assignments per int
+_CHUNK_VARS = 20
 
 
 class _CnfFields(NamedTuple):
@@ -148,17 +150,45 @@ def satisfies(phi: CnfFormula, assignment) -> bool:
 
 def find_satisfying(phi: CnfFormula) -> Optional[dict[int, int]]:
     """Exhaustive search for a satisfying assignment over the occurring
-    variables; None when unsatisfiable.  Deliberately not a SAT solver."""
+    variables; None when unsatisfiable.  Deliberately not a SAT solver.
+
+    Assignment b gives variables[i] the bit i of b, and the search returns
+    the least satisfying b.  It tests all of them at once, bit-sliced: bit
+    b of an int stands for assignment b, each clause is the OR of its
+    literals' masks and the formula the AND of its clauses, so the least
+    set bit of that AND is the answer.  The ints cover 2 ** _CHUNK_VARS
+    assignments at a time, lowest first, with the variables above those
+    fixed per chunk; a literal of a fixed variable is a constant there.
+    More than MAX_EXHAUSTIVE_VARS variables raise PreconditionError.
+    """
     variables = phi.variables()
     if len(variables) > MAX_EXHAUSTIVE_VARS:
         raise PreconditionError(
             f"{len(variables)} variables exceed the exhaustive-search bound "
             f"of {MAX_EXHAUSTIVE_VARS}"
         )
-    for bits in range(1 << len(variables)):
-        assignment = {v: (bits >> i) & 1 for i, v in enumerate(variables)}
-        if satisfies(phi, assignment):
-            return assignment
+    position = {v: i for i, v in enumerate(variables)}
+    low = min(len(variables), _CHUNK_VARS)
+    full = (1 << (1 << low)) - 1
+    # bit b of masks[i] is bit i of b: runs of 2 ** i zeros and ones
+    masks = [_repeat(((1 << (1 << i)) - 1) << (1 << i), 2 << i, 1 << (low - 1 - i)) for i in range(low)]
+    clauses = [[(position[abs(lit)], lit > 0) for lit in clause] for clause in phi.clauses]
+    for chunk in range(1 << (len(variables) - low)):
+        models = full
+        for clause in clauses:
+            union = 0
+            for i, positive in clause:
+                if i < low:
+                    union |= masks[i] if positive else full ^ masks[i]
+                elif (chunk >> (i - low) & 1) == positive:
+                    break  # a fixed variable satisfies the clause
+            else:
+                models &= union
+                if not models:
+                    break
+        if models:
+            bits = chunk << low | (models & -models).bit_length() - 1
+            return {v: (bits >> i) & 1 for i, v in enumerate(variables)}
     return None
 
 

@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 from . import config
 from .algebra import as_partitions
 from .errors import BudgetExceededError, InputError
-from .partitions import Partition, _bits, quotient_partition
+from .partitions import Partition, _bits, _UnionFind, quotient_partition
 
 
 class CongruenceSystem(NamedTuple):
@@ -85,14 +85,21 @@ def brute_force_is_cr_tuple(thetas) -> CrVerdict:
     Forward checking: each later coordinate j keeps a bitmask domain of the
     theta_j-blocks still (theta_i v theta_j)-related to every target chosen
     so far. A label whose choice empties some domain is skipped, since no
-    compatible system extends it. At the second-to-last coordinate the last
-    one is decided exactly: a last label b is unsolvable when the running
-    intersection of chosen blocks misses block b, so the surviving domain
-    minus the labels that the intersection hits is the set of unsolvable
-    completions, and its least bit is the lex-least. Only subtrees without
-    a compatible system are cut, so the witness reported for a failing
-    tuple is the lex-least unsolvable compatible system, as an exhaustive
-    enumeration would find it.
+    compatible system extends it. The domains are packed into one int, a
+    field per coordinate with a guard bit above it, so choosing label a
+    narrows them all by one AND with a's compatibility row; a field is
+    empty exactly when adding its all-ones leaves its guard bit clear.
+    The rows come from the block graph of each pair: theta_i's blocks link
+    the theta_j-labels of their members, and the theta_j-blocks in the
+    component of a's labels are those (theta_i v theta_j)-related to a.
+    At the second-to-last coordinate the last one is decided exactly: a
+    last label b is unsolvable when the running intersection of chosen
+    blocks misses block b, so the surviving domain minus the labels that
+    the intersection hits is the set of unsolvable completions, and its
+    least bit is the lex-least. Only subtrees without a compatible system
+    are cut, so the witness reported for a failing tuple is the lex-least
+    unsolvable compatible system, as an exhaustive enumeration would find
+    it.
 
     `checked` counts search nodes: labels tried at a coordinate before the
     last. Raises BudgetExceededError past the budget: 10^7 nodes, or
@@ -103,28 +110,58 @@ def brute_force_is_cr_tuple(thetas) -> CrVerdict:
     k = len(parts)
     if k == 1:
         return CrVerdict(True, None, 0)
-    # compat[i] holds one row per coordinate j > i, in order: row[a] is the
-    # bitmask of theta_j-blocks (theta_i v theta_j)-related to block a
-    compat = [[] for _ in range(k)]
-    for i in range(k):
-        reps = parts[i].representatives()
-        for j in range(i + 1, k):
-            join = parts[i].join(parts[j])
-            reach = [0] * join.num_blocks
-            for c, b in zip(join.labels, parts[j].labels):
-                reach[c] |= 1 << b
-            compat[i].append([reach[join.labels[r]] for r in reps])
-    masks = [p.block_masks() for p in parts]
     last = k - 1
+    # coordinate j's domain is a field of width[j] bytes: its num_blocks
+    # bits, a guard bit above them and zeros up to the byte. Later
+    # coordinates sit lower, so the fields after coordinate i fill the
+    # offset[i] bits below i's own field.
+    width = [p.num_blocks // 8 + 1 for p in parts]
+    offset = [0] * k
+    for j in range(k - 2, -1, -1):
+        offset[j] = offset[j + 1] + 8 * width[j + 1]
+    full = [(1 << p.num_blocks) - 1 for p in parts]
+    # ones[i] and guards[i]: every field after coordinate i filled, and
+    # every guard bit of those fields
+    ones = [sum(full[j] << offset[j] for j in range(i + 1, k)) for i in range(k)]
+    guards = [sum(1 << offset[j] + parts[j].num_blocks for j in range(i + 1, k)) for i in range(k)]
+    # compat[i][a]: the fields after coordinate i, field j holding the
+    # theta_j-blocks (theta_i v theta_j)-related to theta_i-block a, which
+    # form the component of a's labels in the block graph. A row is the
+    # bytes of its fields joined, lowest first; units[j][b] is the field
+    # of label b alone.
+    units = [[(1 << b).to_bytes(w, "little") for b in range(p.num_blocks)] for w, p in zip(width, parts)]
+    compat = []
+    for i in range(last):
+        blocks = parts[i].blocks()
+        edges = [(block[0], x) for block in blocks for x in block[1:]]
+        columns = []
+        for j in range(last, i, -1):
+            labels = parts[j].labels
+            uf = _UnionFind(parts[j].num_blocks)
+            for x, y in edges:
+                uf.union(labels[x], labels[y])
+            root = [uf.find(b) for b in range(parts[j].num_blocks)]
+            reach: dict[int, int] = {}
+            for b, r in enumerate(root):
+                if uf.size[r] > 1:
+                    reach[r] = reach.get(r, 0) | 1 << b
+            field = units[j][:]
+            for r, m in reach.items():
+                field[r] = m.to_bytes(width[j], "little")
+            columns.append([field[root[labels[block[0]]]] for block in blocks])
+        compat.append([int.from_bytes(b"".join(row), "little") for row in zip(*columns)])
+        units[i + 1] = None  # later rows hold only fields after i + 1
+    masks = [p.block_masks() for p in parts]
     last_labels = parts[last].labels
     last_masks = masks[last]
     chosen = [0] * k
     counter = 0
 
-    def descend(depth: int, mask: int, domains: list[int]) -> Optional[int]:
+    def descend(depth: int, mask: int, packed: int) -> Optional[int]:
         nonlocal counter
-        rows = compat[depth]
-        for a in _bits(domains[0]):
+        rows, filled, guard = compat[depth], ones[depth], guards[depth]
+        block_masks = masks[depth]
+        for a in _bits(packed >> offset[depth]):
             counter += 1
             if counter > limit:
                 raise BudgetExceededError(
@@ -132,18 +169,18 @@ def brute_force_is_cr_tuple(thetas) -> CrVerdict:
                     checked=counter - 1,
                     budget=limit,
                 )
-            narrowed = [dom & row[a] for dom, row in zip(domains[1:], rows)]
-            if not all(narrowed):
+            narrowed = packed & rows[a]
+            if (narrowed + filled) & guard != guard:
                 continue  # no compatible system extends this choice
             chosen[depth] = a
-            new_mask = mask & masks[depth][a]
+            new_mask = mask & block_masks[a]
             if depth + 1 < last:
                 found = descend(depth + 1, new_mask, narrowed)
                 if found is not None:
                     return found
                 continue
             # strike the last labels that the intersection hits
-            free = narrowed[0]
+            free = narrowed
             while new_mask and free:
                 b = last_labels[(new_mask & -new_mask).bit_length() - 1]
                 free &= ~(1 << b)
@@ -152,8 +189,7 @@ def brute_force_is_cr_tuple(thetas) -> CrVerdict:
                 return (free & -free).bit_length() - 1
         return None
 
-    full = [(1 << p.num_blocks) - 1 for p in parts]
-    found = descend(0, -1, full)
+    found = descend(0, -1, full[0] << offset[0] | ones[0])
     if found is None:
         return CrVerdict(True, None, counter)
     chosen[last] = found

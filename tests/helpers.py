@@ -23,7 +23,7 @@ from crtkit.dualdisc import _lift_all
 from crtkit.nearlattice import NearlatticeView, NlVerdict, _covers, _fringes, _subposet, certify_tuple
 from crtkit.partitions import Partition
 from crtkit.postlattice import PROJ_X, PROJ_Y, PROJ_Z
-from crtkit.satgadget import CnfFormula, validate_3sat_prime
+from crtkit.satgadget import CnfFormula, satisfies, validate_3sat_prime
 from crtkit.systems import CrVerdict, quotient_reduce
 from crtkit.vectorspace import _as_matrix, kernel_basis, rank, rref
 
@@ -818,3 +818,15 @@ def random_subspace(rng, p: int, n: int) -> np.ndarray:
 
 def is_3sat_prime(phi: CnfFormula) -> bool:
     return not validate_3sat_prime(phi)
+
+
+def reference_find_satisfying(phi: CnfFormula) -> Optional[dict[int, int]]:
+    """One assignment at a time: b = 0, 1, ... gives the occurring
+    variables[i] the bit i of b, and the first b that satisfies phi is the
+    answer satgadget.find_satisfying gives."""
+    variables = phi.variables()
+    for bits in range(1 << len(variables)):
+        assignment = {v: (bits >> i) & 1 for i, v in enumerate(variables)}
+        if satisfies(phi, assignment):
+            return assignment
+    return None

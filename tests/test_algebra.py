@@ -313,6 +313,26 @@ def test_lattice_predicates_refuse_a_lattice_that_is_not_iterable(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda lattice: naive_meet_irreducibles(2, lattice),
+        congruence_lattice_is_distributive,
+        congruence_lattice_is_permutable,
+    ],
+    ids=["naive-meet-irreducibles", "distributive", "permutable"],
+)
+@pytest.mark.parametrize(
+    "lattice,position,member",
+    [([5], 1, "5"), ([Partition([0, 0]), (0, 1)], 2, r"\(0, 1\)")],
+    ids=["int", "labels"],
+)
+def test_lattice_predicates_refuse_a_member_that_is_not_a_partition(call, lattice, position, member):
+    # each leaked AttributeError ('num_blocks' or 'labels')
+    with pytest.raises(InputError, match=f"^lattice member {position} is not a partition: {member}$"):
+        call(lattice)
+
+
 def test_naive_meet_irreducibles_definition():
     # chain D: 0 < a,b < 1 has the four-element boolean congruence lattice
     alg = power_algebra(zmod_group(2), 2)

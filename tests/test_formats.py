@@ -228,6 +228,26 @@ def test_bad_congruence_lines(doc, size):
         parse_congruences(doc, size=size)
 
 
+@pytest.mark.parametrize(
+    "doc,size,message",
+    [
+        ("cong t 0 2 1", None, "line 1: labels are not canonical; expected 0 1 2"),
+        ("cong t 1 0", None, "line 1: labels are not canonical; expected 0 1"),
+        ("cong t -1 5 -1", None, "line 1: labels are not canonical; expected 0 1 0"),
+        # canonical labels are checked before the size
+        ("cong t 1 0", 3, "line 1: labels are not canonical; expected 0 1"),
+        ("cong t 0 1", 3, "line 1: 2 labels for a universe of size 3"),
+        ("cong t 0 x", 2, "line 1: labels must be integers"),
+        ("cong t", None, "line 1: need a name and at least one label"),
+        ("blah t 0 1", None, "line 1: expected 'cong', got 'blah'"),
+    ],
+)
+def test_bad_congruence_lines_name_the_fault(doc, size, message):
+    with pytest.raises(InputError) as info:
+        parse_congruences(doc, size=size)
+    assert str(info.value) == message
+
+
 def test_congruence_errors_name_the_line():
     text = "cong a 0 1\ncong b 0 2\n"
     with pytest.raises(InputError, match="line 2.*expected 0 1"):

@@ -1,14 +1,19 @@
 """CNF reductions: formulas to congruence tuples and back."""
 
 import itertools
+import random
+import time
+import tracemalloc
 
 import pytest
 
 from crtkit.algebra import FiniteAlgebra, Operation, all_congruences, is_congruence
 from crtkit.catalog import boolean_lattice, chain_lattice
-from crtkit.errors import InputError
+from crtkit import satgadget
+from crtkit.errors import BudgetExceededError, InputError, PreconditionError
 from crtkit.partitions import Partition
 from crtkit.satgadget import (
+    MAX_EXHAUSTIVE_VARS,
     CnfFormula,
     as_left_zero_semigroup,
     assignment_to_system,
@@ -27,7 +32,7 @@ from crtkit.satgadget import (
 )
 from crtkit.systems import brute_force_is_cr_tuple, make_system, solve_system
 
-from helpers import reference_brute_force_is_cr_tuple, set_partitions
+from helpers import reference_brute_force_is_cr_tuple, reference_find_satisfying, set_partitions
 
 PENTAGON = CnfFormula(
     5, ((1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 1), (5, 1, 2))
@@ -208,6 +213,98 @@ def test_unsat_reductions_at_eleven_sets_fit_the_budget():
             assert verdict.checked < 10**5
             unsat += 1
         seed += 1
+
+
+@pytest.mark.parametrize("k_sets", [5, 6, 7, 8, 9])
+@pytest.mark.parametrize("bias", [0.0, 0.5, 1.0])
+def test_find_satisfying_matches_the_reference_on_generated_formulas(k_sets, bias):
+    for seed in range(100):
+        phi = random_3sat_prime(seed, k_sets, bias)
+        assert find_satisfying(phi) == reference_find_satisfying(phi), seed
+
+
+@pytest.mark.parametrize("chunk_vars", [0, 1, 2, 3, None], ids=["0", "1", "2", "3", "default"])
+def test_find_satisfying_matches_the_reference_in_every_chunk(monkeypatch, chunk_vars):
+    # small chunks fix most variables: their literals are constants there,
+    # and the least satisfying assignment lies in any chunk
+    if chunk_vars is not None:
+        monkeypatch.setattr(satgadget, "_CHUNK_VARS", chunk_vars)
+    rng = random.Random(5)
+    formulas = [
+        CnfFormula(0, ()),
+        CnfFormula(0, ((),)),
+        CnfFormula(3, ()),
+        CnfFormula(3, ((1, -2), (), (3,))),
+        CnfFormula(2, ((1,), (-1,))),
+        CnfFormula(4, ((4, -4), (-4,))),
+    ]
+    for _ in range(400):
+        n = rng.randint(0, 8)
+        clauses = tuple(
+            tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 4) if n else 0))
+            for _ in range(rng.randint(0, 12))
+        )
+        formulas.append(CnfFormula(n, clauses))
+    for phi in formulas:
+        assert find_satisfying(phi) == reference_find_satisfying(phi), phi
+
+
+def test_find_satisfying_refuses_more_variables_than_the_bound():
+    n = MAX_EXHAUSTIVE_VARS + 1
+    phi = CnfFormula(n, tuple((v,) for v in range(1, n + 1)))
+    with pytest.raises(
+        PreconditionError,
+        match=f"^{n} variables exceed the exhaustive-search bound of {MAX_EXHAUSTIVE_VARS}$",
+    ):
+        find_satisfying(phi)
+
+
+def test_find_satisfying_decides_an_unsatisfiable_formula_at_the_bound():
+    # this draw is unsatisfiable, so every chunk of 2 ** 20 assignments is
+    # tested; the per-assignment loop took over two minutes to agree
+    phi = random_3sat_prime(0, MAX_EXHAUSTIVE_VARS, 0.0)
+    assert len(phi.variables()) == MAX_EXHAUSTIVE_VARS
+    start = time.perf_counter()
+    assert find_satisfying(phi) is None
+    assert time.perf_counter() - start <= 0.5
+    tracemalloc.start()
+    try:
+        find_satisfying(phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20
+
+
+# (is_cr, witness, checked) of the brute search on the reductions of the
+# benchmark's draws, plain and through u_embed, as recorded when the search
+# still kept one domain list per coordinate and joined every pair
+FROZEN_BRUTE_VERDICTS = {
+    (3, 9, 0.0): ((True, None, 6443), (True, None, 12886)),
+    (5, 9, 0.0): ((True, None, 8397), (True, None, 16794)),
+    (8, 9, 0.0): ((True, None, 12357), (True, None, 24714)),
+    (0, 5, 1.0): ((False, (0, 1, 3, 6, 8), 9),) * 2,
+    (0, 6, 1.0): ((False, (20, 12, 13, 26, 28, 9), 134),) * 2,
+    (0, 7, 1.0): ((False, (11, 1, 4, 16, 21, 22, 25), 100),) * 2,
+}
+
+
+def test_brute_search_verdicts_on_the_benchmark_draws_are_frozen(monkeypatch):
+    # the first three unsatisfiable draws at nine sets, and the satisfiable
+    # ones at five to seven
+    unsat = [s for s in range(9) if find_satisfying(random_3sat_prime(s, 9, 0.0)) is None]
+    assert unsat == [3, 5, 8]
+    for (seed, k_sets, bias), want in FROZEN_BRUTE_VERDICTS.items():
+        inst = reduce_formula(random_3sat_prime(seed, k_sets, bias))
+        _, lifted = u_embed(inst.size, inst.thetas)
+        got = tuple(tuple(brute_force_is_cr_tuple(thetas)) for thetas in (inst.thetas, lifted))
+        assert got == want, (seed, k_sets, bias)
+    # a budget of one node less runs out at the last node
+    inst = reduce_formula(random_3sat_prime(3, 9, 0.0))
+    monkeypatch.setenv("CRTKIT_BUDGET", "6442")
+    with pytest.raises(BudgetExceededError) as info:
+        brute_force_is_cr_tuple(inst.thetas)
+    assert (info.value.checked, info.value.budget) == (6442, 6442)
 
 
 def test_u_embed_example():

@@ -167,9 +167,9 @@ def test_witness_replay_random():
 
 
 @st.composite
-def partition_tuple(draw):
-    n = draw(st.integers(1, 7))
-    k = draw(st.integers(1, 4))
+def partition_tuple(draw, max_n=7, min_k=1, max_k=4):
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(min_k, max_k))
     labels = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
     return [Partition(draw(labels)) for _ in range(k)]
 
@@ -177,6 +177,14 @@ def partition_tuple(draw):
 @settings(max_examples=400, deadline=None)
 @given(partition_tuple())
 def test_search_matches_reference_enumeration(thetas):
+    got = brute_force_is_cr_tuple(thetas)
+    want = reference_brute_force_is_cr_tuple(thetas)
+    assert (got.is_cr, got.witness) == (want.is_cr, want.witness)
+
+
+@settings(max_examples=200, deadline=None)
+@given(partition_tuple(max_n=10, min_k=2, max_k=5))
+def test_search_matches_reference_enumeration_on_wider_tuples(thetas):
     got = brute_force_is_cr_tuple(thetas)
     want = reference_brute_force_is_cr_tuple(thetas)
     assert (got.is_cr, got.witness) == (want.is_cr, want.witness)
@@ -194,6 +202,19 @@ def test_budget_exhaustion(monkeypatch):
         brute_force_is_cr_tuple(thetas)
     assert info.value.budget == 5
     assert info.value.checked == 5
+
+
+def test_budget_runs_out_below_the_second_coordinate(monkeypatch):
+    # four identities: each first label costs one node at each of depths 0,
+    # 1 and 2, so the search takes 18 nodes and the 18th is at depth 2
+    thetas = [Partition(list(range(6))) for _ in range(4)]
+    assert tuple(brute_force_is_cr_tuple(thetas)) == (True, None, 18)
+    monkeypatch.setenv("CRTKIT_BUDGET", "18")
+    assert brute_force_is_cr_tuple(thetas).checked == 18
+    monkeypatch.setenv("CRTKIT_BUDGET", "17")
+    with pytest.raises(BudgetExceededError) as info:
+        brute_force_is_cr_tuple(thetas)
+    assert (info.value.checked, info.value.budget) == (17, 17)
 
 
 def test_checked_counts_search_nodes():
