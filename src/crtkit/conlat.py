@@ -4,8 +4,8 @@ meet-irreducible members, and whether it is distributive or permutable.
 Every congruence of a finite algebra is a join of principal congruences,
 so principal_partition_set computes those once per strongly connected
 component of the graph of pairs under translations, and all_congruences
-closes them under join. The lattice predicates work on n*n-bit relation
-masks of the members and test only their join-irreducible members.
+closes them under join. Every fact of a lattice list reads one scan of
+the order among the n*n-bit relation masks of its members (_order).
 Results are partitions, or Congruence records of crtkit.algebra.
 """
 
@@ -322,7 +322,7 @@ def meet_irreducible_congruences(alg: FiniteAlgebra) -> list[Congruence]:
     masks, closed once (_equivalence_closure).
     """
     n = alg.size
-    _, masks, join_irr = _join_irreducibles([Partition.identity(n), *principal_partition_set(alg)])
+    _, masks, _, join_irr = _join_irreducibles([Partition.identity(n), *principal_partition_set(alg)])
     out: dict[tuple, Partition] = {}
     for j in join_irr:
         avoiding = (masks[d] for d in join_irr if masks[j] & ~masks[d])
@@ -341,20 +341,38 @@ def _lattice(lattice) -> list[Partition]:
     return parts
 
 
+def _order(lattice):
+    """(distinct members, relation masks, indices strictly below each) of a lattice list."""
+    parts = list({p.labels: p for p in _lattice(lattice)}.values())
+    masks = [_relation_mask(p) for p in parts]
+    ids = list(range(len(parts)))  # the rows share these index objects
+    below = [  # x <= y iff the mask of x has no bit outside y's
+        [x for x, mx in zip(ids, masks) if not mx & outside and x != y]
+        for y, outside in zip(ids, [~m for m in masks])
+    ]
+    return parts, masks, below
+
+
 def naive_meet_irreducibles(n: int, lattice: list[Partition]) -> list[Partition]:
-    """Filter theta != top whose strict upper set meets strictly above theta."""
+    """Members theta != top whose strict upper set meets strictly above
+    theta, sorted, each as often as listed: a meet is the AND of relation
+    masks, read off _order's scan transposed. The name stays while the
+    function is exported and the benchmark's tracer wraps it by name."""
     lattice = _lattice(lattice)
-    out = []
-    for theta in lattice:
-        if theta.num_blocks == 1:
-            continue
-        above = [d for d in lattice if theta.refines(d) and d != theta]
-        meet = Partition.total(n)
-        for d in above:
-            meet = meet.meet(d)
-        if meet != theta:
-            out.append(theta)
-    return sorted(out, key=lambda q: q.labels)
+    parts, masks, below = _order(lattice)
+    proper = [p for p in parts if p.num_blocks > 1]
+    if proper:  # refuse as meets of Partition objects would, in the same order
+        for p in parts:
+            proper[0]._check_same_ground(p)
+        total = Partition.total(n)
+        if any(below):  # then some meet starts from total(n), on the members' ground set
+            total._check_same_ground(proper[0])
+    meet = [-1] * len(parts)  # every bit set: the meet of no members
+    for y, smaller in enumerate(below):
+        for x in smaller:
+            meet[x] &= masks[y]
+    mi = {p.labels for p, m, mask in zip(parts, meet, masks) if m != mask and p.num_blocks > 1}
+    return sorted((p for p in lattice if p.labels in mi), key=lambda q: q.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +382,7 @@ def naive_meet_irreducibles(n: int, lattice: list[Partition]) -> list[Partition]
 def is_arithmetic(alg: FiniteAlgebra) -> bool:
     """Congruence-distributive and congruence-permutable."""
     lattice = [c.partition for c in all_congruences(alg)]
-    permutable = congruence_lattice_is_permutable(lattice)
-    return permutable and congruence_lattice_is_distributive(lattice)
+    return congruence_lattice_is_permutable(lattice) and congruence_lattice_is_distributive(lattice)
 
 
 def congruence_lattice_is_distributive(lattice: list[Partition]) -> bool:
@@ -377,22 +394,14 @@ def congruence_lattice_is_distributive(lattice: list[Partition]) -> bool:
     every x is the join of the join-irreducibles below it, so x -> {j in
     J(L) : j <= x} is one-to-one into the down-sets of J(L); it is onto,
     and L distributive, exactly when J(L) has |L| down-sets (G. Birkhoff,
-    "Rings of sets", 1937). The down-sets are counted with an early stop
-    at |L| + 1.
+    "Rings of sets", 1937). The order of J(L) is read off _order's scan,
+    and the down-sets are counted with an early stop at |L| + 1.
     """
-    parts, masks, join_irr = _join_irreducibles(lattice)
-    if not parts:
-        return True
-    join_irr = [masks[j] for j in join_irr]
-    k = len(join_irr)
-    down = [0] * k
-    up = [0] * k
-    for a, ma in enumerate(join_irr):
-        for b, mb in enumerate(join_irr):
-            if ma & ~mb == 0:
-                down[b] |= 1 << a
-                up[a] |= 1 << b
-    return _count_down_sets(down, up, len(parts) + 1) == len(parts)
+    parts, _, below, join_irr = _join_irreducibles(lattice)
+    bit = {j: 1 << a for a, j in enumerate(join_irr)}
+    down = [bit[j] | sum(bit.get(x, 0) for x in below[j]) for j in join_irr]
+    up = [sum(bit[j] for j, d in zip(join_irr, down) if d & b) for b in bit.values()]
+    return not parts or _count_down_sets(down, up, len(parts) + 1) == len(parts)
 
 
 def _count_down_sets(down: list[int], up: list[int], limit: int) -> int:
@@ -419,27 +428,18 @@ def _count_down_sets(down: list[int], up: list[int], limit: int) -> int:
 
 
 def _join_irreducibles(lattice: list[Partition]):
-    """(distinct members, their relation masks, indices of the
-    join-irreducible members) of a lattice of partitions closed under join,
-    or of an algebra's principal congruences with the identity first: below
-    a principal congruence every congruence is a join of principal ones, so
-    there too a member is join-irreducible when the members strictly below
-    it do not join to it."""
-    lattice = _lattice(lattice)
-    parts = list({p.labels: p for p in lattice}.values())
-    # x <= y iff the relation mask of x has no bit outside y's
-    masks = [_relation_mask(p) for p in parts]
+    """_order's scan and its join-irreducible members: those the members
+    strictly below do not join to, which shows in the count of blocks. The
+    list is closed under join, or is an algebra's principal congruences with
+    the identity first, below each of which every congruence is such a join."""
+    parts, masks, below = _order(lattice)
     join_irr = []
-    for j, mj in enumerate(masks):
-        smaller = [mx for mx in masks if mx != mj and mx & ~mj == 0]
-        if not smaller:
-            continue  # the least member is the empty join
-        # j is join-irreducible when the strictly smaller members do not
-        # join to it; their join lies below j, so counting blocks suffices
-        join = _equivalence_closure(functools.reduce(operator.or_, smaller), parts[j].n)
-        if join.num_blocks != parts[j].num_blocks:
-            join_irr.append(j)
-    return parts, masks, join_irr
+    for j, smaller in enumerate(below):
+        if smaller:  # the least member is the empty join
+            join = functools.reduce(operator.or_, (masks[x] for x in smaller))
+            if _equivalence_closure(join, parts[j].n).num_blocks != parts[j].num_blocks:
+                join_irr.append(j)
+    return parts, masks, below, join_irr
 
 
 def congruence_lattice_is_permutable(lattice: list[Partition]) -> bool:
@@ -451,6 +451,6 @@ def congruence_lattice_is_permutable(lattice: list[Partition]) -> bool:
     least member, the empty join, permutes with all members, which lie
     above it), so permuting join-irreducibles make every pair permute.
     Partition.permutes is symmetric, so each unordered pair is tested once."""
-    parts, _, join_irr = _join_irreducibles(lattice)
+    parts, _, _, join_irr = _join_irreducibles(lattice)
     ji = [parts[j] for j in join_irr]
     return all(x.permutes(y) for i, x in enumerate(ji) for y in ji[i + 1 :])

@@ -35,7 +35,7 @@ import numpy as np
 
 from .algebra import FiniteAlgebra, _evaluate, as_partitions, certify
 from .errors import InputError, StructureError
-from .partitions import Partition, _bits, canonical_labels
+from .partitions import Partition, _bits
 
 
 @dataclass(eq=False)
@@ -223,7 +223,7 @@ def f_of_theta(view: NearlatticeView, theta) -> int:
 
 def theta_of_f(view: NearlatticeView, fmask: int) -> Partition:
     """Intersection of the two-block congruences over the masked P indices."""
-    return Partition(canonical_labels([view.sigma[a] & fmask for a in range(view.alg.size)]))
+    return Partition([view.sigma[a] & fmask for a in range(view.alg.size)])
 
 
 def certify_tuple(view: NearlatticeView, thetas) -> list[tuple[Partition, int]]:

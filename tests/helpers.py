@@ -18,6 +18,7 @@ from crtkit.algebra import (
     quotient,
 )
 from crtkit.catalog import index_to_tuple, power_algebra, subpower, tuple_to_index
+from crtkit.conlat import _lattice
 from crtkit.errors import BudgetExceededError, InputError, PreconditionError, StructureError
 from crtkit.dualdisc import _lift_all
 from crtkit.nearlattice import NearlatticeView, NlVerdict, _covers, _fringes, _subposet, certify_tuple
@@ -287,6 +288,25 @@ def reference_is_distributive(lattice):
                 if x.meet(y.join(z)) != (x.meet(y)).join(x.meet(z)):
                     return False
     return True
+
+
+def reference_meet_irreducibles(n: int, lattice: list[Partition]) -> list[Partition]:
+    """Filter theta != top whose strict upper set meets strictly above theta.
+
+    The per-member Partition loop conlat.naive_meet_irreducibles ran
+    before it read the masks above each member off conlat._order."""
+    lattice = _lattice(lattice)
+    out = []
+    for theta in lattice:
+        if theta.num_blocks == 1:
+            continue
+        above = [d for d in lattice if theta.refines(d) and d != theta]
+        meet = Partition.total(n)
+        for d in above:
+            meet = meet.meet(d)
+        if meet != theta:
+            out.append(theta)
+    return sorted(out, key=lambda q: q.labels)
 
 
 def relation_product(p, q):

@@ -80,6 +80,7 @@ from helpers import (
     random_closed_subpower,
     random_distributive_lattice,
     random_subspace,
+    reference_meet_irreducibles,
     set_partitions,
 )
 
@@ -420,6 +421,7 @@ def test_criterion_09_meet_irreducibles_match_naive_enumeration():
         naive = {p.labels for p in naive_meet_irreducibles(alg.size, parts)}
         fast = {p.labels for p in meet_irreducible_congruences(alg)}
         assert fast == naive
+        assert fast == {p.labels for p in reference_meet_irreducibles(alg.size, parts)}
 
 
 def test_criterion_10_polynomial_deciders_scale():

@@ -70,6 +70,7 @@ from helpers import (
     reference_associative,
     reference_is_distributive,
     reference_is_permutable,
+    reference_meet_irreducibles,
     reference_quotient_tables,
     reference_subalgebra,
     reference_term_table,
@@ -361,6 +362,67 @@ def test_meet_irreducibles_fast_path_verified():
         lattice = [c.partition for c in all_congruences(alg)]
         naive = naive_meet_irreducibles(alg.size, lattice)
         assert [c.partition for c in fast] == naive
+        assert [c.partition for c in fast] == reference_meet_irreducibles(alg.size, lattice)
+
+
+def _drawn_congruence_lattice(seed):
+    """Con(A) of an algebra drawn from seed: 2-7 elements and 1-2
+    operations of arity 0-3, unary ones most often, since those leave the
+    lattice largest."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 7)
+    ops = []
+    for k in range(rng.randint(1, 2)):
+        arity = rng.choice([0, 1, 1, 1, 2, 3])
+        ops.append(Operation(f"f{k}", arity, [rng.randrange(n) for _ in range(n**arity)]))
+    alg = FiniteAlgebra(n, ops)
+    return n, [c.partition for c in all_congruences(alg)]
+
+
+def _lattice_lists():
+    chain = [c.partition for c in all_congruences(chain_lattice(4))]
+    klein = [c.partition for c in all_congruences(power_algebra(zmod_group(2), 2))]
+    cases = {f"drawn-{seed}": _drawn_congruence_lattice(seed) for seed in range(24)}
+    cases.update(
+        {
+            "eq3": (3, set_partitions(3)),
+            "eq4": (4, set_partitions(4)),
+            "duplicates": (4, klein + klein[::-1] + [Partition([0, 0, 1, 1])]),
+            "without-total": (4, chain[1:]),
+            "one-member": (4, [Partition([0, 1, 1, 2])]),
+            "one-total": (4, [Partition.total(4)]),
+            "empty": (4, []),
+        }
+    )
+    return cases
+
+
+LATTICE_LISTS = _lattice_lists()
+
+
+@pytest.mark.parametrize("n,lattice", LATTICE_LISTS.values(), ids=LATTICE_LISTS.keys())
+def test_naive_meet_irreducibles_match_the_reference(n, lattice):
+    # the same members, in the same order, each as often as the list holds it
+    assert naive_meet_irreducibles(n, lattice) == reference_meet_irreducibles(n, lattice)
+
+
+@pytest.mark.parametrize(
+    "n,lattice",
+    [
+        (3, [Partition([0, 0, 0]), Partition([0, 1]), Partition([0, 1, 2])]),
+        (2, [Partition([0, 1]), Partition([0, 0, 0])]),
+        ("4", set_partitions(4)),
+        (4.0, set_partitions(4)),
+        (3, set_partitions(4)),
+    ],
+    ids=["ground-sets", "ground-set-of-the-top", "n-str", "n-float", "n-not-the-ground-set"],
+)
+def test_naive_meet_irreducibles_refuse_as_the_reference_does(n, lattice):
+    with pytest.raises(InputError) as want:
+        reference_meet_irreducibles(n, lattice)
+    with pytest.raises(InputError) as got:
+        naive_meet_irreducibles(n, lattice)
+    assert str(got.value) == str(want.value)
 
 
 def test_quotient_of_z12_mod3():

@@ -642,6 +642,54 @@ def test_conlat_zmod12(fix, capsys):
     )
 
 
+def test_conlat_klein_marks_the_three_coatoms(fix, capsys):
+    # M2 = Con(Z2 x Z2) is modular but not distributive: every coatom is MI
+    code, out, err = run(capsys, "conlat", "--algebra", fix["klein.alg"])
+    assert (code, err) == (0, "")
+    assert out == (
+        "ALGEBRA: Z2+^2\n"
+        "SIZE: 4\n"
+        "CONGRUENCES: 5\n"
+        "CONG 0: 0 0 0 0\n"
+        "CONG 1: 0 0 1 1  MI\n"
+        "CONG 2: 0 1 0 1  MI\n"
+        "CONG 3: 0 1 1 0  MI\n"
+        "CONG 4: 0 1 2 3\n"
+        "DISTRIBUTIVE: no\n"
+        "PERMUTABLE: yes\n"
+        "ARITHMETIC: no\n"
+    )
+
+
+def test_conlat_bare4_marks_the_seven_two_block_partitions(fix, capsys):
+    # Con of a bare 4-set is Eq(4): its meet-irreducibles are its coatoms
+    code, out, err = run(capsys, "conlat", "--algebra", fix["bare4.alg"])
+    assert (code, err) == (0, "")
+    assert out == (
+        "ALGEBRA: set4\n"
+        "SIZE: 4\n"
+        "CONGRUENCES: 15\n"
+        "CONG 0: 0 0 0 0\n"
+        "CONG 1: 0 0 0 1  MI\n"
+        "CONG 2: 0 0 1 0  MI\n"
+        "CONG 3: 0 0 1 1  MI\n"
+        "CONG 4: 0 0 1 2\n"
+        "CONG 5: 0 1 0 0  MI\n"
+        "CONG 6: 0 1 0 1  MI\n"
+        "CONG 7: 0 1 0 2\n"
+        "CONG 8: 0 1 1 0  MI\n"
+        "CONG 9: 0 1 1 1  MI\n"
+        "CONG 10: 0 1 1 2\n"
+        "CONG 11: 0 1 2 0\n"
+        "CONG 12: 0 1 2 1\n"
+        "CONG 13: 0 1 2 2\n"
+        "CONG 14: 0 1 2 3\n"
+        "DISTRIBUTIVE: no\n"
+        "PERMUTABLE: no\n"
+        "ARITHMETIC: no\n"
+    )
+
+
 def test_conlat_singleton(fix, capsys):
     code, out, _ = run(capsys, "conlat", "--algebra", fix["one.alg"])
     assert code == 0
